@@ -2,6 +2,9 @@
 
 tests/data/demo_per_time.csv and demo_summary.csv were generated once from
 demo_config() and frozen; the determinism tests compare bytes against them.
+tests/data/clutter10_*.csv were generated and frozen the same way from a
+three-run study at lambda = 10, where the update builds hundreds of branches
+and prune, dominance reduction and merge all act.
 """
 
 import json
@@ -108,6 +111,13 @@ def test_demo_benchmark_matches_golden_files(tmp_path):
     per_time, summary = emit_results(res, tmp_path)
     assert per_time.read_bytes() == (DATA / "demo_per_time.csv").read_bytes()
     assert summary.read_bytes() == (DATA / "demo_summary.csv").read_bytes()
+
+
+def test_clutter10_benchmark_matches_golden_files(tmp_path):
+    cfg = BenchConfig(lambda_list=(10.0,), threshold_sweep=(0.2, 0.5, 0.8), n_runs=3, base_seed=7)
+    per_time, summary = emit_results(run_benchmark(cfg), tmp_path)
+    assert per_time.read_bytes() == (DATA / "clutter10_per_time.csv").read_bytes()
+    assert summary.read_bytes() == (DATA / "clutter10_summary.csv").read_bytes()
 
 
 def test_benchmark_rerun_is_byte_identical(tmp_path):

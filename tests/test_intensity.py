@@ -1,4 +1,12 @@
-"""Tests for the multi-system intensity filter."""
+"""Tests for the multi-system intensity filter.
+
+tests/data/intensity_scene_targets.txt was generated once from the pinned
+three-system scene below and frozen: one line per step, the step index and
+the extracted means as exact float reprs.
+"""
+
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +24,15 @@ from possitrack.intensity import (
 from possitrack.mixtures import GaussianPossibility
 from possitrack.scenario import (
     ScenarioConfig,
+    generate_observations,
     observation_matrix,
     observation_noise,
     process_noise,
+    simulate_truth,
     transition_matrix,
 )
+
+DATA = Path(__file__).parent / "data"
 
 
 def g2(w, px, vx=0.0, cov=None):
@@ -201,3 +213,39 @@ def test_extract_requires_beating_threshold_and_floor():
     assert extract_targets(fm, tau_x=0.9) == []
     high_floor = IntensityMixture(0.97, (g2(0.95, 0.0),))
     assert extract_targets(high_floor, tau_x=0.9) == []
+
+
+# ------------------------------------------------------------- golden scene
+
+# three systems (position offset, birth step) plus lambda = 10 clutter; seed 2
+# fills the component cap on several steps, so the truncation order is pinned
+SCENE_SYSTEMS = ((-4.0, 2), (0.0, 5), (4.0, 8))
+SCENE_SEED = 2
+
+
+def three_system_scene(seed):
+    sc = ScenarioConfig()
+    rng = np.random.default_rng(seed)
+    steps = [[] for _ in range(sc.t_end + 1)]
+    for offset, t_birth in SCENE_SYSTEMS:
+        cfg = replace(sc, t_birth=t_birth, lambda_fp=0.0)
+        obs = generate_observations(simulate_truth(cfg, rng), cfg, rng)
+        for t, ys in enumerate(obs.steps):
+            steps[t].extend(y + offset for y in ys)
+    for ys in steps:
+        ys.extend(rng.uniform(sc.fp_lo, sc.fp_hi, rng.poisson(10.0)).tolist())
+    return steps
+
+
+def test_intensity_filter_matches_golden_targets():
+    p = params()
+    fm = IntensityMixture()
+    capped = 0
+    lines = []
+    for t, ys in enumerate(three_system_scene(SCENE_SEED)):
+        fm = update_intensity(propagate_intensity(fm, p), p, ys)
+        capped += len(fm.components) >= p.max_components
+        found = extract_targets(fm)
+        lines.append(" ".join([str(t)] + [",".join(repr(float(v)) for v in x) for x in found]))
+    assert capped >= 1
+    assert "\n".join(lines) + "\n" == (DATA / "intensity_scene_targets.txt").read_text()
