@@ -17,20 +17,19 @@ which keeps the updated intensity bounded by 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .mixtures import (
     GaussianPossibility,
+    LinearGaussianModel,
     MaxMixture,
-    _as_matrix,
-    _require_psd,
     batch_kalman_update,
+    batch_predict,
+    concat_terms,
     dominance_reduce,
-    predict_gaussian,
-    stack_components,
 )
 from .single_target import canonicalize_observations, materialize_birth
 
@@ -45,43 +44,23 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class IntensityMixture:
-    """Intensity function: max of a constant floor and Gaussian components."""
+class IntensityMixture(MaxMixture):
+    """Intensity function: max of a constant floor and Gaussian components.
 
-    floor: float = 0.0
-    components: tuple[GaussianPossibility, ...] = ()
+    A :class:`MaxMixture` whose flat term is called the floor; the
+    constructor takes ``(floor, components)`` in that order.
+    """
 
-    def __post_init__(self):
-        f = float(self.floor)
-        if not (0.0 <= f <= 1.0) or not math.isfinite(f):
-            raise ValueError(f"floor must be in [0, 1], got {f!r}")
-        comps = tuple(self.components)
-        if len({c.dim for c in comps}) > 1:
-            raise ValueError("components must share one state dimension")
-        object.__setattr__(self, "floor", f)
-        object.__setattr__(self, "components", comps)
+    def __init__(self, floor: float = 0.0, components: Sequence[GaussianPossibility] = ()):
+        super().__init__(components, floor)
 
-    def __call__(self, x) -> float:
-        return _as_max_mixture(self)(x)
-
-    def eval_many(self, xs: np.ndarray) -> np.ndarray:
-        return _as_max_mixture(self).eval_many(xs)
-
-    def sup(self) -> float:
-        return _as_max_mixture(self).sup()
-
-
-def _as_max_mixture(fm: IntensityMixture) -> MaxMixture:
-    return MaxMixture(fm.components, fm.floor)
-
-
-def _from_max_mixture(mix: MaxMixture) -> IntensityMixture:
-    return IntensityMixture(mix.flat_weight, mix.components)
+    @property
+    def floor(self) -> float:
+        return self.flat_weight
 
 
 @dataclass(frozen=True)
-class MultiTargetParams:
+class MultiTargetParams(LinearGaussianModel):
     """Model matrices and intensity parameters of the multi-system filter.
 
     ``birth`` is the appearance intensity on the state space (typically just
@@ -90,10 +69,6 @@ class MultiTargetParams:
     unobserved coordinates.
     """
 
-    trans: np.ndarray
-    trans_noise: np.ndarray
-    obs: np.ndarray
-    obs_noise: np.ndarray
     survival: float = 1.0
     missed_detection: float = 0.2
     birth: IntensityMixture = IntensityMixture(floor=0.5)
@@ -102,15 +77,7 @@ class MultiTargetParams:
     max_components: int = 200
 
     def __post_init__(self):
-        trans = _as_matrix(self.trans, "trans")
-        noise = _require_psd(self.trans_noise, "trans_noise")
-        obs = _as_matrix(self.obs, "obs")
-        obs_noise = _require_psd(self.obs_noise, "obs_noise")
-        d = trans.shape[0]
-        if trans.shape != (d, d) or noise.shape != (d, d):
-            raise ValueError("trans and trans_noise must be square with equal size")
-        if obs.shape[1] != d or obs_noise.shape != (obs.shape[0], obs.shape[0]):
-            raise ValueError("obs/obs_noise shapes inconsistent with state dim")
+        super().__post_init__()
         for name in ("survival", "missed_detection"):
             v = float(getattr(self, name))
             if not (0.0 < v <= 1.0):
@@ -120,32 +87,20 @@ class MultiTargetParams:
             raise ValueError("birth_velocity_std must be > 0")
         if self.max_components < 1:
             raise ValueError("max_components must be >= 1")
-        for arr, name in ((trans, "trans"), (noise, "trans_noise"), (obs, "obs"), (obs_noise, "obs_noise")):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def state_dim(self) -> int:
-        return self.trans.shape[0]
-
-    @property
-    def obs_dim(self) -> int:
-        return self.obs.shape[0]
 
 
 def sum_intensities(a: IntensityMixture, b: IntensityMixture) -> IntensityMixture:
     """Pointwise max of two intensities (union of independent populations)."""
-    mix = MaxMixture(a.components + b.components, max(a.floor, b.floor))
-    return _from_max_mixture(dominance_reduce(mix))
+    stack = concat_terms(((a.weights, a.means, a.covs), (b.weights, b.means, b.covs)))
+    return dominance_reduce(IntensityMixture.from_arrays(*stack, max(a.floor, b.floor)))
 
 
 def propagate_intensity(fm: IntensityMixture, params: MultiTargetParams) -> IntensityMixture:
     """Survival-scaled linear propagation followed by the birth intensity."""
-    comps = tuple(
-        predict_gaussian(c, params.trans, params.trans_noise, params.survival)
-        for c in fm.components
+    ms, vs = batch_predict(fm.means, fm.covs, params.trans, params.trans_noise)
+    moved = IntensityMixture.from_arrays(
+        fm.weights * params.survival, ms, vs, fm.floor * params.survival
     )
-    moved = IntensityMixture(fm.floor * params.survival, comps)
     return sum_intensities(moved, params.birth)
 
 
@@ -157,58 +112,38 @@ def update_intensity(fm: IntensityMixture, params: MultiTargetParams, observatio
     positive, one newborn component located at y; all of them are divided by
     D_y = max(floor, best component likelihood, clutter intensity at y), so
     no weight exceeds 1.  Exact duplicate observations are a single
-    observation.  The result is dominance-reduced and capped.
+    observation.  The result is dominance-reduced and capped at the
+    max_components heaviest components.
     """
     ys = canonicalize_observations(observations, params.obs_dim)
     n_obs = ys.shape[0]
-    a_df = params.missed_detection
-
-    new_w: list[float] = []
-    new_m: list[np.ndarray] = []
-    new_v: list[np.ndarray] = []
-
-    floor_t = fm.floor * a_df
-    if fm.components:
-        ws, ms, vs = stack_components(fm.components)
-        new_w.extend((ws * a_df).tolist())
-        new_m.extend(ms)
-        new_v.extend(vs)
-    if n_obs:
-        if fm.components:
-            liks, m_post, v_post = batch_kalman_update(ms, vs, ys, params.obs, params.obs_noise)
-        for j in range(n_obs):
-            best_comp = float((ws * liks[:, j]).max()) if fm.components else 0.0
-            d_y = max(fm.floor, best_comp, fm_clutter_at(params, ys[j]))
-            if d_y <= 0.0:
-                continue
-            if fm.components:
-                det_w = ws * liks[:, j] / d_y
-                new_w.extend(det_w.tolist())
-                new_m.extend(m_post[:, j, :])
-                new_v.extend(v_post)
-            if fm.floor > 0.0:
-                mean, cov = materialize_birth(
-                    ys[j], params.obs, params.obs_noise, params.birth_velocity_std
-                )
-                new_w.append(fm.floor / d_y)
-                new_m.append(mean)
-                new_v.append(cov)
-
-    comps = tuple(
-        GaussianPossibility(w, m, v) for w, m, v in zip(new_w, new_m, new_v) if w > 0.0
-    )
-    reduced = dominance_reduce(MaxMixture(comps, floor_t))
-    out_comps = reduced.components
-    if len(out_comps) > params.max_components:
-        out_comps = tuple(
-            sorted(out_comps, key=lambda c: -c.weight)[: params.max_components]
+    ws, ms, vs = fm.weights, fm.means, fm.covs
+    floor = fm.floor
+    branches = [(ws * params.missed_detection, ms, vs)]
+    if n_obs and ws.size:
+        liks, m_post, v_post = batch_kalman_update(ms, vs, ys, params.obs, params.obs_noise)
+        w_lik = ws[:, None] * liks  # (k, n)
+    if n_obs and floor > 0.0:
+        born_m, born_v = materialize_birth(
+            ys, params.obs, params.obs_noise, params.birth_velocity_std
         )
-    return IntensityMixture(floor_t, out_comps)
+    for j, clutter in enumerate(params.clutter.eval_many(ys)):
+        d_y = max(floor, float(w_lik[:, j].max()) if ws.size else 0.0, clutter)
+        if d_y <= 0.0:
+            continue
+        if ws.size:
+            branches.append((w_lik[:, j] / d_y, m_post[:, j, :], v_post))
+        if floor > 0.0:
+            branches.append((np.array([floor / d_y]), born_m[j : j + 1], born_v[None]))
 
-
-def fm_clutter_at(params: MultiTargetParams, y: np.ndarray) -> float:
-    """False-positive intensity at one observation."""
-    return params.clutter(y)
+    new_w, new_m, new_v = concat_terms(branches)
+    keep = new_w > 0.0
+    out = dominance_reduce(IntensityMixture.from_arrays(
+        new_w[keep], new_m[keep], new_v[keep], floor * params.missed_detection
+    ))
+    if out.weights.size > params.max_components:
+        out = out.take(np.argsort(-out.weights, kind="stable")[: params.max_components])
+    return out
 
 
 def recover_cardinality_spatial(fm: IntensityMixture):
@@ -227,10 +162,7 @@ def recover_cardinality_spatial(fm: IntensityMixture):
 
     if s <= 0.0:
         return card, IntensityMixture(floor=1.0)
-    comps = tuple(
-        GaussianPossibility(c.weight / s, c.mean, c.cov) for c in fm.components
-    )
-    return card, IntensityMixture(fm.floor / s, comps)
+    return card, IntensityMixture.from_arrays(fm.weights / s, fm.means, fm.covs, fm.floor / s)
 
 
 def extract_targets(
@@ -242,20 +174,19 @@ def extract_targets(
     merge_radius (Mahalanobis, in an accepted component's covariance) of an
     already accepted component is skipped.
     """
-    reduced = dominance_reduce(_as_max_mixture(fm))
+    reduced = dominance_reduce(fm)
+    ws, ms, vs = reduced.weights, reduced.means, reduced.covs
     gate = merge_radius * merge_radius
-    cands = sorted(
-        (c for c in reduced.components if c.weight > tau_x and c.weight > fm.floor),
-        key=lambda c: (-c.weight, float(np.trace(c.cov))),
-    )
-    accepted: list[GaussianPossibility] = []
+    cands = np.flatnonzero((ws > tau_x) & (ws > fm.floor))
+    cands = cands[np.lexsort((np.trace(vs[cands], axis1=1, axis2=2), -ws[cands]))]
+    accepted: list[int] = []
     for c in cands:
         close = False
         for a in accepted:
-            d = c.mean - a.mean
-            if float(d @ np.linalg.solve(a.cov, d)) <= gate:
+            d = ms[c] - ms[a]
+            if float(d @ np.linalg.solve(vs[a], d)) <= gate:
                 close = True
                 break
         if not close:
             accepted.append(c)
-    return [a.mean.copy() for a in accepted]
+    return [ms[a].copy() for a in accepted]

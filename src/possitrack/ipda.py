@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixtures import _as_matrix, _require_psd, batch_kalman_update
+from .mixtures import LinearGaussianModel, batch_kalman_update
 from .single_target import canonicalize_observations, materialize_birth
 
 __all__ = ["IpdaParams", "IpdaState", "ipda_predict", "ipda_update", "ipda_estimate", "ipda_step"]
@@ -31,13 +31,9 @@ _DENSITY_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
-class IpdaParams:
+class IpdaParams(LinearGaussianModel):
     """Model matrices and probabilities of the baseline filter."""
 
-    trans: np.ndarray
-    trans_noise: np.ndarray
-    obs: np.ndarray
-    obs_noise: np.ndarray
     p_detect: float = 0.8
     p_survive: float = 0.99
     p_birth: float = 0.5
@@ -48,15 +44,7 @@ class IpdaParams:
     merge_threshold: float = 3.22
 
     def __post_init__(self):
-        trans = _as_matrix(self.trans, "trans")
-        noise = _require_psd(self.trans_noise, "trans_noise")
-        obs = _as_matrix(self.obs, "obs")
-        obs_noise = _require_psd(self.obs_noise, "obs_noise")
-        d = trans.shape[0]
-        if trans.shape != (d, d) or noise.shape != (d, d):
-            raise ValueError("trans and trans_noise must be square with equal size")
-        if obs.shape[1] != d or obs_noise.shape != (obs.shape[0], obs.shape[0]):
-            raise ValueError("obs/obs_noise shapes inconsistent with state dim")
+        super().__post_init__()
         for name in ("p_detect", "p_survive", "p_birth"):
             v = float(getattr(self, name))
             if not (0.0 <= v <= 1.0):
@@ -72,17 +60,6 @@ class IpdaParams:
             raise ValueError("prune_threshold must be in [0, 1)")
         if self.merge_threshold < 0.0:
             raise ValueError("merge_threshold must be >= 0")
-        for arr, name in ((trans, "trans"), (noise, "trans_noise"), (obs, "obs"), (obs_noise, "obs_noise")):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def state_dim(self) -> int:
-        return self.trans.shape[0]
-
-    @property
-    def obs_dim(self) -> int:
-        return self.obs.shape[0]
 
     @property
     def clutter_density(self) -> float:
@@ -109,10 +86,10 @@ class IpdaState:
         r = float(self.existence)
         if not (0.0 <= r <= 1.0) or not math.isfinite(r):
             raise ValueError(f"existence must be in [0, 1], got {r!r}")
-        w = np.atleast_1d(np.asarray(self.weights, dtype=float))
+        w = np.array(self.weights, dtype=float, ndmin=1)
         k = w.size
-        m = np.asarray(self.means, dtype=float).reshape(k, -1) if k else np.empty((0, 0))
-        v = np.asarray(self.covs, dtype=float)
+        m = np.array(self.means, dtype=float).reshape(k, -1) if k else np.empty((0, 0))
+        v = np.array(self.covs, dtype=float)
         if k and v.shape != (k, m.shape[1], m.shape[1]):
             raise ValueError("covs shape inconsistent with means")
         delta = float(self.diffuse_weight)

@@ -13,9 +13,15 @@ ignorance over the whole space.
 Filtering with these objects replaces integrals by suprema, which keeps the
 usual Kalman algebra intact: propagating a Gaussian term through a linear
 transition and fusing it with a linear-Gaussian observation both stay in
-closed form.  The reduction operations (pruning, dominance removal, merging)
-keep mixtures small; dominance removal is exact while merging is an
-approximation with a reportable pointwise error bound.
+closed form.  A mixture of k terms in d dimensions is therefore stored as one
+stack, ``weights`` (k,), ``means`` (k, d) and ``covs`` (k, d, d), and every
+recursion is batched algebra over that stack.  The stack is checked once,
+when the mixture is built, and is read-only afterwards.
+:class:`GaussianPossibility` is the single-term type for callers; a
+mixture's ``components`` builds those terms on request.  The reduction
+operations (pruning, dominance removal, merging) keep mixtures small;
+dominance removal is exact while merging is an approximation with a
+reportable pointwise error bound.
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -83,12 +90,40 @@ def _require_psd(mat: np.ndarray, name: str) -> np.ndarray:
     return mat
 
 
+def _checked_stack(weights, means, covs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only copies of a stack of k terms, after checking every term.
+
+    Each weight must lie in (0, 1] and each covariance must be symmetric
+    positive-definite; shapes must be (k,), (k, d) and (k, d, d).
+    """
+    w = np.array(weights, dtype=float)
+    m = np.array(means, dtype=float)
+    v = np.array(covs, dtype=float)
+    k = w.shape[0] if w.ndim == 1 else -1
+    if m.ndim != 2 or m.shape[0] != k or v.shape != (k, m.shape[1], m.shape[1]):
+        raise ValueError(
+            f"stack shapes {w.shape}, {m.shape}, {v.shape} are not (k,), (k, d), (k, d, d)"
+        )
+    bad = ~((w > 0.0) & (w <= 1.0))
+    if bad.any():
+        raise ValueError(f"weights must be in (0, 1], got {w[bad][0]!r}")
+    if not np.allclose(v, np.swapaxes(v, 1, 2), rtol=1e-9, atol=1e-12):
+        raise ValueError("cov must be symmetric")
+    try:
+        np.linalg.cholesky(v)
+    except np.linalg.LinAlgError as err:
+        raise ValueError("cov must be positive-definite") from err
+    for a in (w, m, v):
+        a.setflags(write=False)
+    return w, m, v
+
+
 @dataclass(frozen=True, eq=False)
 class GaussianPossibility:
     """One weighted Gaussian possibility term ``w * N(x; m, V)``.
 
     weight must lie in (0, 1]; cov must be symmetric positive-definite.
-    Instances are immutable; every operation returns new objects.
+    Instances are immutable and hold their own copies of mean and cov.
     """
 
     weight: float
@@ -96,24 +131,12 @@ class GaussianPossibility:
     cov: np.ndarray
 
     def __post_init__(self):
-        w = float(self.weight)
-        if not (0.0 < w <= 1.0) or not math.isfinite(w):
-            raise ValueError(f"weight must be in (0, 1], got {w!r}")
         m = _as_vector(self.mean, "mean")
         v = _as_matrix(self.cov, "cov")
-        if v.shape != (m.size, m.size):
-            raise ValueError(f"cov shape {v.shape} does not match mean size {m.size}")
-        if not np.allclose(v, v.T, rtol=1e-9, atol=1e-12):
-            raise ValueError("cov must be symmetric")
-        try:
-            np.linalg.cholesky(v)
-        except np.linalg.LinAlgError as err:
-            raise ValueError("cov must be positive-definite") from err
-        m.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "weight", w)
-        object.__setattr__(self, "mean", m)
-        object.__setattr__(self, "cov", v)
+        w, ms, vs = _checked_stack([self.weight], m[None], v[None])
+        object.__setattr__(self, "weight", float(w[0]))
+        object.__setattr__(self, "mean", ms[0])
+        object.__setattr__(self, "cov", vs[0])
 
     @property
     def dim(self) -> int:
@@ -128,69 +151,99 @@ class GaussianPossibility:
         return float(self.weight * _floored_exp(-0.5 * quad))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MaxMixture:
     """Pointwise max of weighted Gaussian terms plus an optional flat term.
 
-    ``flat_weight`` is the value of a constant term over the whole space;
-    0 means no flat term.  eval(x) = max(flat_weight, max_i w_i N(x; m_i, V_i)).
+    The terms are one stack: ``weights`` (k,), ``means`` (k, d) and ``covs``
+    (k, d, d), read-only copies checked when the mixture is built.
+    ``flat_weight`` is the value of a constant term over the whole space; 0
+    means no flat term.  eval(x) = max(flat_weight, max_i w_i N(x; m_i, V_i)).
+
+    ``MaxMixture(components, flat_weight)`` builds a mixture from
+    :class:`GaussianPossibility` terms and :meth:`from_arrays` from a stack;
+    both run the same checks.
     """
 
-    components: tuple[GaussianPossibility, ...] = ()
-    flat_weight: float = 0.0
+    weights: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
+    flat_weight: float
 
-    def __post_init__(self):
-        comps = tuple(self.components)
-        for c in comps:
-            if not isinstance(c, GaussianPossibility):
-                raise ValueError("components must be GaussianPossibility instances")
+    def __init__(self, components: Sequence[GaussianPossibility] = (), flat_weight: float = 0.0):
+        comps = tuple(components)
+        if not all(isinstance(c, GaussianPossibility) for c in comps):
+            raise ValueError("components must be GaussianPossibility instances")
         if len({c.dim for c in comps}) > 1:
             raise ValueError("components must share one state dimension")
-        b = float(self.flat_weight)
+        if comps:
+            stack = ([c.weight for c in comps], [c.mean for c in comps], [c.cov for c in comps])
+        else:
+            stack = (np.empty(0), np.empty((0, 0)), np.empty((0, 0, 0)))
+        self._set(*stack, flat_weight)
+
+    @classmethod
+    def from_arrays(cls, weights, means, covs, flat_weight: float = 0.0):
+        """The mixture of the stack ``weights`` (k,), ``means`` (k, d), ``covs`` (k, d, d)."""
+        mix = object.__new__(cls)
+        mix._set(weights, means, covs, flat_weight)
+        return mix
+
+    def _set(self, weights, means, covs, flat_weight):
+        w, m, v = _checked_stack(weights, means, covs)
+        b = float(flat_weight)
         if not (0.0 <= b <= 1.0) or not math.isfinite(b):
             raise ValueError(f"flat_weight must be in [0, 1], got {b!r}")
-        object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "means", m)
+        object.__setattr__(self, "covs", v)
         object.__setattr__(self, "flat_weight", b)
+
+    @cached_property
+    def components(self) -> tuple[GaussianPossibility, ...]:
+        """The terms as GaussianPossibility objects, built on first access."""
+        return tuple(
+            GaussianPossibility(w, m, v) for w, m, v in zip(self.weights, self.means, self.covs)
+        )
+
+    def take(self, idx):
+        """The mixture of the terms at ``idx``, in that order, with the same flat term."""
+        return type(self).from_arrays(
+            self.weights[idx], self.means[idx], self.covs[idx], self.flat_weight
+        )
 
     @property
     def dim(self) -> int | None:
-        return self.components[0].dim if self.components else None
+        return self.means.shape[1] if self.weights.size else None
 
     def __call__(self, x) -> float:
-        val = self.flat_weight
-        for c in self.components:
-            val = max(val, c(x))
-        return float(val)
+        return float(self.eval_many(_as_vector(x)[None, :])[0])
 
     def eval_many(self, xs: np.ndarray) -> np.ndarray:
         """Evaluate at many points; xs has shape (n,) for 1-d or (n, d)."""
         xs = np.asarray(xs, dtype=float)
         if xs.ndim == 1:
             xs = xs[:, None]
-        if not self.components:
+        if not self.weights.size:
             return np.full(xs.shape[0], self.flat_weight)
         if xs.shape[1] != self.dim:
             raise ValueError(f"points have dim {xs.shape[1]}, mixture has dim {self.dim}")
-        ws, ms, vs = stack_components(self.components)
-        quads = batch_quadratic(ms, vs, xs)  # (k, n)
-        vals = ws[:, None] * _floored_exp(-0.5 * quads)
+        quads = batch_quadratic(self.means, self.covs, xs)  # (k, n)
+        vals = self.weights[:, None] * _floored_exp(-0.5 * quads)
         out = vals.max(axis=0)
         return np.maximum(out, self.flat_weight)
 
     def sup(self) -> float:
         """Global supremum: attained at a component mean or by the flat term."""
-        best = self.flat_weight
-        for c in self.components:
-            best = max(best, c.weight)
-        return float(best)
+        return float(np.max(self.weights, initial=self.flat_weight))
 
 
-def stack_components(components: Sequence[GaussianPossibility]):
-    """Stack component parameters into (weights (k,), means (k,d), covs (k,d,d))."""
-    ws = np.array([c.weight for c in components])
-    ms = np.stack([c.mean for c in components])
-    vs = np.stack([c.cov for c in components])
-    return ws, ms, vs
+def concat_terms(stacks: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenate (weights, means, covs) stacks in order; empty stacks are skipped."""
+    stacks = [s for s in stacks if len(s[0])]
+    if not stacks:
+        return np.empty(0), np.empty((0, 0)), np.empty((0, 0, 0))
+    return tuple(np.concatenate(parts) for parts in zip(*stacks))
 
 
 def batch_quadratic(ms: np.ndarray, vs: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -201,8 +254,60 @@ def batch_quadratic(ms: np.ndarray, vs: np.ndarray, xs: np.ndarray) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# prediction and update of a single Gaussian term
+# linear-Gaussian model, prediction and update
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LinearGaussianModel:
+    """Linear motion ``x' = F x`` with noise Q and observation ``y = H x`` with noise R.
+
+    The base of the filters' parameter classes.  The four matrices are
+    checked here, once: Q and R symmetric positive semi-definite, shapes
+    consistent.  They are stored as read-only copies, so the recursions use
+    them without checking them again.
+    """
+
+    trans: np.ndarray
+    trans_noise: np.ndarray
+    obs: np.ndarray
+    obs_noise: np.ndarray
+
+    def __post_init__(self):
+        trans = _as_matrix(self.trans, "trans")
+        noise = _require_psd(self.trans_noise, "trans_noise")
+        obs = _as_matrix(self.obs, "obs")
+        obs_noise = _require_psd(self.obs_noise, "obs_noise")
+        d = trans.shape[0]
+        if trans.shape != (d, d) or noise.shape != (d, d):
+            raise ValueError("trans and trans_noise must be square with equal size")
+        if obs.shape[1] != d or obs_noise.shape != (obs.shape[0], obs.shape[0]):
+            raise ValueError("obs/obs_noise shapes inconsistent with state dim")
+        for arr, name in ((trans, "trans"), (noise, "trans_noise"), (obs, "obs"), (obs_noise, "obs_noise")):
+            arr = arr.copy()
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def state_dim(self) -> int:
+        return self.trans.shape[0]
+
+    @property
+    def obs_dim(self) -> int:
+        return self.obs.shape[0]
+
+
+def batch_predict(ms: np.ndarray, vs: np.ndarray, trans: np.ndarray, noise: np.ndarray):
+    """Means ``F m_k`` (k, d) and covariances ``F V_k F' + Q`` (k, d, d) of k terms.
+
+    ``trans`` and ``noise`` are used as given; callers check them.  An empty
+    stack is returned unchanged.
+    """
+    if not len(ms):
+        return ms, vs
+    means = (trans @ ms[:, :, None])[:, :, 0]
+    covs = trans @ vs @ trans.T + noise
+    return means, 0.5 * (covs + np.swapaxes(covs, 1, 2))
 
 
 def predict_gaussian(
@@ -222,10 +327,8 @@ def predict_gaussian(
         raise ValueError(f"gain must be in (0, 1], got {gain!r}")
     if trans.shape != (g.dim, g.dim):
         raise ValueError(f"transition shape {trans.shape} does not match dim {g.dim}")
-    mean = trans @ g.mean
-    cov = trans @ g.cov @ trans.T + noise
-    cov = 0.5 * (cov + cov.T)
-    return GaussianPossibility(gain * g.weight, mean, cov)
+    means, covs = batch_predict(g.mean[None], g.cov[None], trans, noise)
+    return GaussianPossibility(gain * g.weight, means[0], covs[0])
 
 
 def update_gaussian(
@@ -294,14 +397,15 @@ def prune(mix: MaxMixture, tau_p: float) -> MaxMixture:
     tau_p = float(tau_p)
     if not (0.0 <= tau_p < 1.0):
         raise ValueError(f"prune threshold must be in [0, 1), got {tau_p!r}")
-    if not mix.components:
+    ws = mix.weights
+    if not ws.size:
         return mix
-    kept = tuple(c for c in mix.components if c.weight >= tau_p)
-    if not kept:
-        kept = (max(mix.components, key=lambda c: c.weight),)
-    if len(kept) == len(mix.components):
+    kept = np.flatnonzero(ws >= tau_p)
+    if not kept.size:
+        kept = [int(np.argmax(ws))]
+    if len(kept) == ws.size:
         return mix
-    return MaxMixture(kept, mix.flat_weight)
+    return mix.take(kept)
 
 
 # slack on the log-domain dominance certificate; for values in [0, 1] a log
@@ -345,37 +449,31 @@ def dominance_reduce(mix: MaxMixture) -> MaxMixture:
     unchanged everywhere.  Pairwise certificates only: a component dominated
     jointly by several others but by none alone is kept.
     """
-    comps = mix.components
-    if not comps:
+    if not mix.weights.size:
         return mix
-    flat = mix.flat_weight
-    survivors = [c for c in comps if c.weight > flat]
-    if not survivors:
-        return MaxMixture((), flat)
-
-    order = sorted(range(len(survivors)), key=lambda i: -survivors[i].weight)
-    ws, ms, vs = stack_components(survivors)
+    survivors = np.flatnonzero(mix.weights > mix.flat_weight)
+    ws, ms, vs = mix.weights[survivors], mix.means[survivors], mix.covs[survivors]
     ps = np.linalg.inv(vs)
     # cheap necessary condition: j can only dominate i if j's term at i's mean
     # reaches i's weight
     quads = batch_quadratic(ms, vs, ms)  # quads[j, i] = (m_i-m_j)' P_j (m_i-m_j)
     vals = ws[:, None] * _floored_exp(-0.5 * quads)
 
+    w, ms, ps = ws.tolist(), list(ms), list(ps)  # Python scalars and rows: faster in the loops
     kept: list[int] = []
-    for i in order:
+    for i in np.argsort(-ws, kind="stable").tolist():
         dominated = False
         for j in kept:
-            if vals[j, i] < ws[i] * (1.0 - 1e-9):
+            if vals[j, i] < w[i] * (1.0 - 1e-9):
                 continue
-            if _dominates(ws[j], ms[j], ps[j], ws[i], ms[i], ps[i]):
+            if _dominates(w[j], ms[j], ps[j], w[i], ms[i], ps[i]):
                 dominated = True
                 break
         if not dominated:
             kept.append(i)
-    if len(kept) == len(survivors) == len(comps):
+    if len(kept) == mix.weights.size:
         return mix
-    kept_comps = tuple(survivors[i] for i in sorted(kept))
-    return MaxMixture(kept_comps, flat)
+    return mix.take(survivors[sorted(kept)])
 
 
 # absorption is declined when covering the absorbed peak would more than
@@ -384,7 +482,7 @@ _MERGE_COVER_LIMIT = 2.0
 
 
 def _absorb(
-    w_i: float, m_i: np.ndarray, v_cur: np.ndarray, absorbed: GaussianPossibility
+    w_i: float, m_i: np.ndarray, v_cur: np.ndarray, w_j: float, m_j: np.ndarray
 ) -> np.ndarray | None:
     """Inflate the running covariance so the merged term covers the absorbed peak.
 
@@ -397,11 +495,11 @@ def _absorb(
     ``_MERGE_COVER_LIMIT``; such components are genuinely distinct hypotheses
     and keeping them costs less than destabilizing the covariance.
     """
-    delta = absorbed.mean - m_i
+    delta = m_j - m_i
     s = float(delta @ np.linalg.solve(v_cur, delta))
     if s <= 0.0:
         return v_cur
-    beta = 2.0 * math.log(w_i / absorbed.weight) if absorbed.weight < w_i else 0.0
+    beta = 2.0 * math.log(w_i / w_j) if w_j < w_i else 0.0
     if s > _MERGE_COVER_LIMIT * beta:
         return None
     gamma = max(0.0, 1.0 / beta - 1.0 / s)
@@ -421,23 +519,23 @@ def _overshoot_bound(w_i: float, v_orig: np.ndarray, v_new: np.ndarray) -> float
 
 
 def _deficit_bound(
-    w_i: float, m_i: np.ndarray, v_new: np.ndarray, absorbed: GaussianPossibility
+    w_i: float, m_i: np.ndarray, v_new: np.ndarray, w_j: float, m_j: np.ndarray, v_j: np.ndarray
 ) -> float:
     """Upper bound on sup of (absorbed term - merged term).
 
     Uses the norm inequality |x - m_i|_{V_new} <= sqrt(kappa) |x - m_j|_{V_j} + delta
     and maximizes the resulting one-dimensional envelope numerically.
     """
-    dm = absorbed.mean - m_i
+    dm = m_j - m_i
     delta = math.sqrt(max(float(dm @ np.linalg.solve(v_new, dm)), 0.0))
-    kappa = max(float(np.linalg.eigvals(np.linalg.solve(v_new, absorbed.cov)).real.max()), 0.0)
+    kappa = max(float(np.linalg.eigvals(np.linalg.solve(v_new, v_j)).real.max()), 0.0)
     sk = math.sqrt(kappa)
     u = np.linspace(0.0, 42.0, 21001)
-    envelope = absorbed.weight * _floored_exp(-0.5 * u**2) - w_i * _floored_exp(
+    envelope = w_j * _floored_exp(-0.5 * u**2) - w_i * _floored_exp(
         -0.5 * (sk * u + delta) ** 2
     )
     du = u[1] - u[0]
-    slack = 1.5 * max(absorbed.weight, w_i) * du
+    slack = 1.5 * max(w_j, w_i) * du
     return float(max(0.0, envelope.max()) + slack)
 
 
@@ -470,55 +568,56 @@ def _merge_impl(mix: MaxMixture, tau_m: float, report: bool):
     tau_m = float(tau_m)
     if tau_m < 0.0:
         raise ValueError(f"merge threshold must be >= 0, got {tau_m!r}")
-    comps = list(mix.components)
-    if len(comps) <= 1:
+    if mix.weights.size <= 1:
         return mix, []
+    # Python scalars and rows: faster in the loops below
+    ws, ms, vs = mix.weights.tolist(), list(mix.means), list(mix.covs)
     gate = tau_m * tau_m
     bounds: list[float] = []
-    merged: list[GaussianPossibility] = []
-    remaining = sorted(comps, key=lambda c: -c.weight)
+    heads: list[int] = []
+    covs: list[np.ndarray] = []
+    remaining = np.argsort(-mix.weights, kind="stable").tolist()
     while remaining:
-        head = remaining.pop(0)
+        h = remaining.pop(0)
+        v_cur = vs[h]
         if not remaining:
-            merged.append(head)
+            heads.append(h)
+            covs.append(v_cur)
             break
-        p_head = np.linalg.inv(head.cov)
-        cluster: list[GaussianPossibility] = []
-        rest: list[GaussianPossibility] = []
-        for c in remaining:
-            d = c.mean - head.mean
+        p_head = np.linalg.inv(vs[h])
+        cluster: list[int] = []
+        rest: list[int] = []
+        for j in remaining:
+            d = ms[j] - ms[h]
             if float(d @ p_head @ d) <= gate:
-                cluster.append(c)
+                cluster.append(j)
             else:
-                rest.append(c)
-        if not cluster:
-            merged.append(head)
-            remaining = rest
-            continue
-        v_cur = head.cov
-        absorbed: list[GaussianPossibility] = []
-        for c in cluster:
-            v_next = _absorb(head.weight, head.mean, v_cur, c)
+                rest.append(j)
+        absorbed: list[int] = []
+        for j in cluster:
+            v_next = _absorb(ws[h], ms[h], v_cur, ws[j], ms[j])
             if v_next is None:
-                rest.append(c)
+                rest.append(j)
             else:
                 v_cur = v_next
-                absorbed.append(c)
-        if not absorbed:
-            merged.append(head)
-            remaining = rest
-            continue
-        out = GaussianPossibility(head.weight, head.mean, v_cur)
-        if report:
-            over = _overshoot_bound(head.weight, head.cov, v_cur)
-            deficit = max(_deficit_bound(head.weight, head.mean, v_cur, c) for c in absorbed)
+                absorbed.append(j)
+        if absorbed and report:
+            over = _overshoot_bound(ws[h], vs[h], v_cur)
+            deficit = max(_deficit_bound(ws[h], ms[h], v_cur, ws[j], ms[j], vs[j]) for j in absorbed)
             bounds.append(max(over, deficit))
-        merged.append(out)
-        remaining = sorted(rest, key=lambda c: -c.weight)
+        heads.append(h)
+        covs.append(v_cur)
+        # declined components were appended after the ungated ones; only an
+        # absorption re-sorts what is left by weight
+        remaining = sorted(rest, key=lambda j: -ws[j]) if absorbed else rest
     if bounds:
         logger.debug("merge: %d events, worst pointwise error bound %.3g", len(bounds), max(bounds))
-    merged.sort(key=lambda c: -c.weight)
-    return MaxMixture(tuple(merged), mix.flat_weight), bounds
+    order = np.argsort(-mix.weights[heads], kind="stable")
+    idx = np.asarray(heads)[order]
+    merged = type(mix).from_arrays(
+        mix.weights[idx], mix.means[idx], np.stack(covs)[order], mix.flat_weight
+    )
+    return merged, bounds
 
 
 # ---------------------------------------------------------------------------

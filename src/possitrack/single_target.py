@@ -23,16 +23,15 @@ import numpy as np
 
 from .mixtures import (
     GaussianPossibility,
+    LinearGaussianModel,
     MaxMixture,
     NumericalError,
-    _as_matrix,
-    _require_psd,
     batch_kalman_update,
+    batch_predict,
+    concat_terms,
     dominance_reduce,
     merge,
-    predict_gaussian,
     prune,
-    stack_components,
 )
 
 __all__ = [
@@ -101,7 +100,7 @@ BirthModel = ObservationDrivenBirth | ExplicitBirth
 
 
 @dataclass(frozen=True)
-class SingleTargetParams:
+class SingleTargetParams(LinearGaussianModel):
     """Model matrices and possibility parameters of the single-system filter.
 
     survival / disappearance are the possibilities of the system staying on
@@ -110,10 +109,6 @@ class SingleTargetParams:
     detection failure while present.
     """
 
-    trans: np.ndarray
-    trans_noise: np.ndarray
-    obs: np.ndarray
-    obs_noise: np.ndarray
     survival: float = 1.0
     disappearance: float = 0.01
     remain_absent: float = 0.5
@@ -124,15 +119,7 @@ class SingleTargetParams:
     merge_threshold: float = 3.22
 
     def __post_init__(self):
-        trans = _as_matrix(self.trans, "trans")
-        noise = _require_psd(self.trans_noise, "trans_noise")
-        obs = _as_matrix(self.obs, "obs")
-        obs_noise = _require_psd(self.obs_noise, "obs_noise")
-        d = trans.shape[0]
-        if trans.shape != (d, d) or noise.shape != (d, d):
-            raise ValueError("trans and trans_noise must be square with equal size")
-        if obs.shape[1] != d or obs_noise.shape != (obs.shape[0], obs.shape[0]):
-            raise ValueError("obs/obs_noise shapes inconsistent with state dim")
+        super().__post_init__()
         for name in ("survival", "disappearance", "remain_absent", "missed_detection"):
             v = float(getattr(self, name))
             if not (0.0 < v <= 1.0):
@@ -144,17 +131,6 @@ class SingleTargetParams:
             raise ValueError("prune_threshold must be in [0, 1)")
         if self.merge_threshold < 0.0:
             raise ValueError("merge_threshold must be >= 0")
-        for arr, name in ((trans, "trans"), (noise, "trans_noise"), (obs, "obs"), (obs_noise, "obs_noise")):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @property
-    def state_dim(self) -> int:
-        return self.trans.shape[0]
-
-    @property
-    def obs_dim(self) -> int:
-        return self.obs.shape[0]
 
 
 @dataclass(frozen=True)
@@ -234,12 +210,13 @@ def materialize_birth(
     noise covariance; unobserved coordinates get mean 0 and the velocity
     prior variance.  For a selection observation matrix the product of the
     flat term, the observation likelihood and the velocity prior is exactly
-    this Gaussian possibility.
+    this Gaussian possibility.  ``y`` may also be a stack (n, p) of
+    observations; the means are then (n, d) and share the one covariance.
     """
     d = obs.shape[1]
     idx = _selection_indices(obs)
-    mean = np.zeros(d)
-    mean[idx] = y
+    mean = np.zeros(np.shape(y)[:-1] + (d,))
+    mean[..., idx] = y
     cov = np.eye(d) * velocity_std**2
     cov[np.ix_(idx, idx)] = obs_noise
     return mean, cov
@@ -254,21 +231,18 @@ def predict(state: ExtendedPossibility, params: SingleTargetParams) -> ExtendedP
     observation-driven mode, raises the flat term to psi.
     """
     mix = state.on_s
-    sup_prev = mix.sup()
-    comps = [
-        predict_gaussian(c, params.trans, params.trans_noise, params.survival)
-        for c in mix.components
-    ]
+    ms, vs = batch_predict(mix.means, mix.covs, params.trans, params.trans_noise)
+    stacks = [(mix.weights * params.survival, ms, vs)]
     flat_new = mix.flat_weight * params.survival
     psi = state.psi_mass
     if isinstance(params.birth, ObservationDrivenBirth):
         flat_new = max(flat_new, psi)
-    else:
-        if psi > 0.0:
-            for b in params.birth.components:
-                comps.append(GaussianPossibility(psi * b.weight, b.mean, b.cov))
-    psi_new = max(params.remain_absent * psi, params.disappearance * sup_prev)
-    return ExtendedPossibility(psi_new, MaxMixture(tuple(comps), flat_new), state.time_index + 1)
+    elif psi > 0.0:
+        birth = MaxMixture(params.birth.components)
+        stacks.append((psi * birth.weights, birth.means, birth.covs))
+    psi_new = max(params.remain_absent * psi, params.disappearance * mix.sup())
+    on_s = MaxMixture.from_arrays(*concat_terms(stacks), flat_new)
+    return ExtendedPossibility(psi_new, on_s, state.time_index + 1)
 
 
 def update(state: ExtendedPossibility, params: SingleTargetParams, observations) -> ExtendedPossibility:
@@ -280,7 +254,9 @@ def update(state: ExtendedPossibility, params: SingleTargetParams, observations)
     leave-one-out clutter possibility and the observation likelihood).  The
     flat term follows the same pattern, spawning one located component per
     observation.  Everything is renormalized by the global max so the
-    posterior is a valid possibility function.
+    posterior is a valid possibility function.  Branches come in this
+    order: all detection failures, then the detections of each observation
+    in turn, then the births.
     """
     ys = canonicalize_observations(observations, params.obs_dim)
     n_obs = ys.shape[0]
@@ -289,25 +265,17 @@ def update(state: ExtendedPossibility, params: SingleTargetParams, observations)
         [clutter_possibility(params.clutter, np.delete(ys, j, axis=0)) for j in range(n_obs)]
     )
     mix = state.on_s
+    ws, ms, vs = mix.weights, mix.means, mix.covs
     a_df = params.missed_detection
-
-    new_w: list[float] = []
-    new_m: list[np.ndarray] = []
-    new_v: list[np.ndarray] = []
-
-    if mix.components:
-        ws, ms, vs = stack_components(mix.components)
-        mis_w = ws * (a_df * f_all)
-        new_w.extend(mis_w.tolist())
-        new_m.extend(ms)
-        new_v.extend(vs)
-        if n_obs:
-            liks, m_post, v_post = batch_kalman_update(ms, vs, ys, params.obs, params.obs_noise)
-            det_w = ws[:, None] * liks * f_loo[None, :]
-            for j in range(n_obs):
-                new_w.extend(det_w[:, j].tolist())
-                new_m.extend(m_post[:, j, :])
-                new_v.extend(v_post)
+    branches = [(ws * (a_df * f_all), ms, vs)]
+    if ws.size and n_obs:
+        liks, m_post, v_post = batch_kalman_update(ms, vs, ys, params.obs, params.obs_noise)
+        det_w = ws[:, None] * liks * f_loo[None, :]
+        branches.append((
+            det_w.T.ravel(),
+            m_post.swapaxes(0, 1).reshape(-1, ms.shape[1]),
+            np.tile(v_post, (n_obs, 1, 1)),
+        ))
 
     flat = mix.flat_weight
     flat_mis = flat * a_df * f_all
@@ -317,27 +285,18 @@ def update(state: ExtendedPossibility, params: SingleTargetParams, observations)
             if isinstance(params.birth, ObservationDrivenBirth)
             else 1.0
         )
-        for j in range(n_obs):
-            w = flat * f_loo[j]
-            if w > 0.0:
-                mean, cov = materialize_birth(ys[j], params.obs, params.obs_noise, vel_std)
-                new_w.append(w)
-                new_m.append(mean)
-                new_v.append(cov)
+        means, cov = materialize_birth(ys, params.obs, params.obs_noise, vel_std)
+        branches.append((flat * f_loo, means, np.broadcast_to(cov, (n_obs, *cov.shape))))
 
+    new_w, new_m, new_v = concat_terms(branches)
     psi_un = state.psi_mass * f_all
-    c_t = max([psi_un, flat_mis] + new_w)
+    c_t = float(np.max(new_w, initial=max(psi_un, flat_mis)))
     if not (c_t > 0.0) or not math.isfinite(c_t):
         raise NumericalError(f"posterior has no positive possibility (C_t = {c_t!r})")
 
-    comps = tuple(
-        GaussianPossibility(w / c_t, m, v)
-        for w, m, v in zip(new_w, new_m, new_v)
-        if w > 0.0
-    )
-    return ExtendedPossibility(
-        psi_un / c_t, MaxMixture(comps, flat_mis / c_t), state.time_index
-    )
+    keep = new_w > 0.0
+    on_s = MaxMixture.from_arrays(new_w[keep] / c_t, new_m[keep], new_v[keep], flat_mis / c_t)
+    return ExtendedPossibility(psi_un / c_t, on_s, state.time_index)
 
 
 def estimate(state: ExtendedPossibility, tau_c: float) -> np.ndarray | None:
@@ -348,14 +307,15 @@ def estimate(state: ExtendedPossibility, tau_c: float) -> np.ndarray | None:
     components the flat term plays runner-up.  Weight ties are broken toward
     the smaller covariance trace; a tie with the absence mass stays absent.
     """
-    comps = state.on_s.components
-    if not comps:
+    mix = state.on_s
+    ws = mix.weights
+    if not ws.size:
         return None
-    ranked = sorted(comps, key=lambda c: (-c.weight, float(np.trace(c.cov))))
-    w1 = ranked[0].weight
-    w2 = ranked[1].weight if len(ranked) > 1 else state.on_s.flat_weight
+    ranked = np.lexsort((np.trace(mix.covs, axis1=1, axis2=2), -ws))
+    w1 = ws[ranked[0]]
+    w2 = ws[ranked[1]] if ws.size > 1 else mix.flat_weight
     if w1 > state.psi_mass and (w1 - w2) > tau_c:
-        return ranked[0].mean.copy()
+        return mix.means[ranked[0]].copy()
     return None
 
 

@@ -15,7 +15,6 @@ from possitrack.intensity import (
     IntensityMixture,
     MultiTargetParams,
     extract_targets,
-    fm_clutter_at,
     propagate_intensity,
     recover_cardinality_spatial,
     sum_intensities,
@@ -162,8 +161,8 @@ def test_update_component_cap():
 
 def test_clutter_intensity_lookup():
     p = params(clutter=IntensityMixture(0.25, (g2(0.9, 3.0),)))
-    assert fm_clutter_at(p, np.array([3.0, 0.0])) == 0.9
-    assert fm_clutter_at(p, np.array([30.0, 0.0])) == 0.25
+    assert p.clutter(np.array([3.0, 0.0])) == 0.9
+    assert p.clutter(np.array([30.0, 0.0])) == 0.25
 
 
 # ----------------------------------------------------- cardinality / spatial

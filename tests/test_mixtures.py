@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from possitrack.intensity import IntensityMixture, MultiTargetParams
+from possitrack.ipda import IpdaParams, IpdaState
 from possitrack.mixtures import (
     EXP_FLOOR,
     GaussianPossibility,
@@ -23,6 +25,7 @@ from possitrack.mixtures import (
     prune,
     update_gaussian,
 )
+from possitrack.single_target import SingleTargetParams
 
 # frozen oracle values
 EXP_M1 = 0.36787944117144233  # exp(-1)
@@ -121,6 +124,103 @@ def test_eval_at_mean_dominated_only_by_flat(w, m, v, flat):
     # the value at a component mean is max(weight, flat term)
     mix = MaxMixture([g1(w, m, v)], flat_weight=flat)
     assert mix(np.array([m])) == pytest.approx(max(w, flat), rel=1e-12)
+
+
+# ------------------------------------------------------------ stack boundary
+
+
+def stack3(d=2):
+    """A valid stack of three terms, as writable arrays."""
+    return np.array([1.0, 0.5, 0.25]), np.arange(3.0 * d).reshape(3, d), np.tile(np.eye(d), (3, 1, 1))
+
+
+def _set_weight(value):
+    def bad(ws, ms, vs, i):
+        ws[i] = value
+    return bad
+
+
+def _asymmetric(ws, ms, vs, i):
+    vs[i, 0, 1] = 0.5
+
+
+def _not_pd(ws, ms, vs, i):
+    vs[i] = [[1.0, 2.0], [2.0, 1.0]]
+
+
+@pytest.mark.parametrize("i", range(3))
+@pytest.mark.parametrize(
+    "spoil", [_set_weight(0.0), _set_weight(1.5), _set_weight(np.nan), _asymmetric, _not_pd]
+)
+def test_stack_rejects_bad_term_at_any_index(spoil, i):
+    ws, ms, vs = stack3()
+    MaxMixture.from_arrays(ws, ms, vs)
+    spoil(ws, ms, vs, i)
+    with pytest.raises(ValueError):
+        MaxMixture.from_arrays(ws, ms, vs)
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        (lambda ws, ms, vs: (ws, ms[:2], vs)),  # fewer means than weights
+        (lambda ws, ms, vs: (ws, ms, vs[:2])),  # fewer covs than weights
+        (lambda ws, ms, vs: (ws, ms, np.tile(np.eye(3), (3, 1, 1)))),  # cov dim != mean dim
+        (lambda ws, ms, vs: (ws[:, None], ms, vs)),  # weights not 1-d
+        (lambda ws, ms, vs: (ws, ms[:, 0], vs)),  # means not 2-d
+    ],
+)
+def test_stack_rejects_mismatched_shapes(shapes):
+    with pytest.raises(ValueError):
+        MaxMixture.from_arrays(*shapes(*stack3()))
+
+
+def test_stack_rejects_flat_weight_outside_unit_interval():
+    for b in (-0.1, 1.5, np.nan):
+        with pytest.raises(ValueError):
+            MaxMixture.from_arrays(*stack3(), flat_weight=b)
+
+
+def test_mixture_from_components_gives_back_its_arrays():
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(5, 2, 2))
+    mix = MaxMixture.from_arrays(
+        rng.uniform(0.01, 1.0, 5), rng.normal(size=(5, 2)), a @ np.swapaxes(a, 1, 2) + np.eye(2), 0.2
+    )
+    for again in (MaxMixture(mix.components, mix.flat_weight),
+                  IntensityMixture(mix.flat_weight, mix.components)):
+        for x, y in ((again.weights, mix.weights), (again.means, mix.means), (again.covs, mix.covs)):
+            assert x.shape == y.shape and np.array_equal(x, y)
+        assert again.flat_weight == mix.flat_weight
+
+
+def test_constructors_copy_the_callers_arrays():
+    m, v = np.array([0.0, 1.0]), np.eye(2)
+    g = GaussianPossibility(0.5, m, v)
+    ws, ms, vs = stack3()
+    mix = MaxMixture.from_arrays(ws, ms, vs)
+    ipda = IpdaState(0.5, ws / ws.sum(), ms, vs)
+    for arr in (m, v, ws, ms, vs):
+        assert arr.flags.writeable
+    for stored, given in ((g.mean, m), (g.cov, v), (mix.weights, ws), (mix.means, ms),
+                          (mix.covs, vs), (ipda.means, ms), (ipda.covs, vs)):
+        assert not stored.flags.writeable
+        assert not np.shares_memory(stored, given)
+    m[0] = 99.0
+    ms[0, 0] = 99.0
+    assert g.mean[0] == 0.0 and mix.means[0, 0] == 0.0 and ipda.means[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("cls", [SingleTargetParams, MultiTargetParams, IpdaParams])
+def test_params_copy_the_callers_matrices(cls):
+    mats = dict(trans=np.array([[1.0, 0.1], [0.0, 1.0]]), trans_noise=np.eye(2),
+                obs=np.array([[1.0, 0.0]]), obs_noise=np.eye(1))
+    params = cls(**mats)
+    for name, given in mats.items():
+        assert given.flags.writeable
+        assert not getattr(params, name).flags.writeable
+        given[0, 0] = 99.0
+        assert getattr(params, name)[0, 0] != 99.0
 
 
 # ---------------------------------------------------------------- prediction

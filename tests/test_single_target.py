@@ -9,7 +9,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
+from possitrack.bench import BenchConfig, make_run
 from possitrack.mixtures import GaussianPossibility, MaxMixture, NumericalError
 from possitrack.scenario import (
     ScenarioConfig,
@@ -284,6 +286,35 @@ def test_update_permutation_and_duplicate_invariance():
             assert ca.weight == co.weight
             np.testing.assert_array_equal(ca.mean, co.mean)
             np.testing.assert_array_equal(ca.cov, co.cov)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=hst.integers(0, 10_000),
+    lam=hst.sampled_from([0.0, 1.0, 5.0, 10.0]),
+    n_steps=hst.integers(1, 12),
+    shuffle=hst.randoms(use_true_random=False),
+)
+def test_step_invariants_under_clutter(seed, lam, n_steps, shuffle):
+    # max(absence, sup) = 1 after every step, and a permuted observation set
+    # with a duplicate gives bit-identical states
+    cfg = BenchConfig()
+    p = cfg.proposed_params()
+    _, obs = make_run(cfg.scenario, lam, seed, 0, 0)
+    st = ExtendedPossibility.absent()
+    for ys in obs.steps[:n_steps]:
+        out = step(st, p, ys)
+        assert max(out.psi_mass, out.on_s.sup()) == pytest.approx(1.0, abs=1e-12)
+        if ys:
+            other = list(ys) + [ys[0]]
+            shuffle.shuffle(other)
+            alt = step(st, p, other)
+            assert alt.psi_mass == out.psi_mass
+            assert alt.on_s.flat_weight == out.on_s.flat_weight
+            for a, b in ((alt.on_s.weights, out.on_s.weights), (alt.on_s.means, out.on_s.means),
+                         (alt.on_s.covs, out.on_s.covs)):
+                np.testing.assert_array_equal(a, b)
+        st = out
 
 
 def test_update_far_observation_changes_nothing_locally():
