@@ -29,7 +29,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -199,9 +198,9 @@ class MaxMixture:
         object.__setattr__(self, "covs", v)
         object.__setattr__(self, "flat_weight", b)
 
-    @cached_property
+    @property
     def components(self) -> tuple[GaussianPossibility, ...]:
-        """The terms as GaussianPossibility objects, built on first access."""
+        """The terms as GaussianPossibility objects, built on each access."""
         return tuple(
             GaussianPossibility(w, m, v) for w, m, v in zip(self.weights, self.means, self.covs)
         )
@@ -239,7 +238,11 @@ class MaxMixture:
 
 
 def concat_terms(stacks: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate (weights, means, covs) stacks in order; empty stacks are skipped."""
+    """Concatenate (weights, means, covs) stacks in order.
+
+    Empty stacks are skipped: a mixture built without terms does not know
+    its dimension and stores (0, 0) means.
+    """
     stacks = [s for s in stacks if len(s[0])]
     if not stacks:
         return np.empty(0), np.empty((0, 0)), np.empty((0, 0, 0))
@@ -301,7 +304,7 @@ def batch_predict(ms: np.ndarray, vs: np.ndarray, trans: np.ndarray, noise: np.n
     """Means ``F m_k`` (k, d) and covariances ``F V_k F' + Q`` (k, d, d) of k terms.
 
     ``trans`` and ``noise`` are used as given; callers check them.  An empty
-    stack is returned unchanged.
+    stack is returned unchanged, whatever its dimension.
     """
     if not len(ms):
         return ms, vs
