@@ -2,9 +2,10 @@
 
 tests/data/demo_per_time.csv and demo_summary.csv were generated once from
 demo_config() and frozen; the determinism tests compare bytes against them.
-tests/data/clutter10_*.csv were generated and frozen the same way from a
-three-run study at lambda = 10, where the update builds hundreds of branches
-and prune, dominance reduction and merge all act.
+tests/data/clutter10_*.csv and clutter30_*.csv were generated and frozen the
+same way from small studies at lambda = 10 and 30, where the update builds
+hundreds to thousands of branches and prune, dominance reduction and merge
+all act.
 """
 
 import json
@@ -113,11 +114,14 @@ def test_demo_benchmark_matches_golden_files(tmp_path):
     assert summary.read_bytes() == (DATA / "demo_summary.csv").read_bytes()
 
 
-def test_clutter10_benchmark_matches_golden_files(tmp_path):
-    cfg = BenchConfig(lambda_list=(10.0,), threshold_sweep=(0.2, 0.5, 0.8), n_runs=3, base_seed=7)
+@pytest.mark.parametrize("lam, n_runs", [(10, 3), (30, 2)], ids=["10", "30"])
+def test_clutter_benchmark_matches_golden_files(tmp_path, lam, n_runs):
+    cfg = BenchConfig(
+        lambda_list=(float(lam),), threshold_sweep=(0.2, 0.5, 0.8), n_runs=n_runs, base_seed=7
+    )
     per_time, summary = emit_results(run_benchmark(cfg), tmp_path)
-    assert per_time.read_bytes() == (DATA / "clutter10_per_time.csv").read_bytes()
-    assert summary.read_bytes() == (DATA / "clutter10_summary.csv").read_bytes()
+    assert per_time.read_bytes() == (DATA / f"clutter{lam}_per_time.csv").read_bytes()
+    assert summary.read_bytes() == (DATA / f"clutter{lam}_summary.csv").read_bytes()
 
 
 def test_benchmark_rerun_is_byte_identical(tmp_path):
