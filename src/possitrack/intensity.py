@@ -28,6 +28,7 @@ from .mixtures import (
     MaxMixture,
     batch_kalman_update,
     batch_predict,
+    batch_quadratic,
     concat_terms,
     dominance_reduce,
 )
@@ -175,18 +176,14 @@ def extract_targets(
     already accepted component is skipped.
     """
     reduced = dominance_reduce(fm)
-    ws, ms, vs = reduced.weights, reduced.means, reduced.covs
-    gate = merge_radius * merge_radius
+    ws = reduced.weights
     cands = np.flatnonzero((ws > tau_x) & (ws > fm.floor))
-    cands = cands[np.lexsort((np.trace(vs[cands], axis1=1, axis2=2), -ws[cands]))]
+    cands = cands[np.lexsort((np.trace(reduced.covs[cands], axis1=1, axis2=2), -ws[cands]))]
+    ms, vs = reduced.means[cands], reduced.covs[cands]
+    # in_gate[a, c]: candidate c lies within merge_radius of a in a's covariance
+    in_gate = batch_quadratic(ms, vs, ms) <= merge_radius * merge_radius
     accepted: list[int] = []
-    for c in cands:
-        close = False
-        for a in accepted:
-            d = ms[c] - ms[a]
-            if float(d @ np.linalg.solve(vs[a], d)) <= gate:
-                close = True
-                break
-        if not close:
+    for c in range(cands.size):
+        if not in_gate[accepted, c].any():
             accepted.append(c)
     return [ms[a].copy() for a in accepted]

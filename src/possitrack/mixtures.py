@@ -573,9 +573,10 @@ def _merge_impl(mix: MaxMixture, tau_m: float, report: bool):
         raise ValueError(f"merge threshold must be >= 0, got {tau_m!r}")
     if mix.weights.size <= 1:
         return mix, []
+    # in_gate[h, j]: m_j lies within tau_m of m_h in the metric of V_h
+    in_gate = (batch_quadratic(mix.means, mix.covs, mix.means) <= tau_m * tau_m).tolist()
     # Python scalars and rows: faster in the loops below
     ws, ms, vs = mix.weights.tolist(), list(mix.means), list(mix.covs)
-    gate = tau_m * tau_m
     bounds: list[float] = []
     heads: list[int] = []
     covs: list[np.ndarray] = []
@@ -583,19 +584,8 @@ def _merge_impl(mix: MaxMixture, tau_m: float, report: bool):
     while remaining:
         h = remaining.pop(0)
         v_cur = vs[h]
-        if not remaining:
-            heads.append(h)
-            covs.append(v_cur)
-            break
-        p_head = np.linalg.inv(vs[h])
-        cluster: list[int] = []
-        rest: list[int] = []
-        for j in remaining:
-            d = ms[j] - ms[h]
-            if float(d @ p_head @ d) <= gate:
-                cluster.append(j)
-            else:
-                rest.append(j)
+        cluster = [j for j in remaining if in_gate[h][j]]
+        rest = [j for j in remaining if not in_gate[h][j]]
         absorbed: list[int] = []
         for j in cluster:
             v_next = _absorb(ws[h], ms[h], v_cur, ws[j], ms[j])

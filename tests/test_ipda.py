@@ -6,6 +6,7 @@ import pytest
 from possitrack.ipda import (
     IpdaParams,
     IpdaState,
+    _prune_and_merge,
     ipda_estimate,
     ipda_predict,
     ipda_step,
@@ -129,6 +130,30 @@ def test_step_is_predict_then_update():
     assert via_step.existence == manual.existence
     np.testing.assert_array_equal(via_step.weights, manual.weights)
     np.testing.assert_array_equal(via_step.means, manual.means)
+
+
+def test_prune_and_merge_matches_moment_matching_reference():
+    # two terms inside the gate of the heaviest, one far outside it, and one
+    # below the prune threshold; the kept mass 0.8 plus diffuse 0.1 is
+    # renormalized to 1
+    ws = np.array([0.5, 0.2, 0.1, 1e-6])
+    ms = np.array([[0.0, 0.0], [0.6, -0.3], [20.0, 1.0], [0.1, 0.0]])
+    vs = np.array([[[1.0, 0.2], [0.2, 2.0]], [[0.5, 0.0], [0.0, 1.5]], np.eye(2), np.eye(2)])
+    out_w, out_m, out_v, diffuse = _prune_and_merge(ws, ms, vs, 0.1, params())
+
+    total = 0.8 + 0.1
+    w_ref = ws[0] + ws[1]
+    m_ref = (ws[0] * ms[0] + ws[1] * ms[1]) / w_ref
+    v_ref = sum(
+        w * (v + np.outer(m - m_ref, m - m_ref)) for w, m, v in zip(ws[:2], ms[:2], vs[:2])
+    ) / w_ref
+    np.testing.assert_allclose(out_w, [w_ref / total, ws[2] / total], rtol=1e-14)
+    np.testing.assert_allclose(out_m[0], m_ref, rtol=1e-14)
+    np.testing.assert_allclose(out_v[0], v_ref, rtol=1e-14)
+    np.testing.assert_array_equal(out_m[1], ms[2])
+    np.testing.assert_array_equal(out_v[1], vs[2])
+    assert diffuse == pytest.approx(0.1 / total, rel=1e-14)
+    assert out_w.sum() + diffuse == pytest.approx(1.0, abs=1e-15)
 
 
 # ------------------------------------------------------- clean-data behavior

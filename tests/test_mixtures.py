@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from possitrack.intensity import IntensityMixture, MultiTargetParams
-from possitrack.ipda import IpdaParams, IpdaState
+from possitrack.intensity import IntensityMixture, MultiTargetParams, extract_targets
+from possitrack.ipda import IpdaParams, IpdaState, _prune_and_merge
 from possitrack.mixtures import (
     EXP_FLOOR,
     GaussianPossibility,
@@ -526,6 +526,42 @@ def test_merge_never_loses_sup():
         out = merge(mix, tau_m=3.22)
         assert out.sup() == pytest.approx(mix.sup(), abs=0)
         assert len(out.components) <= len(mix.components)
+
+
+# A heavy broad head and a light narrow neighbour 1.5 apart: the separation
+# is 0.75 sigma in the head's covariance (var 4) but 3 sigma in the
+# neighbour's (var 0.25), so a gate of 1 joins them only when it is measured
+# in the head's covariance, as GM-PHD merging does.
+
+
+def _merge_term_count():
+    return merge(MaxMixture([g1(1.0, 0.0, 4.0), g1(0.3, 1.5, 0.25)]), tau_m=1.0).weights.size
+
+
+def _extract_target_count():
+    fm = IntensityMixture(0.1, (
+        GaussianPossibility(0.98, [0.0, 0.0], np.diag([4.0, 1.0])),
+        GaussianPossibility(0.95, [1.5, 0.0], np.diag([0.25, 1.0])),
+    ))
+    return len(extract_targets(fm, tau_x=0.9, merge_radius=1.0))
+
+
+def _ipda_term_count():
+    p = IpdaParams(trans=np.eye(2), trans_noise=np.eye(2), obs=np.array([[1.0, 0.0]]),
+                   obs_noise=np.eye(1), merge_threshold=1.0)
+    ws, _, _, _ = _prune_and_merge(
+        np.array([0.7, 0.3]), np.array([[0.0, 0.0], [1.5, 0.0]]),
+        np.array([np.diag([4.0, 1.0]), np.diag([0.25, 1.0])]), 0.0, p,
+    )
+    return ws.size
+
+
+@pytest.mark.parametrize(
+    "term_count", [_merge_term_count, _extract_target_count, _ipda_term_count],
+    ids=["merge", "extract_targets", "ipda_prune_and_merge"],
+)
+def test_gate_is_measured_in_the_heads_covariance(term_count):
+    assert term_count() == 1
 
 
 # --------------------------------------------------------------- grid oracle

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as hst
 
 from possitrack.bench import BenchConfig, make_run
+from possitrack.ipda import IpdaState, ipda_step
 from possitrack.mixtures import GaussianPossibility, MaxMixture, NumericalError
 from possitrack.scenario import (
     ScenarioConfig,
@@ -296,25 +297,35 @@ def test_update_permutation_and_duplicate_invariance():
     shuffle=hst.randoms(use_true_random=False),
 )
 def test_step_invariants_under_clutter(seed, lam, n_steps, shuffle):
-    # max(absence, sup) = 1 after every step, and a permuted observation set
-    # with a duplicate gives bit-identical states
+    # max(absence, sup) = 1 after every step, IPDA's weights plus diffuse
+    # mass = 1, and a permuted observation set with a duplicate gives
+    # bit-identical states in both filters
     cfg = BenchConfig()
     p = cfg.proposed_params()
+    b = cfg.baseline_params(lam)
     _, obs = make_run(cfg.scenario, lam, seed, 0, 0)
     st = ExtendedPossibility.absent()
+    ip = IpdaState.initial()
     for ys in obs.steps[:n_steps]:
         out = step(st, p, ys)
+        ip_out = ipda_step(ip, b, ys)
         assert max(out.psi_mass, out.on_s.sup()) == pytest.approx(1.0, abs=1e-12)
+        assert ip_out.weights.sum() + ip_out.diffuse_weight == pytest.approx(1.0, abs=1e-9)
         if ys:
             other = list(ys) + [ys[0]]
             shuffle.shuffle(other)
             alt = step(st, p, other)
+            ip_alt = ipda_step(ip, b, other)
             assert alt.psi_mass == out.psi_mass
             assert alt.on_s.flat_weight == out.on_s.flat_weight
-            for a, b in ((alt.on_s.weights, out.on_s.weights), (alt.on_s.means, out.on_s.means),
-                         (alt.on_s.covs, out.on_s.covs)):
-                np.testing.assert_array_equal(a, b)
-        st = out
+            assert ip_alt.existence == ip_out.existence
+            assert ip_alt.diffuse_weight == ip_out.diffuse_weight
+            assert ip_alt.time_index == ip_out.time_index
+            for x, y in ((alt.on_s.weights, out.on_s.weights), (alt.on_s.means, out.on_s.means),
+                         (alt.on_s.covs, out.on_s.covs), (ip_alt.weights, ip_out.weights),
+                         (ip_alt.means, ip_out.means), (ip_alt.covs, ip_out.covs)):
+                np.testing.assert_array_equal(x, y)
+        st, ip = out, ip_out
 
 
 def test_update_far_observation_changes_nothing_locally():
