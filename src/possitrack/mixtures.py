@@ -21,7 +21,9 @@ when the mixture is built, and is read-only afterwards.
 mixture's ``components`` builds those terms on request.  The reduction
 operations (pruning, dominance removal, merging) keep mixtures small;
 dominance removal is exact while merging is an approximation with a
-reportable pointwise error bound.
+reportable pointwise error bound.  Both compare only the pairs of terms whose
+means lie close enough in coordinate 0 to interact, which gives the same
+result as comparing every pair.
 """
 
 from __future__ import annotations
@@ -415,68 +417,123 @@ def prune(mix: MaxMixture, tau_p: float) -> MaxMixture:
 # slack of eps changes the mixture value by less than eps
 _DOMINANCE_TOL = 1e-14
 
+# relative widening of a candidate window's radius.  The Cauchy-Schwarz bound
+# behind the window is exact, the quadratic computed for a pair is not; this
+# slack keeps every pair whose computed quadratic can pass (for covariances
+# with condition number below about 1e12).  A wider window only adds pairs
+# that the exact test then rejects.
+_WINDOW_SLACK = 1.001
 
-def _dominates(
-    w_big: float, m_big: np.ndarray, p_big: np.ndarray,
-    w_small: float, m_small: np.ndarray, p_small: np.ndarray,
-) -> bool:
-    """Certify ``w_small N(.; m_small, V_small) <= w_big N(.; m_big, V_big)`` everywhere.
+
+def _window_pairs(x: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All index pairs (a, b) with ``|x_b - x_a| <= radius_a``, grouped by a.
+
+    One sort of x and two binary searches per a: O(k log k) time plus the
+    number of pairs returned.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    lo = np.searchsorted(xs, x - radius, side="left")
+    counts = np.searchsorted(xs, x + radius, side="right") - lo
+    rows = np.repeat(np.arange(x.size), counts)
+    first = np.cumsum(counts) - counts  # where each row's pairs start
+    cols = order[np.arange(rows.size) - np.repeat(first - lo, counts)]
+    return rows, cols
+
+
+def _pair_quadratic(ms: np.ndarray, ps: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``(m_b - m_a)' P_a (m_b - m_a)`` for each pair (a, b); ps are precision matrices.
+
+    The terms are summed in one fixed order (row index outer) rather than by
+    einsum, whose summation order changes with the array shapes, so a pair's
+    value does not depend on which other pairs are computed with it.
+    """
+    dd = ms[cols] - ms[rows]
+    q = np.zeros(rows.size)
+    for a in range(ms.shape[1]):
+        for b in range(ms.shape[1]):
+            q += dd[:, a] * ps[rows, a, b] * dd[:, b]
+    return q
+
+
+def _dominance_certificates(
+    ws: np.ndarray, ms: np.ndarray, ps: np.ndarray, js: np.ndarray, iis: np.ndarray
+) -> np.ndarray:
+    """Certify ``w_i N(.; m_i, V_i) <= w_j N(.; m_j, V_j)`` everywhere, for each pair (j, i).
 
     In log space the difference of the two terms is a quadratic; it is
-    nonnegative on all of R^d iff its homogenized (d+1)x(d+1) symmetric matrix
-    is positive semi-definite.  p_* are the precision matrices V_*^-1.
+    nonnegative on all of R^d iff its homogenized (d+1)x(d+1) symmetric
+    matrix is positive semi-definite.  ps are the precision matrices V^-1 and
+    w_j >= w_i for every pair.  One eigvalsh call serves all pairs.
     """
-    if w_small > w_big:
-        return False
-    d = m_big.size
-    a = p_small - p_big
-    b = p_big @ m_big - p_small @ m_small
-    c0 = math.log(w_big / w_small) + 0.5 * (
-        m_small @ p_small @ m_small - m_big @ p_big @ m_big
-    )
-    mat = np.empty((d + 1, d + 1))
-    mat[:d, :d] = 0.5 * a
-    mat[:d, d] = 0.5 * b
-    mat[d, :d] = 0.5 * b
-    mat[d, d] = c0
-    eigs = np.linalg.eigvalsh(mat)
-    tol = _DOMINANCE_TOL * max(1.0, float(np.abs(mat).max()))
-    return bool(eigs[0] >= -tol)
+    d = ms.shape[1]
+    pm = (ps @ ms[:, :, None])[:, :, 0]  # P m
+    mpm = ((ms[:, None, :] @ ps) @ ms[:, :, None])[:, 0, 0]  # m' P m
+    half_b = 0.5 * (pm[js] - pm[iis])
+    # math.log, not np.log: the two differ in the last bit on some inputs
+    log_ratio = [math.log(a / b) for a, b in zip(ws[js].tolist(), ws[iis].tolist())]
+    mats = np.empty((js.size, d + 1, d + 1))
+    mats[:, :d, :d] = 0.5 * (ps[iis] - ps[js])
+    mats[:, :d, d] = half_b
+    mats[:, d, :d] = half_b
+    mats[:, d, d] = np.asarray(log_ratio) + 0.5 * (mpm[iis] - mpm[js])
+    tol = _DOMINANCE_TOL * np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
+    return np.linalg.eigvalsh(mats)[:, 0] >= -tol
 
 
 def dominance_reduce(mix: MaxMixture) -> MaxMixture:
     """Remove components that provably never attain the mixture max.
 
     A component is removed when it is certified pointwise-dominated by the
-    flat term or by a single other component, so the mixture value is
-    unchanged everywhere.  Pairwise certificates only: a component dominated
-    jointly by several others but by none alone is kept.
+    flat term or by a single heavier-ranked component that is kept, taking
+    the components from the heaviest down, so the mixture value is unchanged
+    everywhere.  Pairwise certificates only: a component dominated jointly by
+    several others but by none alone is kept.
+
+    Component j can dominate i only if j's term at m_i reaches w_i, which
+    needs ``(m_i - m_j)' V_j^-1 (m_i - m_j) <= 2 log(w_j / w_i)``.  By
+    Cauchy-Schwarz that quadratic is at least ``d0**2 / V_j[0, 0]``, d0 being
+    the difference in coordinate 0, so j is compared only with the terms
+    within ``sqrt(2 log(w_j / w_min) V_j[0, 0])`` of m_j in coordinate 0.  The
+    window skips only pairs that cannot pass, so the result is exactly that
+    of comparing every pair.  The certificates of the pairs left are computed
+    in one batch.  Time and memory grow with the number of pairs in the
+    windows: quadratic in the worst case, when all means share coordinate 0.
     """
     if not mix.weights.size:
         return mix
     survivors = np.flatnonzero(mix.weights > mix.flat_weight)
+    if not survivors.size:
+        return mix.take(survivors)
     ws, ms, vs = mix.weights[survivors], mix.means[survivors], mix.covs[survivors]
+    order = np.argsort(-ws, kind="stable")
+    rank = np.empty(ws.size, dtype=np.intp)
+    rank[order] = np.arange(ws.size)
+    # the largest quadratic at which j can pass the cheap test below, for
+    # the lightest i; past the exponent floor it passes at any distance
+    reach = 2.0 * (np.log(ws) - np.log(ws.min()) - math.log1p(-1e-9)) * _WINDOW_SLACK
+    reach[reach >= -2.0 * EXP_FLOOR] = np.inf
+    js, iis = _window_pairs(ms[:, 0], np.sqrt(reach * vs[:, 0, 0]))
+    ahead = rank[js] < rank[iis]
+    js, iis = js[ahead], iis[ahead]
     ps = np.linalg.inv(vs)
     # cheap necessary condition: j can only dominate i if j's term at i's mean
     # reaches i's weight
-    quads = batch_quadratic(ms, vs, ms)  # quads[j, i] = (m_i-m_j)' P_j (m_i-m_j)
-    vals = ws[:, None] * _floored_exp(-0.5 * quads)
+    vals = ws[js] * _floored_exp(-0.5 * _pair_quadratic(ms, ps, js, iis))
+    reaches = vals >= ws[iis] * (1.0 - 1e-9)
+    js, iis = js[reaches], iis[reaches]
+    certified = _dominance_certificates(ws, ms, ps, js, iis)
 
-    w, ms, ps = ws.tolist(), list(ms), list(ps)  # Python scalars and rows: faster in the loops
-    kept: list[int] = []
-    for i in np.argsort(-ws, kind="stable").tolist():
-        dominated = False
-        for j in kept:
-            if vals[j, i] < w[i] * (1.0 - 1e-9):
-                continue
-            if _dominates(w[j], ms[j], ps[j], w[i], ms[i], ps[i]):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(i)
-    if len(kept) == mix.weights.size:
+    dominators: list[list[int]] = [[] for _ in range(ws.size)]
+    for j, i in zip(js[certified].tolist(), iis[certified].tolist()):
+        dominators[i].append(j)
+    kept = [False] * ws.size
+    for i in order.tolist():
+        kept[i] = not any(kept[j] for j in dominators[i])
+    idx = np.flatnonzero(kept)
+    if idx.size == mix.weights.size:
         return mix
-    return mix.take(survivors[sorted(kept)])
+    return mix.take(survivors[idx])
 
 
 # absorption is declined when covering the absorbed peak would more than
@@ -484,32 +541,55 @@ def dominance_reduce(mix: MaxMixture) -> MaxMixture:
 _MERGE_COVER_LIMIT = 2.0
 
 
-def _absorb(
-    w_i: float, m_i: np.ndarray, v_cur: np.ndarray, w_j: float, m_j: np.ndarray
-) -> np.ndarray | None:
-    """Inflate the running covariance so the merged term covers the absorbed peak.
+def _separations(v: np.ndarray, deltas: np.ndarray) -> np.ndarray:
+    """``d' V^-1 d`` for each row d of deltas.
 
-    The merged term keeps the dominant weight and mean; covariance becomes
-    ``V + gamma * dd'`` with ``d = m_j - m_i`` and ``gamma = max(0, 1/beta - 1/s)``
-    where ``s = d' V^-1 d`` and ``beta = 2 log(w_i / w_j)``.  That gamma is the
-    smallest scale for which the merged term at m_j reaches w_j (gamma = 0 when
-    the dominant term already covers it).  Returns None — absorption declined —
-    when coverage would require inflating the variance along d by more than
+    One batched solve with one right-hand side per row, so each value has
+    the bits of its own ``d @ np.linalg.solve(v, d)``.
+    """
+    x = np.linalg.solve(np.repeat(v[None], len(deltas), axis=0), deltas[:, :, None])
+    return (deltas[:, None, :] @ x)[:, 0, 0]
+
+
+def _absorb_cluster(w_h: float, m_h: np.ndarray, v_h: np.ndarray, weights, means, cluster):
+    """Absorb the terms ``cluster``, in order, into the head term (w_h, m_h, v_h).
+
+    ``weights`` (a list) and ``means`` (a (k, d) array) are indexed by the
+    entries of ``cluster``.  The merged term keeps the head's weight and mean.  Each absorption of a
+    term j inflates the running covariance to ``V + gamma * dd'`` with
+    ``d = m_j - m_h`` and ``gamma = max(0, 1/beta - 1/s)``, where
+    ``s = d' V^-1 d`` and ``beta = 2 log(w_h / w_j)``.  That gamma is the
+    smallest scale for which the merged term at m_j reaches w_j (gamma = 0
+    when the running term already covers it).  Absorption is declined when
+    coverage would require inflating the variance along d by more than
     ``_MERGE_COVER_LIMIT``; such components are genuinely distinct hypotheses
     and keeping them costs less than destabilizing the covariance.
+
+    s is solved for the whole cluster at once and again, for the terms
+    after it, after each absorption that inflates the covariance.  Returns
+    the merged covariance and the absorbed and declined indices, in order.
     """
-    delta = m_j - m_i
-    s = float(delta @ np.linalg.solve(v_cur, delta))
-    if s <= 0.0:
-        return v_cur
-    beta = 2.0 * math.log(w_i / w_j) if w_j < w_i else 0.0
-    if s > _MERGE_COVER_LIMIT * beta:
-        return None
-    gamma = max(0.0, 1.0 / beta - 1.0 / s)
-    if gamma == 0.0:
-        return v_cur
-    v_new = v_cur + gamma * np.outer(delta, delta)
-    return 0.5 * (v_new + v_new.T)
+    deltas = means[cluster] - m_h
+    v_cur = v_h
+    seps = _separations(v_cur, deltas)
+    absorbed: list[int] = []
+    declined: list[int] = []
+    for n, j in enumerate(cluster):
+        s = float(seps[n])
+        if s > 0.0:
+            w_j = weights[j]
+            beta = 2.0 * math.log(w_h / w_j) if w_j < w_h else 0.0
+            if s > _MERGE_COVER_LIMIT * beta:
+                declined.append(j)
+                continue
+            gamma = max(0.0, 1.0 / beta - 1.0 / s)
+            if gamma > 0.0:
+                v_new = v_cur + gamma * np.outer(deltas[n], deltas[n])
+                v_cur = 0.5 * (v_new + v_new.T)
+                if n + 1 < len(seps):
+                    seps[n + 1:] = _separations(v_cur, deltas[n + 1:])
+        absorbed.append(j)
+    return v_cur, absorbed, declined
 
 
 def _overshoot_bound(w_i: float, v_orig: np.ndarray, v_new: np.ndarray) -> float:
@@ -558,10 +638,17 @@ def merge(mix: MaxMixture, tau_m: float) -> MaxMixture:
     A component j is absorbed into the heaviest remaining component i when
     ``(m_j - m_i)' V_i^-1 (m_j - m_i) <= tau_m ** 2`` and covering j's peak
     needs at most a doubling of variance along the separation (see
-    :func:`_absorb`).  The merged component keeps i's weight and mean; its
-    covariance is inflated just enough to cover each absorbed peak.  This is
-    a deliberate approximation: the result can differ pointwise from the
-    input (see :func:`merge_with_report` for bounds).
+    :func:`_absorb_cluster`).  The merged component keeps i's weight and
+    mean; its covariance is inflated just enough to cover each absorbed
+    peak.  This is a deliberate approximation: the result can differ
+    pointwise from the input (see :func:`merge_with_report` for bounds).
+
+    By Cauchy-Schwarz the gate's quadratic is at least ``d0**2 / V_i[0, 0]``,
+    d0 being the difference in coordinate 0, so only the terms within
+    ``tau_m * sqrt(V_i[0, 0])`` of m_i in coordinate 0 are tested.  The
+    result is exactly that of testing every pair.  The cost grows with the
+    number of pairs in those windows: quadratic in the worst case, when all
+    means share coordinate 0.
     """
     out, _ = _merge_impl(mix, tau_m, report=False)
     return out
@@ -569,40 +656,41 @@ def merge(mix: MaxMixture, tau_m: float) -> MaxMixture:
 
 def _merge_impl(mix: MaxMixture, tau_m: float, report: bool):
     tau_m = float(tau_m)
-    if tau_m < 0.0:
+    if not (tau_m >= 0.0):
         raise ValueError(f"merge threshold must be >= 0, got {tau_m!r}")
     if mix.weights.size <= 1:
         return mix, []
-    # in_gate[h, j]: m_j lies within tau_m of m_h in the metric of V_h
-    in_gate = (batch_quadratic(mix.means, mix.covs, mix.means) <= tau_m * tau_m).tolist()
-    # Python scalars and rows: faster in the loops below
-    ws, ms, vs = mix.weights.tolist(), list(mix.means), list(mix.covs)
+    w_arr, m_arr, v_arr = mix.weights, mix.means, mix.covs
+    k = w_arr.size
+    rows, cols = _window_pairs(m_arr[:, 0], tau_m * _WINDOW_SLACK * np.sqrt(v_arr[:, 0, 0]))
+    gated = _pair_quadratic(m_arr, np.linalg.inv(v_arr), rows, cols) <= tau_m * tau_m
+    # gate[start[h]:start[h + 1]]: the terms within tau_m of m_h in the metric of V_h
+    gate = cols[gated]
+    start = np.searchsorted(rows[gated], np.arange(k + 1)).tolist()
+    ws, ms, vs = w_arr.tolist(), list(m_arr), list(v_arr)
+    neg_w = (-w_arr).tolist()
     bounds: list[float] = []
     heads: list[int] = []
     covs: list[np.ndarray] = []
-    remaining = np.argsort(-mix.weights, kind="stable").tolist()
+    remaining = np.argsort(-w_arr, kind="stable").tolist()
     while remaining:
         h = remaining.pop(0)
-        v_cur = vs[h]
-        cluster = [j for j in remaining if in_gate[h][j]]
-        rest = [j for j in remaining if not in_gate[h][j]]
-        absorbed: list[int] = []
-        for j in cluster:
-            v_next = _absorb(ws[h], ms[h], v_cur, ws[j], ms[j])
-            if v_next is None:
-                rest.append(j)
-            else:
-                v_cur = v_next
-                absorbed.append(j)
-        if absorbed and report:
-            over = _overshoot_bound(ws[h], vs[h], v_cur)
-            deficit = max(_deficit_bound(ws[h], ms[h], v_cur, ws[j], ms[j], vs[j]) for j in absorbed)
-            bounds.append(max(over, deficit))
+        in_gate = set(gate[start[h]:start[h + 1]].tolist())
+        cluster = [j for j in remaining if j in in_gate]
+        v_cur, absorbed = vs[h], []
+        if cluster:
+            v_cur, absorbed, declined = _absorb_cluster(ws[h], ms[h], vs[h], ws, m_arr, cluster)
+            # declined components go after the ungated ones; only an
+            # absorption re-sorts what is left by weight
+            remaining = [j for j in remaining if j not in in_gate] + declined
+        if absorbed:
+            remaining.sort(key=neg_w.__getitem__)
+            if report:
+                over = _overshoot_bound(ws[h], vs[h], v_cur)
+                deficit = max(_deficit_bound(ws[h], ms[h], v_cur, ws[j], ms[j], vs[j]) for j in absorbed)
+                bounds.append(max(over, deficit))
         heads.append(h)
         covs.append(v_cur)
-        # declined components were appended after the ungated ones; only an
-        # absorption re-sorts what is left by weight
-        remaining = sorted(rest, key=lambda j: -ws[j]) if absorbed else rest
     if bounds:
         logger.debug("merge: %d events, worst pointwise error bound %.3g", len(bounds), max(bounds))
     order = np.argsort(-mix.weights[heads], kind="stable")

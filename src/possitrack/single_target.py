@@ -129,7 +129,7 @@ class SingleTargetParams(LinearGaussianModel):
             raise ValueError("max(survival, disappearance) must equal 1")
         if not (0.0 <= self.prune_threshold < 1.0):
             raise ValueError("prune_threshold must be in [0, 1)")
-        if self.merge_threshold < 0.0:
+        if not (self.merge_threshold >= 0.0):
             raise ValueError("merge_threshold must be >= 0")
 
 

@@ -57,6 +57,12 @@ def test_clutter_density_is_rate_over_volume_with_floor():
     assert params(clutter_rate=0.0).clutter_density > 0.0  # floored, not zero
 
 
+
+@pytest.mark.parametrize("tau", [-1.0, float("nan")])
+def test_params_reject_bad_merge_threshold(tau):
+    with pytest.raises(ValueError):
+        params(merge_threshold=tau)
+
 # ------------------------------------------------------------------- predict
 
 

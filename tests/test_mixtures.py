@@ -5,6 +5,9 @@ closed-form or brute-force lattice oracles (see grid_sup_oracle for the
 lattice used at runtime).
 """
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +19,11 @@ from possitrack.mixtures import (
     GaussianPossibility,
     MaxMixture,
     NumericalError,
+    _deficit_bound,
+    _floored_exp,
+    _overshoot_bound,
     batch_kalman_update,
+    batch_quadratic,
     dominance_reduce,
     grid_sup_oracle,
     merge,
@@ -526,6 +533,175 @@ def test_merge_never_loses_sup():
         out = merge(mix, tau_m=3.22)
         assert out.sup() == pytest.approx(mix.sup(), abs=0)
         assert len(out.components) <= len(mix.components)
+
+
+def test_merge_rejects_nan_threshold():
+    mix = MaxMixture([g1(1.0, 0.0, 1.0), g1(0.9, 0.1, 1.0)])
+    with pytest.raises(ValueError):
+        merge(mix, float("nan"))
+    with pytest.raises(ValueError):
+        merge_with_report(mix, float("nan"))
+
+
+# ------------------------------------------- reduction against a dense reference
+#
+# The library finds candidate pairs in a coordinate-0 window and batches the
+# dominance certificates and the merge solves.  The functions below are the
+# plain loops it must reproduce bit for bit: every pair gated through one
+# dense k x k quadratic, one eigvalsh per dominance candidate, one solve per
+# absorption.
+
+
+def _ref_dominates(w_big, m_big, p_big, w_small, m_small, p_small):
+    if w_small > w_big:
+        return False
+    d = m_big.size
+    a = p_small - p_big
+    b = p_big @ m_big - p_small @ m_small
+    c0 = math.log(w_big / w_small) + 0.5 * (m_small @ p_small @ m_small - m_big @ p_big @ m_big)
+    mat = np.empty((d + 1, d + 1))
+    mat[:d, :d] = 0.5 * a
+    mat[:d, d] = 0.5 * b
+    mat[d, :d] = 0.5 * b
+    mat[d, d] = c0
+    eigs = np.linalg.eigvalsh(mat)
+    tol = 1e-14 * max(1.0, float(np.abs(mat).max()))
+    return bool(eigs[0] >= -tol)
+
+
+def _ref_dominance_reduce(mix):
+    if not mix.weights.size:
+        return mix
+    survivors = np.flatnonzero(mix.weights > mix.flat_weight)
+    ws, ms, vs = mix.weights[survivors], mix.means[survivors], mix.covs[survivors]
+    ps = np.linalg.inv(vs)
+    vals = ws[:, None] * _floored_exp(-0.5 * batch_quadratic(ms, vs, ms))
+    w, ms, ps = ws.tolist(), list(ms), list(ps)
+    kept = []
+    for i in np.argsort(-ws, kind="stable").tolist():
+        dominated = False
+        for j in kept:
+            if vals[j, i] < w[i] * (1.0 - 1e-9):
+                continue
+            if _ref_dominates(w[j], ms[j], ps[j], w[i], ms[i], ps[i]):
+                dominated = True
+                break
+        if not dominated:
+            kept.append(i)
+    if len(kept) == mix.weights.size:
+        return mix
+    return mix.take(survivors[sorted(kept)])
+
+
+def _ref_absorb(w_i, m_i, v_cur, w_j, m_j):
+    delta = m_j - m_i
+    s = float(delta @ np.linalg.solve(v_cur, delta))
+    if s <= 0.0:
+        return v_cur
+    beta = 2.0 * math.log(w_i / w_j) if w_j < w_i else 0.0
+    if s > 2.0 * beta:
+        return None
+    gamma = max(0.0, 1.0 / beta - 1.0 / s)
+    if gamma == 0.0:
+        return v_cur
+    v_new = v_cur + gamma * np.outer(delta, delta)
+    return 0.5 * (v_new + v_new.T)
+
+
+def _ref_merge_with_report(mix, tau_m):
+    if mix.weights.size <= 1:
+        return mix, []
+    in_gate = (batch_quadratic(mix.means, mix.covs, mix.means) <= tau_m * tau_m).tolist()
+    ws, ms, vs = mix.weights.tolist(), list(mix.means), list(mix.covs)
+    bounds, heads, covs = [], [], []
+    remaining = np.argsort(-mix.weights, kind="stable").tolist()
+    while remaining:
+        h = remaining.pop(0)
+        v_cur = vs[h]
+        cluster = [j for j in remaining if in_gate[h][j]]
+        rest = [j for j in remaining if not in_gate[h][j]]
+        absorbed = []
+        for j in cluster:
+            v_next = _ref_absorb(ws[h], ms[h], v_cur, ws[j], ms[j])
+            if v_next is None:
+                rest.append(j)
+            else:
+                v_cur = v_next
+                absorbed.append(j)
+        if absorbed:
+            over = _overshoot_bound(ws[h], vs[h], v_cur)
+            deficit = max(_deficit_bound(ws[h], ms[h], v_cur, ws[j], ms[j], vs[j]) for j in absorbed)
+            bounds.append(max(over, deficit))
+        heads.append(h)
+        covs.append(v_cur)
+        remaining = sorted(rest, key=lambda j: -ws[j]) if absorbed else rest
+    order = np.argsort(-mix.weights[heads], kind="stable")
+    idx = np.asarray(heads)[order]
+    merged = MaxMixture.from_arrays(
+        mix.weights[idx], mix.means[idx], np.stack(covs)[order], mix.flat_weight
+    )
+    return merged, bounds
+
+
+def _assert_same_bits(out, ref):
+    assert out.flat_weight == ref.flat_weight
+    for a, b in ((out.weights, ref.weights), (out.means, ref.means), (out.covs, ref.covs)):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([1, 2, 4]),
+    k=st.integers(1, 30),
+    layout=st.sampled_from(["spread", "duplicated", "shared_x0"]),
+    flat=st.sampled_from([0.0, 0.25, 0.55]),
+    tau_m=st.sampled_from([0.0, 1.0, 3.22]),
+)
+def test_reduction_matches_dense_reference(seed, d, k, layout, flat, tau_m):
+    rng = np.random.default_rng(seed)
+    ws = np.maximum(np.round(rng.uniform(0.0, 1.0, k), 1), 0.1)  # ties
+    ms = rng.normal(size=(k, d)) * rng.uniform(0.2, 4.0)
+    a = rng.normal(size=(k, d, d)) * rng.uniform(0.2, 2.0)
+    vs = a @ np.swapaxes(a, 1, 2) + 0.05 * np.eye(d)
+    vs = 0.5 * (vs + np.swapaxes(vs, 1, 2))
+    if layout == "duplicated":  # repeated means, some of them whole repeated terms
+        src, dst = rng.integers(0, k, size=(2, k // 2))
+        ms[dst] = ms[src]
+        whole = dst[: k // 4]
+        ws[whole], vs[whole] = ws[src[: k // 4]], vs[src[: k // 4]]
+    elif layout == "shared_x0":  # every pair falls in the window
+        ms[:, 0] = ms[0, 0]
+    mix = MaxMixture.from_arrays(ws, ms, vs, flat)
+
+    reduced = dominance_reduce(mix)
+    _assert_same_bits(reduced, _ref_dominance_reduce(mix))
+    for src_mix in (mix, reduced):
+        out, bounds = merge_with_report(src_mix, tau_m)
+        ref, ref_bounds = _ref_merge_with_report(src_mix, tau_m)
+        _assert_same_bits(out, ref)
+        _assert_same_bits(merge(src_mix, tau_m), ref)
+        assert bounds == ref_bounds
+
+
+def test_reduction_memory_is_subquadratic():
+    # 3000 terms spread along coordinate 0: a dense k x k float64 matrix alone
+    # would take 72 MB; the windows hold a few neighbours per term
+    k = 3000
+    rng = np.random.default_rng(5)
+    ms = np.column_stack([np.arange(k, dtype=float), rng.normal(size=k)])
+    mix = MaxMixture.from_arrays(
+        np.round(rng.uniform(0.1, 1.0, k), 2), ms, np.tile(np.diag([0.5, 2.0]), (k, 1, 1))
+    )
+    tracemalloc.start()
+    try:
+        out = merge(dominance_reduce(mix), 3.22)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < out.weights.size < k
+    assert peak < k * k * 8 / 10
 
 
 # A heavy broad head and a light narrow neighbour 1.5 apart: the separation

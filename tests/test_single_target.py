@@ -78,6 +78,12 @@ def test_params_require_survival_or_disappearance_at_one():
     params_1d(survival=1.0, disappearance=0.2)
 
 
+
+@pytest.mark.parametrize("tau", [-1.0, float("nan")])
+def test_params_reject_bad_merge_threshold(tau):
+    with pytest.raises(ValueError):
+        params_1d(merge_threshold=tau)
+
 def test_initial_state_is_fully_absent():
     st = ExtendedPossibility.absent()
     assert st.psi_mass == 1.0
