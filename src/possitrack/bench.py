@@ -41,9 +41,11 @@ from .single_target import (
     ExtendedPossibility,
     ObservationDrivenBirth,
     SingleTargetParams,
+    canonicalize_observations,
     estimate,
     step,
 )
+from .mixtures import NumericalError
 
 logger = logging.getLogger(__name__)
 
@@ -220,7 +222,9 @@ def run_benchmark(cfg: BenchConfig, progress: Callable[[str], None] | None = Non
 
     Each filter runs once per (rate, run); the threshold sweep is applied to
     the filter state after every step, so all thresholds see identical
-    filtering behavior.
+    filtering behavior.  Each scan is canonicalized once and the array is
+    given to both filters.  A NumericalError from a filter is raised again
+    with the (lambda, run, t, seed) that reproduces it.
     """
     thresholds = cfg.threshold_sweep
     n_t = cfg.scenario.t_end + 1
@@ -237,9 +241,14 @@ def run_benchmark(cfg: BenchConfig, progress: Callable[[str], None] | None = Non
             st = ExtendedPossibility.absent()
             ip = IpdaState.initial()
             for t in range(n_t):
-                ys = obs.steps[t]
-                st = step(st, prop_params, ys)
-                ip = ipda_step(ip, base_params, ys)
+                ys = canonicalize_observations(obs.steps[t], prop_params.obs_dim)
+                try:
+                    st = step(st, prop_params, ys)
+                    ip = ipda_step(ip, base_params, ys)
+                except NumericalError as err:
+                    raise NumericalError(
+                        f"lambda={lam:g} run={run} t={t} seed={cfg.base_seed}: {err}"
+                    ) from err
                 for ti, tau in enumerate(thresholds):
                     err[PROPOSED][ti, t] += error_at(t, estimate(st, tau), truth, cfg.c_err)
                     err[BASELINE][ti, t] += error_at(t, ipda_estimate(ip, tau), truth, cfg.c_err)

@@ -93,15 +93,14 @@ class MultiTargetParams(LinearGaussianModel):
 def sum_intensities(a: IntensityMixture, b: IntensityMixture) -> IntensityMixture:
     """Pointwise max of two intensities (union of independent populations)."""
     stack = concat_terms(((a.weights, a.means, a.covs), (b.weights, b.means, b.covs)))
-    return dominance_reduce(IntensityMixture.from_arrays(*stack, max(a.floor, b.floor)))
+    return dominance_reduce(IntensityMixture._trusted(*stack, max(a.floor, b.floor)))
 
 
 def propagate_intensity(fm: IntensityMixture, params: MultiTargetParams) -> IntensityMixture:
     """Survival-scaled linear propagation followed by the birth intensity."""
     ms, vs = batch_predict(fm.means, fm.covs, params.trans, params.trans_noise)
-    moved = IntensityMixture.from_arrays(
-        fm.weights * params.survival, ms, vs, fm.floor * params.survival
-    )
+    # a weight that underflows to 0 here is dropped by the dominance reduction
+    moved = IntensityMixture._trusted(fm.weights * params.survival, ms, vs, fm.floor * params.survival)
     return sum_intensities(moved, params.birth)
 
 
@@ -139,7 +138,7 @@ def update_intensity(fm: IntensityMixture, params: MultiTargetParams, observatio
 
     new_w, new_m, new_v = concat_terms(branches)
     keep = new_w > 0.0
-    out = dominance_reduce(IntensityMixture.from_arrays(
+    out = dominance_reduce(IntensityMixture._trusted(
         new_w[keep], new_m[keep], new_v[keep], floor * params.missed_detection
     ))
     if out.weights.size > params.max_components:
@@ -163,7 +162,7 @@ def recover_cardinality_spatial(fm: IntensityMixture):
 
     if s <= 0.0:
         return card, IntensityMixture(floor=1.0)
-    return card, IntensityMixture.from_arrays(fm.weights / s, fm.means, fm.covs, fm.floor / s)
+    return card, IntensityMixture._trusted(fm.weights / s, fm.means, fm.covs, fm.floor / s)
 
 
 def extract_targets(

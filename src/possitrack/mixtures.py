@@ -15,8 +15,12 @@ usual Kalman algebra intact: propagating a Gaussian term through a linear
 transition and fusing it with a linear-Gaussian observation both stay in
 closed form.  A mixture of k terms in d dimensions is therefore stored as one
 stack, ``weights`` (k,), ``means`` (k, d) and ``covs`` (k, d, d), and every
-recursion is batched algebra over that stack.  The stack is checked once,
-when the mixture is built, and is read-only afterwards.
+recursion is batched algebra over that stack.  Stacks are read-only.  A stack
+given from outside is checked in full when the mixture is built; a stack that
+a recursion derives from checked stacks is not checked again.  The recursions
+check only what their arithmetic can break, such as the positive
+definiteness of a predicted or posterior covariance, and raise
+:class:`NumericalError` when it breaks.
 :class:`GaussianPossibility` is the single-term type for callers; a
 mixture's ``components`` builds those terms on request.  The reduction
 operations (pruning, dominance removal, merging) keep mixtures small;
@@ -56,7 +60,8 @@ __all__ = [
 
 
 class NumericalError(RuntimeError):
-    """Linear-algebra failure: singular innovation, non-finite weight, ..."""
+    """Linear-algebra failure inside a recursion: a covariance that is no longer
+    positive-definite, a singular innovation, a non-finite normalization, ..."""
 
 
 def _floored_exp(exponent):
@@ -81,6 +86,8 @@ def _as_matrix(a, name="matrix") -> np.ndarray:
 def _require_psd(mat: np.ndarray, name: str) -> np.ndarray:
     """Validate a symmetric positive semi-definite matrix (e.g. process noise)."""
     mat = _as_matrix(mat, name)
+    if not np.isfinite(mat).all():
+        raise ValueError(f"{name} must be finite")
     if mat.shape[0] != mat.shape[1]:
         raise ValueError(f"{name} must be square, got shape {mat.shape}")
     if not np.allclose(mat, mat.T, rtol=1e-10, atol=1e-12):
@@ -94,8 +101,9 @@ def _require_psd(mat: np.ndarray, name: str) -> np.ndarray:
 def _checked_stack(weights, means, covs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only copies of a stack of k terms, after checking every term.
 
-    Each weight must lie in (0, 1] and each covariance must be symmetric
-    positive-definite; shapes must be (k,), (k, d) and (k, d, d).
+    Each weight must lie in (0, 1], each mean must be finite and each
+    covariance must be finite and symmetric positive-definite; shapes must be
+    (k,), (k, d) and (k, d, d).
     """
     w = np.array(weights, dtype=float)
     m = np.array(means, dtype=float)
@@ -108,6 +116,10 @@ def _checked_stack(weights, means, covs) -> tuple[np.ndarray, np.ndarray, np.nda
     bad = ~((w > 0.0) & (w <= 1.0))
     if bad.any():
         raise ValueError(f"weights must be in (0, 1], got {w[bad][0]!r}")
+    if not np.isfinite(m).all():
+        raise ValueError("means must be finite")
+    if not np.isfinite(v).all():
+        raise ValueError("covs must be finite")
     if not np.allclose(v, np.swapaxes(v, 1, 2), rtol=1e-9, atol=1e-12):
         raise ValueError("cov must be symmetric")
     try:
@@ -163,7 +175,8 @@ class MaxMixture:
 
     ``MaxMixture(components, flat_weight)`` builds a mixture from
     :class:`GaussianPossibility` terms and :meth:`from_arrays` from a stack;
-    both run the same checks.
+    both run the same checks.  The recursions build their results with the
+    private ``_trusted``, which does not check them again.
     """
 
     weights: np.ndarray
@@ -190,6 +203,24 @@ class MaxMixture:
         mix._set(weights, means, covs, flat_weight)
         return mix
 
+    @classmethod
+    def _trusted(cls, weights, means, covs, flat_weight: float):
+        """A mixture of a stack that a recursion derived from checked stacks.
+
+        The arrays are frozen and kept, not copied or checked: they must be
+        float arrays that nothing else writes to, with the shapes, weights in
+        (0, 1], finite means and positive-definite covariances that
+        :func:`_checked_stack` requires, and flat_weight must lie in [0, 1].
+        """
+        for a in (weights, means, covs):
+            a.setflags(write=False)
+        mix = object.__new__(cls)
+        object.__setattr__(mix, "weights", weights)
+        object.__setattr__(mix, "means", means)
+        object.__setattr__(mix, "covs", covs)
+        object.__setattr__(mix, "flat_weight", float(flat_weight))
+        return mix
+
     def _set(self, weights, means, covs, flat_weight):
         w, m, v = _checked_stack(weights, means, covs)
         b = float(flat_weight)
@@ -202,16 +233,23 @@ class MaxMixture:
 
     @property
     def components(self) -> tuple[GaussianPossibility, ...]:
-        """The terms as GaussianPossibility objects, built on each access."""
-        return tuple(
-            GaussianPossibility(w, m, v) for w, m, v in zip(self.weights, self.means, self.covs)
-        )
+        """The terms as GaussianPossibility objects, built on each access.
+
+        They are views of the mixture's read-only stack, which is checked
+        already, so they are not checked again.
+        """
+        terms = []
+        for w, m, v in zip(self.weights.tolist(), self.means, self.covs):
+            g = object.__new__(GaussianPossibility)
+            object.__setattr__(g, "weight", w)
+            object.__setattr__(g, "mean", m)
+            object.__setattr__(g, "cov", v)
+            terms.append(g)
+        return tuple(terms)
 
     def take(self, idx):
         """The mixture of the terms at ``idx``, in that order, with the same flat term."""
-        return type(self).from_arrays(
-            self.weights[idx], self.means[idx], self.covs[idx], self.flat_weight
-        )
+        return self._trusted(self.weights[idx], self.means[idx], self.covs[idx], self.flat_weight)
 
     @property
     def dim(self) -> int | None:
@@ -268,8 +306,8 @@ class LinearGaussianModel:
     """Linear motion ``x' = F x`` with noise Q and observation ``y = H x`` with noise R.
 
     The base of the filters' parameter classes.  The four matrices are
-    checked here, once: Q and R symmetric positive semi-definite, shapes
-    consistent.  They are stored as read-only copies, so the recursions use
+    checked here, once: all finite, Q and R symmetric positive semi-definite,
+    shapes consistent.  They are stored as read-only copies, so the recursions use
     them without checking them again.
     """
 
@@ -289,6 +327,8 @@ class LinearGaussianModel:
         if obs.shape[1] != d or obs_noise.shape != (obs.shape[0], obs.shape[0]):
             raise ValueError("obs/obs_noise shapes inconsistent with state dim")
         for arr, name in ((trans, "trans"), (noise, "trans_noise"), (obs, "obs"), (obs_noise, "obs_noise")):
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} must be finite")
             arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -302,17 +342,34 @@ class LinearGaussianModel:
         return self.obs.shape[0]
 
 
+def _require_pd(covs: np.ndarray, what: str) -> None:
+    """Raise NumericalError unless every covariance in the stack is finite and positive-definite.
+
+    One batched Cholesky factorization; it does not fail on NaN or inf, but
+    its factor is then not finite.
+    """
+    try:
+        ok = np.isfinite(np.linalg.cholesky(covs)).all()
+    except np.linalg.LinAlgError:
+        ok = False
+    if not ok:
+        raise NumericalError(f"{what} covariance is not finite and positive-definite")
+
+
 def batch_predict(ms: np.ndarray, vs: np.ndarray, trans: np.ndarray, noise: np.ndarray):
     """Means ``F m_k`` (k, d) and covariances ``F V_k F' + Q`` (k, d, d) of k terms.
 
     ``trans`` and ``noise`` are used as given; callers check them.  An empty
-    stack is returned unchanged, whatever its dimension.
+    stack is returned unchanged, whatever its dimension.  Raises
+    NumericalError if a predicted covariance is not positive-definite.
     """
     if not len(ms):
         return ms, vs
     means = (trans @ ms[:, :, None])[:, :, 0]
     covs = trans @ vs @ trans.T + noise
-    return means, 0.5 * (covs + np.swapaxes(covs, 1, 2))
+    covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
+    _require_pd(covs, "predicted")
+    return means, covs
 
 
 def predict_gaussian(
@@ -323,7 +380,7 @@ def predict_gaussian(
     The sup-convolution of ``w N(x'; m, V)`` with ``gain * N(x; F x', Q)`` is
     again Gaussian: weight ``gain * w``, mean ``F m``, covariance ``F V F' + Q``.
     ``noise`` may be singular (positive semi-definite) as long as the output
-    covariance stays positive-definite.
+    covariance stays positive-definite; otherwise NumericalError is raised.
     """
     trans = _as_matrix(trans, "transition")
     noise = _require_psd(noise, "noise covariance")
@@ -343,7 +400,8 @@ def update_gaussian(
 
     Returns the posterior term (same weight as the input; the caller composes
     branch weights) and the scalar possibility likelihood ``N(y; H m, S)``
-    with ``S = H V H' + R``.
+    with ``S = H V H' + R``.  Raises NumericalError if S or the posterior
+    covariance is not positive-definite.
     """
     y = _as_vector(y, "observation")
     obs = _as_matrix(obs, "observation matrix")
@@ -364,7 +422,8 @@ def batch_kalman_update(ms, vs, ys, obs, obs_noise):
 
     Returns (likelihoods (k, n), posterior means (k, n, d), posterior covs (k, d, d)).
     The posterior covariance does not depend on the observation value.
-    Raises NumericalError if any innovation covariance is singular.
+    Raises NumericalError if any innovation covariance is singular or any
+    posterior covariance is not positive-definite.
     """
     ms = np.asarray(ms, dtype=float)
     vs = np.asarray(vs, dtype=float)
@@ -373,10 +432,7 @@ def batch_kalman_update(ms, vs, ys, obs, obs_noise):
     p = ys.shape[1]
     s = obs @ vs @ obs.T + obs_noise  # (k, p, p)
     s = 0.5 * (s + np.swapaxes(s, 1, 2))
-    try:
-        np.linalg.cholesky(s)
-    except np.linalg.LinAlgError as err:
-        raise NumericalError("singular innovation covariance in update") from err
+    _require_pd(s, "innovation")
     s_inv = np.linalg.inv(s)
     gain = vs @ obs.T @ s_inv  # (k, d, p)
     innov = ys[None, :, :] - (obs @ ms[:, :, None])[:, None, :, 0]  # (k, n, p)
@@ -386,6 +442,7 @@ def batch_kalman_update(ms, vs, ys, obs, obs_noise):
     eye = np.eye(d)
     v_post = (eye[None, :, :] - gain @ obs) @ vs
     v_post = 0.5 * (v_post + np.swapaxes(v_post, 1, 2))
+    _require_pd(v_post, "posterior")
     return liks, m_post, v_post
 
 
@@ -695,9 +752,7 @@ def _merge_impl(mix: MaxMixture, tau_m: float, report: bool):
         logger.debug("merge: %d events, worst pointwise error bound %.3g", len(bounds), max(bounds))
     order = np.argsort(-mix.weights[heads], kind="stable")
     idx = np.asarray(heads)[order]
-    merged = type(mix).from_arrays(
-        mix.weights[idx], mix.means[idx], np.stack(covs)[order], mix.flat_weight
-    )
+    merged = mix._trusted(mix.weights[idx], mix.means[idx], np.stack(covs)[order], mix.flat_weight)
     return merged, bounds
 
 

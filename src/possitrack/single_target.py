@@ -16,7 +16,7 @@ and turned into a Gaussian component the first time an observation meets it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -26,6 +26,7 @@ from .mixtures import (
     LinearGaussianModel,
     MaxMixture,
     NumericalError,
+    _require_pd,
     batch_kalman_update,
     batch_predict,
     concat_terms,
@@ -85,15 +86,21 @@ class ObservationDrivenBirth:
 
 @dataclass(frozen=True)
 class ExplicitBirth:
-    """Appearance described by a fixed Gaussian max-mixture."""
+    """Appearance described by a fixed Gaussian max-mixture.
+
+    ``mixture`` is the components' stack, checked once when the birth model
+    is built.
+    """
 
     components: tuple[GaussianPossibility, ...]
+    mixture: MaxMixture = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         comps = tuple(self.components)
         if not comps:
             raise ValueError("explicit birth needs at least one component")
         object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "mixture", MaxMixture(comps))
 
 
 BirthModel = ObservationDrivenBirth | ExplicitBirth
@@ -131,6 +138,8 @@ class SingleTargetParams(LinearGaussianModel):
             raise ValueError("prune_threshold must be in [0, 1)")
         if not (self.merge_threshold >= 0.0):
             raise ValueError("merge_threshold must be >= 0")
+        if isinstance(self.birth, ExplicitBirth) and self.birth.mixture.dim != self.state_dim:
+            raise ValueError("explicit birth components must have the state dimension")
 
 
 @dataclass(frozen=True)
@@ -156,18 +165,41 @@ class ExtendedPossibility:
 def canonicalize_observations(observations, obs_dim: int) -> np.ndarray:
     """Sort an observation set lexicographically and drop exact duplicates.
 
-    Returns an (n, obs_dim) array.  Observations form a set: order carries no
-    information and exact duplicates are one observation.
+    Returns the (n, obs_dim) array of distinct rows in lexicographic order,
+    as ``np.unique(arr, axis=0)`` does; of rows that compare equal (0.0 and
+    -0.0 do) the first given is kept.  Observations form a set: order carries
+    no information and exact duplicates are one observation.
+    ``observations`` is an iterable of observations, or of scalars when
+    obs_dim is 1, or an array of either.  An array that is already
+    canonical, such as one this function returned, is returned as it is, so
+    a scan canonicalized once can be given to several filters.
     """
-    rows = [np.atleast_1d(np.asarray(y, dtype=float)) for y in observations]
-    if not rows:
+    if not isinstance(observations, (np.ndarray, list, tuple)):
+        observations = list(observations)  # a set or another iterable
+    if not len(observations):
         return np.empty((0, obs_dim))
-    arr = np.stack(rows)
+    arr = np.asarray(observations, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[1] != obs_dim:
         raise ValueError(f"observations must have dimension {obs_dim}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("observations must be finite")
-    return np.unique(arr, axis=0)
+    if arr is observations and _strictly_increasing(arr):
+        return arr
+    arr = arr[np.lexsort(arr.T[::-1])]
+    new = np.ones(arr.shape[0], dtype=bool)
+    new[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+    return arr[new]
+
+
+def _strictly_increasing(rows: np.ndarray) -> bool:
+    """True iff each row is lexicographically greater than the one before."""
+    a, b = rows[:-1].T, rows[1:].T
+    greater = b[-1] > a[-1]
+    for j in range(len(a) - 2, -1, -1):  # greater on columns j, j+1, ...
+        greater = (b[j] > a[j]) | ((b[j] == a[j]) & greater)
+    return bool(greater.all())
 
 
 def clutter_possibility(model: ClutterModel, observations) -> float:
@@ -212,6 +244,8 @@ def materialize_birth(
     flat term, the observation likelihood and the velocity prior is exactly
     this Gaussian possibility.  ``y`` may also be a stack (n, p) of
     observations; the means are then (n, d) and share the one covariance.
+    Raises NumericalError if that covariance is not positive-definite, as
+    happens when the observation noise is singular.
     """
     d = obs.shape[1]
     idx = _selection_indices(obs)
@@ -219,6 +253,7 @@ def materialize_birth(
     mean[..., idx] = y
     cov = np.eye(d) * velocity_std**2
     cov[np.ix_(idx, idx)] = obs_noise
+    _require_pd(cov, "birth")
     return mean, cov
 
 
@@ -238,10 +273,14 @@ def predict(state: ExtendedPossibility, params: SingleTargetParams) -> ExtendedP
     if isinstance(params.birth, ObservationDrivenBirth):
         flat_new = max(flat_new, psi)
     elif psi > 0.0:
-        birth = MaxMixture(params.birth.components)
+        birth = params.birth.mixture
         stacks.append((psi * birth.weights, birth.means, birth.covs))
     psi_new = max(params.remain_absent * psi, params.disappearance * mix.sup())
-    on_s = MaxMixture.from_arrays(*concat_terms(stacks), flat_new)
+    new_w, new_m, new_v = concat_terms(stacks)
+    if not new_w.all():  # a scaled weight can underflow to 0
+        keep = new_w > 0.0
+        new_w, new_m, new_v = new_w[keep], new_m[keep], new_v[keep]
+    on_s = MaxMixture._trusted(new_w, new_m, new_v, flat_new)
     return ExtendedPossibility(psi_new, on_s, state.time_index + 1)
 
 
@@ -260,10 +299,15 @@ def update(state: ExtendedPossibility, params: SingleTargetParams, observations)
     """
     ys = canonicalize_observations(observations, params.obs_dim)
     n_obs = ys.shape[0]
-    f_all = clutter_possibility(params.clutter, ys)
-    f_loo = np.array(
-        [clutter_possibility(params.clutter, np.delete(ys, j, axis=0)) for j in range(n_obs)]
-    )
+    clutter = params.clutter
+    if clutter.card is None and clutter.spatial is None:
+        # no knowledge: every observation set is fully possible
+        f_all, f_loo = 1.0, np.ones(n_obs)
+    else:
+        f_all = clutter_possibility(clutter, ys)
+        f_loo = np.array(
+            [clutter_possibility(clutter, np.delete(ys, j, axis=0)) for j in range(n_obs)]
+        )
     mix = state.on_s
     ws, ms, vs = mix.weights, mix.means, mix.covs
     a_df = params.missed_detection
@@ -295,7 +339,7 @@ def update(state: ExtendedPossibility, params: SingleTargetParams, observations)
         raise NumericalError(f"posterior has no positive possibility (C_t = {c_t!r})")
 
     keep = new_w > 0.0
-    on_s = MaxMixture.from_arrays(new_w[keep] / c_t, new_m[keep], new_v[keep], flat_mis / c_t)
+    on_s = MaxMixture._trusted(new_w[keep] / c_t, new_m[keep], new_v[keep], flat_mis / c_t)
     return ExtendedPossibility(psi_un / c_t, on_s, state.time_index)
 
 

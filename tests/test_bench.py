@@ -240,3 +240,18 @@ def test_cli_invalid_config_is_config_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"definitely_not_a_key": 1}))
     assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 1
+
+
+def test_cli_numerical_breakdown_exits_2_and_names_the_cell(tmp_path, capsys):
+    # r_obs ** 2 underflows to 0, so a system born from an observation gets a
+    # singular covariance; the first scan with an observation breaks
+    data = {"r_obs": 1e-200, "lambda_list": [1.0], "n_runs": 1}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    cfg = config_from_dict(data)
+    _, obs = make_run(cfg.scenario, 1.0, cfg.base_seed, 0, 0)
+    t = next(t for t, ys in enumerate(obs.steps) if ys)
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ")
+    assert f"lambda=1 run=0 t={t} seed={cfg.base_seed}: birth covariance" in err

@@ -182,6 +182,35 @@ def test_stack_rejects_mismatched_shapes(shapes):
         MaxMixture.from_arrays(*shapes(*stack3()))
 
 
+def _gaussian_possibility(ws, ms, vs):
+    return GaussianPossibility(ws[0], ms[0], vs[0])
+
+
+@pytest.mark.parametrize("build", [_gaussian_possibility, MaxMixture.from_arrays])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["means", "covs"])
+def test_stack_rejects_non_finite_means_and_covs(build, bad, where):
+    # an infinite variance made a term that is flat at its weight everywhere
+    ws, ms, vs = stack3()
+    build(ws, ms, vs)
+    if where == "means":
+        ms[0, 1] = bad
+    else:
+        vs[0, 1, 1] = bad
+    with pytest.raises(ValueError, match=f"{where} must be finite"):
+        build(ws, ms, vs)
+
+
+@pytest.mark.parametrize("cls", [SingleTargetParams, MultiTargetParams, IpdaParams])
+@pytest.mark.parametrize("name", ["trans", "trans_noise", "obs", "obs_noise"])
+def test_params_reject_non_finite_matrices(cls, name):
+    mats = dict(trans=np.array([[1.0, 0.1], [0.0, 1.0]]), trans_noise=np.eye(2),
+                obs=np.array([[1.0, 0.0]]), obs_noise=np.eye(1))
+    mats[name][0, 0] = np.inf
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        cls(**mats)
+
+
 def test_stack_rejects_flat_weight_outside_unit_interval():
     for b in (-0.1, 1.5, np.nan):
         with pytest.raises(ValueError):

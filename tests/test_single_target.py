@@ -118,6 +118,35 @@ def test_canonicalize_rejects_wrong_dim_and_nan():
         canonicalize_observations([[float("nan")]], 1)
 
 
+def test_canonicalize_matches_numpy_unique():
+    # np.unique sorts with an unstable quicksort above 16 rows, so there the
+    # sign it keeps of a 0.0 / -0.0 pair is arbitrary; below it the bytes agree
+    rng = np.random.default_rng(11)
+    pool = np.array([-1.5, -0.0, 0.0, 0.5, 2.0, 7.25])
+    for _ in range(2000):
+        n, d = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+        arr = rng.choice(pool, size=(n, d))
+        ref = np.unique(arr, axis=0)
+        forms = [arr, arr.tolist(), tuple(map(tuple, arr.tolist()))]
+        if d == 1:
+            forms += [arr[:, 0], arr[:, 0].tolist(), tuple(arr[:, 0].tolist())]
+        for form in forms:
+            got = canonicalize_observations(form, d)
+            assert got.shape == ref.shape and np.array_equal(got, ref)
+            if n <= 16:
+                assert got.tobytes() == ref.tobytes()
+
+
+def test_canonicalize_returns_a_canonical_array_as_is():
+    ys = canonicalize_observations([[2.0], [0.5], [2.0], [-0.0]], 1)
+    assert canonicalize_observations(ys, 1) is ys
+    twice = np.array([[0.5], [0.5]])
+    assert canonicalize_observations(twice, 1).shape == (1, 1)
+    np.testing.assert_array_equal(canonicalize_observations({2.0, 0.5}, 1), [[0.5], [2.0]])
+    with pytest.raises(ValueError):
+        canonicalize_observations(np.array([[0.5], [np.inf]]), 1)
+
+
 def test_clutter_no_knowledge_is_one():
     model = ClutterModel.no_knowledge()
     assert clutter_possibility(model, np.zeros((7, 1))) == 1.0
@@ -217,6 +246,17 @@ def test_predict_explicit_birth_scaled_by_psi():
     assert len(out.on_s.components) == 1
     assert out.on_s.components[0].weight == pytest.approx(0.4, abs=1e-18)
     assert out.on_s.flat_weight == 0.0  # explicit mode adds no flat term
+
+
+def test_explicit_birth_is_checked_once_when_built():
+    terms = (GaussianPossibility(0.8, [1.0, 0.0], np.eye(2)), GaussianPossibility(0.5, [-1.0, 0.0], np.eye(2)))
+    birth = ExplicitBirth(terms)
+    np.testing.assert_array_equal(birth.mixture.weights, [0.8, 0.5])
+    np.testing.assert_array_equal(birth.mixture.means, [[1.0, 0.0], [-1.0, 0.0]])
+    with pytest.raises(ValueError, match="GaussianPossibility"):
+        ExplicitBirth((terms[0], (0.5, [0.0, 0.0], np.eye(2))))
+    with pytest.raises(ValueError, match="state dimension"):
+        params_1d(birth=birth)
 
 
 # -------------------------------------------------------------------- update
