@@ -108,6 +108,20 @@ def test_singular_predicted_covariance_raises_numerical_error():
     fm = IntensityMixture(0.0, [GaussianPossibility(1.0, [0.0, 0.0], np.eye(2))])
     with pytest.raises(NumericalError, match="predicted covariance"):
         propagate_intensity(fm, MultiTargetParams(**mats))
+    # F V F' overflows to inf, which a Cholesky factorization does not reject
+    big = ExtendedPossibility(0.5, MaxMixture([GaussianPossibility(1.0, [0.0, 0.0], 1e200 * np.eye(2))]))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="predicted covariance"):
+        predict(big, SingleTargetParams(**model(trans=1e200 * np.eye(2))))
+
+
+def test_predict_drops_a_weight_that_underflows():
+    state = ExtendedPossibility(0.5, MaxMixture([
+        GaussianPossibility(1.0, [0.0, 0.0], np.eye(2)),
+        GaussianPossibility(5e-324, [1.0, 0.0], np.eye(2)),
+    ]))
+    out = predict(state, SingleTargetParams(**model(), survival=0.5, disappearance=1.0))
+    assert_checked(out.on_s)
+    np.testing.assert_array_equal(out.on_s.weights, [0.5])
 
 
 def test_singular_posterior_covariance_raises_numerical_error():
