@@ -26,13 +26,13 @@ from .mixtures import (
     GaussianPossibility,
     LinearGaussianModel,
     MaxMixture,
+    _gate_neighbours,
     batch_kalman_update,
     batch_predict,
-    batch_quadratic,
     concat_terms,
     dominance_reduce,
 )
-from .single_target import canonicalize_observations, materialize_birth
+from .single_target import _born_terms, canonicalize_observations
 
 __all__ = [
     "IntensityMixture",
@@ -124,9 +124,7 @@ def update_intensity(fm: IntensityMixture, params: MultiTargetParams, observatio
         liks, m_post, v_post = batch_kalman_update(ms, vs, ys, params.obs, params.obs_noise)
         w_lik = ws[:, None] * liks  # (k, n)
     if n_obs and floor > 0.0:
-        born_m, born_v = materialize_birth(
-            ys, params.obs, params.obs_noise, params.birth_velocity_std
-        )
+        born_m, born_v = _born_terms(params, params.birth_velocity_std, ys)
     for j, clutter in enumerate(params.clutter.eval_many(ys)):
         d_y = max(floor, float(w_lik[:, j].max()) if ws.size else 0.0, clutter)
         if d_y <= 0.0:
@@ -178,11 +176,17 @@ def extract_targets(
     ws = reduced.weights
     cands = np.flatnonzero((ws > tau_x) & (ws > fm.floor))
     cands = cands[np.lexsort((np.trace(reduced.covs[cands], axis1=1, axis2=2), -ws[cands]))]
+    if not cands.size:
+        return []
     ms, vs = reduced.means[cands], reduced.covs[cands]
-    # in_gate[a, c]: candidate c lies within merge_radius of a in a's covariance
-    in_gate = batch_quadratic(ms, vs, ms) <= merge_radius * merge_radius
+    # near[start[a]:start[a + 1]]: the later candidates within merge_radius of a in a's covariance
+    start, near = _gate_neighbours(ms, vs, abs(merge_radius), np.arange(cands.size))
+    start, near = start.tolist(), near.tolist()
+    skipped = [False] * cands.size
     accepted: list[int] = []
-    for c in range(cands.size):
-        if not in_gate[accepted, c].any():
-            accepted.append(c)
+    for a in range(cands.size):
+        if not skipped[a]:
+            accepted.append(a)
+            for c in near[start[a]:start[a + 1]]:
+                skipped[c] = True
     return [ms[a].copy() for a in accepted]

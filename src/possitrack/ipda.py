@@ -20,14 +20,25 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .mixtures import LinearGaussianModel, batch_kalman_update, batch_quadratic, concat_terms
-from .single_target import canonicalize_observations, materialize_birth
+from .mixtures import (
+    LinearGaussianModel,
+    _check_terms,
+    _gate_neighbours,
+    _require_pd,
+    batch_kalman_update,
+    concat_terms,
+)
+from .single_target import _born_terms, canonicalize_observations
 
 __all__ = ["IpdaParams", "IpdaState", "ipda_predict", "ipda_update", "ipda_estimate", "ipda_step"]
 
 # clutter density floor: keeps the zero-clutter limit finite while letting
 # detections dominate the association weights
 _DENSITY_FLOOR = 1e-30
+
+# below this many members numpy sums a cluster left to right, so the moments
+# of all such clusters can be accumulated at once with the same bits
+_SEQUENTIAL_SUM = 8
 
 
 @dataclass(frozen=True)
@@ -50,8 +61,9 @@ class IpdaParams(LinearGaussianModel):
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {v!r}")
             object.__setattr__(self, name, v)
-        if self.clutter_rate < 0.0:
-            raise ValueError("clutter_rate must be >= 0")
+        rate = self.clutter_rate
+        if not (rate >= 0.0) or not math.isfinite(rate):
+            raise ValueError(f"clutter_rate must be finite and >= 0, got {rate!r}")
         if not self.surveillance_volume > 0.0:
             raise ValueError("surveillance_volume must be > 0")
         if not self.birth_velocity_std > 0.0:
@@ -72,7 +84,10 @@ class IpdaState:
 
     ``weights`` (Gaussian components) and ``diffuse_weight`` (not-yet-located
     birth mass: uniform position, Gaussian velocity) sum to 1 whenever
-    existence is positive.
+    existence is positive.  The constructor copies and checks its arrays:
+    finite means and finite, symmetric, positive-definite covariances.  The
+    recursions build their states with the private ``_trusted``, which does
+    not check them again.
     """
 
     existence: float
@@ -95,18 +110,36 @@ class IpdaState:
         delta = float(self.diffuse_weight)
         if not (0.0 <= delta <= 1.0 + 1e-9):
             raise ValueError(f"diffuse_weight must be in [0, 1], got {delta!r}")
-        if np.any(w < 0.0):
+        if not (w >= 0.0).all():
             raise ValueError("weights must be >= 0")
         total = float(w.sum()) + delta
         if abs(total - 1.0) > 1e-9 and (k or delta > 0.0):
             raise ValueError(f"weights plus diffuse mass must sum to 1, got {total!r}")
-        for arr in (w, m, v):
+        if k:
+            _check_terms(m, v)
+        self._set(r, w, m, v, delta)
+
+    @classmethod
+    def _trusted(cls, existence: float, weights, means, covs, diffuse_weight: float, time_index: int):
+        """A state that a recursion derived from checked states.
+
+        The arrays are frozen and kept, not copied or checked: they must be
+        float arrays that nothing else writes to and that the constructor
+        would accept, and existence and diffuse_weight must be floats.
+        """
+        state = object.__new__(cls)
+        object.__setattr__(state, "time_index", time_index)
+        state._set(existence, weights, means, covs, diffuse_weight)
+        return state
+
+    def _set(self, existence, weights, means, covs, diffuse_weight):
+        for arr in (weights, means, covs):
             arr.setflags(write=False)
-        object.__setattr__(self, "existence", r)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "means", m)
-        object.__setattr__(self, "covs", v)
-        object.__setattr__(self, "diffuse_weight", delta)
+        object.__setattr__(self, "existence", existence)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "covs", covs)
+        object.__setattr__(self, "diffuse_weight", diffuse_weight)
 
     @property
     def n_components(self) -> int:
@@ -115,7 +148,7 @@ class IpdaState:
     @staticmethod
     def initial(time_index: int = 0) -> "IpdaState":
         """Start not existing; the state prior is pure birth mass."""
-        return IpdaState(0.0, np.empty(0), np.empty((0, 0)), np.empty((0, 0, 0)), 1.0, time_index)
+        return IpdaState._trusted(0.0, np.empty(0), np.empty((0, 0)), np.empty((0, 0, 0)), 1.0, time_index)
 
 
 def ipda_predict(state: IpdaState, params: IpdaParams) -> IpdaState:
@@ -123,7 +156,8 @@ def ipda_predict(state: IpdaState, params: IpdaParams) -> IpdaState:
 
     existence' = p_survive * existence + p_birth * (1 - existence).  The
     surviving mixture and the fresh birth mass are mixed in proportion to the
-    two existence pathways; fresh birth mass is diffuse.
+    two existence pathways; fresh birth mass is diffuse.  Raises
+    NumericalError if a predicted covariance is not positive-definite.
     """
     r = state.existence
     surv = params.p_survive * r
@@ -137,12 +171,13 @@ def ipda_predict(state: IpdaState, params: IpdaParams) -> IpdaState:
         ms = state.means @ params.trans.T
         vs = params.trans @ state.covs @ params.trans.T + params.trans_noise
         vs = 0.5 * (vs + np.swapaxes(vs, 1, 2))
+        _require_pd(vs, "predicted")
         ws = state.weights * (surv / r_new)
     else:
         ms, vs, ws = state.means, state.covs, state.weights
     diffuse = (state.diffuse_weight * surv + born) / r_new
     total = float(ws.sum()) + diffuse
-    return IpdaState(r_new, ws / total, ms, vs, diffuse / total, state.time_index + 1)
+    return IpdaState._trusted(r_new, ws / total, ms, vs, diffuse / total, state.time_index + 1)
 
 
 def _gaussian_densities(state: IpdaState, params: IpdaParams, ys: np.ndarray):
@@ -158,34 +193,98 @@ def _gaussian_densities(state: IpdaState, params: IpdaParams, ys: np.ndarray):
 
 
 def _prune_and_merge(ws, ms, vs, diffuse, params):
-    """Association-weight pruning then moment-matching merge; renormalizes."""
+    """Association-weight pruning then moment-matching merge; renormalizes.
+
+    Greedy from the heaviest term down: each term not yet merged heads a
+    cluster of the unmerged terms within merge_threshold of its mean in the
+    metric of its covariance, and the cluster is replaced by its moment
+    match.  The gate tests only the pairs of a coordinate-0 window
+    (:func:`_gate_neighbours`).  The result is bit for bit that of testing
+    every pair and merging one cluster at a time.
+    """
     keep = ws >= params.prune_threshold
     ws, ms, vs = ws[keep], ms[keep], vs[keep]
     if ws.size:
-        # in_gate[i, j]: m_j lies within merge_threshold of m_i in the metric of V_i
-        in_gate = batch_quadratic(ms, vs, ms) <= params.merge_threshold**2
-        out_w, out_m, out_v = [], [], []
-        idx = np.argsort(-ws)
-        while idx.size:
-            gated = in_gate[idx[0], idx]
-            cluster = idx[gated]
-            w_tot = ws[cluster].sum()
-            m_bar = (ws[cluster, None] * ms[cluster]).sum(axis=0) / w_tot
-            dif = ms[cluster] - m_bar
-            v_bar = (
-                ws[cluster, None, None] * (vs[cluster] + dif[:, :, None] * dif[:, None, :])
-            ).sum(axis=0) / w_tot
-            out_w.append(w_tot)
-            out_m.append(m_bar)
-            out_v.append(0.5 * (v_bar + v_bar.T))
-            idx = idx[~gated]
-        ws = np.asarray(out_w)
-        ms = np.stack(out_m)
-        vs = np.stack(out_v)
+        # the default sort, not a stable one: its order among equal weights picks the heads
+        order = np.argsort(-ws)
+        label = _greedy_clusters(order, ms, vs, params.merge_threshold)
+        ws, ms, vs = _moment_merge(ws, ms, vs, order, label)
     total = float(ws.sum()) + diffuse
     if total <= 0.0:
         return np.empty(0), np.empty((0, 0)), np.empty((0, 0, 0)), 1.0
     return ws / total, ms, vs, diffuse / total
+
+
+def _greedy_clusters(order, ms, vs, tau):
+    """Each term's cluster number; ``order`` ranks the terms, heaviest first.
+
+    The first unclustered term in that order heads the next cluster, which
+    takes every unclustered term within tau of the head's mean in the metric
+    of the head's covariance.
+    """
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    # every term ranked before h is clustered when h is reached
+    start, nbrs = _gate_neighbours(ms, vs, tau, rank)
+    start, nbrs = start.tolist(), nbrs.tolist()
+    label = [-1] * order.size
+    n_clusters = 0
+    for h in order.tolist():
+        if label[h] < 0:
+            label[h] = n_clusters
+            for j in nbrs[start[h]:start[h + 1]]:
+                if label[j] < 0:
+                    label[j] = n_clusters
+            n_clusters += 1
+    return np.asarray(label)
+
+
+def _moment_merge(ws, ms, vs, order, label):
+    """Weight, mean and covariance of each cluster, in cluster order.
+
+    The members of a cluster are summed in ``order``.  Clusters of fewer
+    than ``_SEQUENTIAL_SUM`` members are summed together, one member slot at
+    a time, which gives the bits of numpy's sum over each cluster alone;
+    numpy sums larger ones in another order, so they are summed one by one.
+    """
+    # the terms grouped by cluster and in ``order`` within each
+    members = order[np.argsort(label[order], kind="stable")]
+    ws, ms, vs = ws[members], ms[members], vs[members]
+    sizes = np.bincount(label)
+    first = np.cumsum(sizes) - sizes
+    small = sizes < _SEQUENTIAL_SUM
+    large = np.flatnonzero(~small).tolist()
+    wm = ws[:, None] * ms
+
+    # the slots of the small clusters; an empty slot adds a zero, which changes no sum
+    slots = np.arange(min(int(sizes.max()), _SEQUENTIAL_SUM - 1))
+    filled = slots < sizes[small, None]
+    at = np.where(filled, first[small, None] + slots, 0)
+    out_w = np.empty(sizes.size)
+    out_m = np.empty((sizes.size, ms.shape[1]))
+    out_w[small] = _slot_sum(np.where(filled, ws[at], 0.0))
+    out_m[small] = _slot_sum(np.where(filled[:, :, None], wm[at], 0.0)) / out_w[small, None]
+    for c in large:
+        part = slice(first[c], first[c] + sizes[c])
+        out_w[c] = ws[part].sum()
+        out_m[c] = wm[part].sum(axis=0) / out_w[c]
+
+    dif = ms - np.repeat(out_m, sizes, axis=0)
+    wv = ws[:, None, None] * (vs + dif[:, :, None] * dif[:, None, :])
+    out_v = np.empty((sizes.size, *vs.shape[1:]))
+    out_v[small] = _slot_sum(np.where(filled[:, :, None, None], wv[at], 0.0))
+    for c in large:
+        out_v[c] = wv[first[c] : first[c] + sizes[c]].sum(axis=0)
+    out_v /= out_w[:, None, None]
+    return out_w, out_m, 0.5 * (out_v + np.swapaxes(out_v, 1, 2))
+
+
+def _slot_sum(a):
+    """Sum over axis 1 from left to right, starting at +0.0 as numpy does."""
+    acc = np.zeros(a.shape[:1] + a.shape[2:])
+    for s in range(a.shape[1]):
+        acc += a[:, s]
+    return acc
 
 
 def ipda_update(state: IpdaState, params: IpdaParams, observations) -> IpdaState:
@@ -208,32 +307,42 @@ def ipda_update(state: IpdaState, params: IpdaParams, observations) -> IpdaState
     delta = state.diffuse_weight
 
     miss = 1.0 - pd
-    branches = [(miss * state.weights, state.means, state.covs)]
     lam_total = miss
-    if n_obs and k:
-        dens, m_post, v_post = _gaussian_densities(state, params, ys)
-        det_w = (pd / rho) * state.weights * dens.T  # (n, k)
-    if n_obs and delta > 0.0:
-        w_birth = (pd / rho) * delta * (1.0 / params.surveillance_volume)
-        born_m, born_v = materialize_birth(
-            ys, params.obs, params.obs_noise, params.birth_velocity_std
-        )
-    for j in range(n_obs):
+    stacks = [(miss * state.weights, state.means, state.covs)]
+    born = int(n_obs > 0 and delta > 0.0)
+    if n_obs and (k or born):
+        # row j: the detections of observation j, then its birth
+        d = params.state_dim
+        w = np.empty((n_obs, k + born))
+        m = np.empty((n_obs, k + born, d))
+        v = np.empty((n_obs, k + born, d, d))
         if k:
-            branches.append((det_w[j], m_post[:, j, :], v_post))
-            lam_total += float(det_w[j].sum())
-        if delta > 0.0:
-            branches.append((np.array([w_birth]), born_m[j : j + 1], born_v[None]))
-            lam_total += w_birth
+            dens, m_post, v_post = _gaussian_densities(state, params, ys)
+            w[:, :k] = (pd / rho) * state.weights * dens.T
+            m[:, :k] = m_post.swapaxes(0, 1)
+            v[:, :k] = v_post
+            det_sums = w[:, :k].sum(axis=1).tolist()
+        if born:
+            w_birth = (pd / rho) * delta * (1.0 / params.surveillance_volume)
+            w[:, k] = w_birth
+            m[:, k], v[:, k] = _born_terms(params, params.birth_velocity_std, ys)
+        for j in range(n_obs):  # in the order of the branches
+            if k:
+                lam_total += det_sums[j]
+            if born:
+                lam_total += w_birth
+        stacks.append((w.ravel(), m.reshape(-1, d), v.reshape(-1, d, d)))
 
     denom = 1.0 - r + r * lam_total
     existence = r * lam_total / denom if denom > 0.0 else 0.0
     if lam_total <= 0.0:
         return replace(IpdaState.initial(state.time_index), existence=existence)
 
-    ws, ms, vs = concat_terms(branches)
+    ws, ms, vs = concat_terms(stacks)
     ws, ms, vs, diffuse = _prune_and_merge(ws / lam_total, ms, vs, miss * delta / lam_total, params)
-    return IpdaState(existence, ws, ms, vs, diffuse, state.time_index)
+    if not ws.size:
+        ms = np.empty((0, 0))  # as the constructor stores the means of no terms
+    return IpdaState._trusted(existence, ws, ms, vs, diffuse, state.time_index)
 
 
 def ipda_estimate(state: IpdaState, tau_conf: float) -> np.ndarray | None:

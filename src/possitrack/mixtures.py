@@ -116,19 +116,25 @@ def _checked_stack(weights, means, covs) -> tuple[np.ndarray, np.ndarray, np.nda
     bad = ~((w > 0.0) & (w <= 1.0))
     if bad.any():
         raise ValueError(f"weights must be in (0, 1], got {w[bad][0]!r}")
-    if not np.isfinite(m).all():
-        raise ValueError("means must be finite")
-    if not np.isfinite(v).all():
-        raise ValueError("covs must be finite")
-    if not np.allclose(v, np.swapaxes(v, 1, 2), rtol=1e-9, atol=1e-12):
-        raise ValueError("cov must be symmetric")
-    try:
-        np.linalg.cholesky(v)
-    except np.linalg.LinAlgError as err:
-        raise ValueError("cov must be positive-definite") from err
+    _check_terms(m, v)
     for a in (w, m, v):
         a.setflags(write=False)
     return w, m, v
+
+
+def _check_terms(means: np.ndarray, covs: np.ndarray) -> None:
+    """Raise ValueError unless every mean is finite and every covariance is
+    finite, symmetric and positive-definite."""
+    if not np.isfinite(means).all():
+        raise ValueError("means must be finite")
+    if not np.isfinite(covs).all():
+        raise ValueError("covs must be finite")
+    if not np.allclose(covs, np.swapaxes(covs, 1, 2), rtol=1e-9, atol=1e-12):
+        raise ValueError("cov must be symmetric")
+    try:
+        np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError as err:
+        raise ValueError("cov must be positive-definite") from err
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,10 +296,18 @@ def concat_terms(stacks: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def batch_quadratic(ms: np.ndarray, vs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """(x - m_k)' V_k^-1 (x - m_k) for every component k and point x: (k, n)."""
+    """(x - m_k)' V_k^-1 (x - m_k) for every component k and point x: (k, n).
+
+    Summed in the fixed order of :func:`_pair_quadratic`, so a point's value
+    does not depend on how many points are evaluated with it.
+    """
     inv = np.linalg.inv(vs)  # (k, d, d)
-    d = xs[None, :, :] - ms[:, None, :]  # (k, n, d)
-    return np.einsum("knd,kde,kne->kn", d, inv, d)
+    diff = xs[None, :, :] - ms[:, None, :]  # (k, n, d)
+    q = np.zeros(diff.shape[:2])
+    for a in range(ms.shape[1]):
+        for b in range(ms.shape[1]):
+            q += diff[:, :, a] * inv[:, a, b, None] * diff[:, :, b]
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -506,11 +520,35 @@ def _pair_quadratic(ms: np.ndarray, ps: np.ndarray, rows: np.ndarray, cols: np.n
     value does not depend on which other pairs are computed with it.
     """
     dd = ms[cols] - ms[rows]
+    pr = ps[rows]
     q = np.zeros(rows.size)
     for a in range(ms.shape[1]):
         for b in range(ms.shape[1]):
-            q += dd[:, a] * ps[rows, a, b] * dd[:, b]
+            q += dd[:, a] * pr[:, a, b] * dd[:, b]
     return q
+
+
+def _gate_neighbours(
+    ms: np.ndarray, vs: np.ndarray, tau: float, rank: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The terms within tau of each mean in the metric of its own covariance.
+
+    Returns ``(start, nbrs)``: ``nbrs[start[a]:start[a + 1]]`` are the b with
+    ``(m_b - m_a)' V_a^-1 (m_b - m_a) <= tau**2``, a itself included, or
+    only those with ``rank[b] > rank[a]`` when ``rank`` is given.  By
+    Cauchy-Schwarz that quadratic is at least ``d0**2 / V_a[0, 0]``, d0 being
+    the difference in coordinate 0, so only the terms within
+    ``tau * sqrt(V_a[0, 0])`` of m_a in coordinate 0 are tested.  The result
+    is exactly that of testing every pair; time and memory grow with the
+    number of pairs in those windows, quadratic only when all means share
+    coordinate 0.
+    """
+    rows, cols = _window_pairs(ms[:, 0], tau * _WINDOW_SLACK * np.sqrt(vs[:, 0, 0]))
+    if rank is not None:
+        later = rank[cols] > rank[rows]
+        rows, cols = rows[later], cols[later]
+    gated = _pair_quadratic(ms, np.linalg.inv(vs), rows, cols) <= tau * tau
+    return np.searchsorted(rows[gated], np.arange(ms.shape[0] + 1)), cols[gated]
 
 
 def _dominance_certificates(
@@ -699,13 +737,8 @@ def merge(mix: MaxMixture, tau_m: float) -> MaxMixture:
     mean; its covariance is inflated just enough to cover each absorbed
     peak.  This is a deliberate approximation: the result can differ
     pointwise from the input (see :func:`merge_with_report` for bounds).
-
-    By Cauchy-Schwarz the gate's quadratic is at least ``d0**2 / V_i[0, 0]``,
-    d0 being the difference in coordinate 0, so only the terms within
-    ``tau_m * sqrt(V_i[0, 0])`` of m_i in coordinate 0 are tested.  The
-    result is exactly that of testing every pair.  The cost grows with the
-    number of pairs in those windows: quadratic in the worst case, when all
-    means share coordinate 0.
+    The gate tests only the pairs of a coordinate-0 window
+    (:func:`_gate_neighbours`), with the result of testing every pair.
     """
     out, _ = _merge_impl(mix, tau_m, report=False)
     return out
@@ -718,12 +751,8 @@ def _merge_impl(mix: MaxMixture, tau_m: float, report: bool):
     if mix.weights.size <= 1:
         return mix, []
     w_arr, m_arr, v_arr = mix.weights, mix.means, mix.covs
-    k = w_arr.size
-    rows, cols = _window_pairs(m_arr[:, 0], tau_m * _WINDOW_SLACK * np.sqrt(v_arr[:, 0, 0]))
-    gated = _pair_quadratic(m_arr, np.linalg.inv(v_arr), rows, cols) <= tau_m * tau_m
-    # gate[start[h]:start[h + 1]]: the terms within tau_m of m_h in the metric of V_h
-    gate = cols[gated]
-    start = np.searchsorted(rows[gated], np.arange(k + 1)).tolist()
+    start, gate = _gate_neighbours(m_arr, v_arr, tau_m)
+    start = start.tolist()
     ws, ms, vs = w_arr.tolist(), list(m_arr), list(v_arr)
     neg_w = (-w_arr).tolist()
     bounds: list[float] = []

@@ -247,14 +247,42 @@ def materialize_birth(
     Raises NumericalError if that covariance is not positive-definite, as
     happens when the observation noise is singular.
     """
+    idx, cov = _birth_layout(obs, obs_noise, velocity_std)
+    return _born_means(y, idx, obs.shape[1]), cov
+
+
+def _born_terms(params: LinearGaussianModel, velocity_std: float, ys: np.ndarray):
+    """``materialize_birth(ys, params.obs, params.obs_noise, velocity_std)``.
+
+    The covariance and the selection indices depend only on the model, so
+    they are built and checked once per parameter object, on first use, and
+    kept on it; the covariance returned is read-only.  A failed check is not
+    kept: every call raises it again.
+    """
+    layout = params.__dict__.get("_birth_layout")
+    if layout is None or layout[0] != velocity_std:
+        idx, cov = _birth_layout(params.obs, params.obs_noise, velocity_std)
+        cov.setflags(write=False)
+        layout = (velocity_std, idx, cov)
+        object.__setattr__(params, "_birth_layout", layout)
+    _, idx, cov = layout
+    return _born_means(ys, idx, params.state_dim), cov
+
+
+def _birth_layout(obs: np.ndarray, obs_noise: np.ndarray, velocity_std: float):
+    """Observed coordinates and the checked covariance of a term born from an observation."""
     d = obs.shape[1]
     idx = _selection_indices(obs)
-    mean = np.zeros(np.shape(y)[:-1] + (d,))
-    mean[..., idx] = y
     cov = np.eye(d) * velocity_std**2
     cov[np.ix_(idx, idx)] = obs_noise
     _require_pd(cov, "birth")
-    return mean, cov
+    return idx, cov
+
+
+def _born_means(y, idx: np.ndarray, d: int) -> np.ndarray:
+    mean = np.zeros(np.shape(y)[:-1] + (d,))
+    mean[..., idx] = y
+    return mean
 
 
 def predict(state: ExtendedPossibility, params: SingleTargetParams) -> ExtendedPossibility:
@@ -329,7 +357,7 @@ def update(state: ExtendedPossibility, params: SingleTargetParams, observations)
             if isinstance(params.birth, ObservationDrivenBirth)
             else 1.0
         )
-        means, cov = materialize_birth(ys, params.obs, params.obs_noise, vel_std)
+        means, cov = _born_terms(params, vel_std, ys)
         branches.append((flat * f_loo, means, np.broadcast_to(cov, (n_obs, *cov.shape))))
 
     new_w, new_m, new_v = concat_terms(branches)

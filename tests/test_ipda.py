@@ -1,7 +1,11 @@
 """Tests for the probabilistic baseline filter."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from possitrack.ipda import (
     IpdaParams,
@@ -12,6 +16,7 @@ from possitrack.ipda import (
     ipda_step,
     ipda_update,
 )
+from possitrack.mixtures import batch_quadratic
 from possitrack.scenario import (
     ScenarioConfig,
     observation_matrix,
@@ -52,6 +57,27 @@ def test_state_rejects_unnormalized_weights():
         IpdaState(0.5, [0.4], [[0.0, 0.0]], [np.eye(2)], 0.3)
 
 
+@pytest.mark.parametrize(
+    "weights, means, covs, message",
+    [
+        ([1.0], [[math.nan, 0.0]], [np.eye(2)], "means must be finite"),
+        ([1.0], [[0.0, math.inf]], [np.eye(2)], "means must be finite"),
+        ([1.0], [[0.0, 0.0]], [[[1.0, 0.0], [0.0, math.nan]]], "covs must be finite"),
+        ([1.0], [[0.0, 0.0]], [[[1.0, 0.0], [0.0, math.inf]]], "covs must be finite"),
+        ([1.0], [[0.0, 0.0]], [[[1.0, 0.5], [0.0, 1.0]]], "must be symmetric"),
+        ([1.0], [[0.0, 0.0]], [[[1.0, 0.0], [0.0, -3.0]]], "must be positive-definite"),
+        ([0.5, 0.5], [[0.0, 0.0], [1.0, 0.0]], [np.eye(2), np.zeros((2, 2))], "must be positive-definite"),
+        ([1.5, -0.5], [[0.0, 0.0], [1.0, 0.0]], [np.eye(2)] * 2, "weights must be >= 0"),
+        ([math.nan], [[0.0, 0.0]], [np.eye(2)], "weights must be >= 0"),
+    ],
+    ids=["nan_mean", "inf_mean", "nan_cov", "inf_cov", "asymmetric_cov", "indefinite_cov",
+         "singular_cov", "negative_weight", "nan_weight"],
+)
+def test_state_rejects_bad_terms(weights, means, covs, message):
+    with pytest.raises(ValueError, match=message):
+        IpdaState(0.5, weights, means, covs, 0.0)
+
+
 def test_clutter_density_is_rate_over_volume_with_floor():
     assert params().clutter_density == pytest.approx(0.05, rel=1e-15)
     assert params(clutter_rate=0.0).clutter_density > 0.0  # floored, not zero
@@ -62,6 +88,13 @@ def test_clutter_density_is_rate_over_volume_with_floor():
 def test_params_reject_bad_merge_threshold(tau):
     with pytest.raises(ValueError):
         params(merge_threshold=tau)
+
+
+@pytest.mark.parametrize("rate", [-1.0, math.nan, math.inf, -math.inf])
+def test_params_reject_bad_clutter_rate(rate):
+    with pytest.raises(ValueError, match="clutter_rate"):
+        params(clutter_rate=rate)
+
 
 # ------------------------------------------------------------------- predict
 
@@ -160,6 +193,104 @@ def test_prune_and_merge_matches_moment_matching_reference():
     np.testing.assert_array_equal(out_v[1], vs[2])
     assert diffuse == pytest.approx(0.1 / total, rel=1e-14)
     assert out_w.sum() + diffuse == pytest.approx(1.0, abs=1e-15)
+
+
+# The merge loop as it was before the windowed gate and the batched moment
+# matching: one dense k x k gate and one moment match per cluster.
+
+
+def _ref_prune_and_merge(ws, ms, vs, diffuse, params):
+    keep = ws >= params.prune_threshold
+    ws, ms, vs = ws[keep], ms[keep], vs[keep]
+    if ws.size:
+        in_gate = batch_quadratic(ms, vs, ms) <= params.merge_threshold**2
+        out_w, out_m, out_v = [], [], []
+        idx = np.argsort(-ws)
+        while idx.size:
+            gated = in_gate[idx[0], idx]
+            cluster = idx[gated]
+            w_tot = ws[cluster].sum()
+            m_bar = (ws[cluster, None] * ms[cluster]).sum(axis=0) / w_tot
+            dif = ms[cluster] - m_bar
+            v_bar = (
+                ws[cluster, None, None] * (vs[cluster] + dif[:, :, None] * dif[:, None, :])
+            ).sum(axis=0) / w_tot
+            out_w.append(w_tot)
+            out_m.append(m_bar)
+            out_v.append(0.5 * (v_bar + v_bar.T))
+            idx = idx[~gated]
+        ws = np.asarray(out_w)
+        ms = np.stack(out_m)
+        vs = np.stack(out_v)
+    total = float(ws.sum()) + diffuse
+    if total <= 0.0:
+        return np.empty(0), np.empty((0, 0)), np.empty((0, 0, 0)), 1.0
+    return ws / total, ms, vs, diffuse / total
+
+
+def _model(d, tau):
+    return IpdaParams(trans=np.eye(d), trans_noise=np.eye(d), obs=np.eye(1, d),
+                      obs_noise=np.eye(1), merge_threshold=tau)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([1, 2, 4]),
+    # blob sizes: 1-7 members, exactly 8 and more than 8
+    sizes=st.lists(st.sampled_from([1, 2, 3, 5, 7, 8, 8, 9, 13, 30]), min_size=1, max_size=6),
+    spread=st.sampled_from([0.0, 1e-3, 0.3, 2.0]),
+    layout=st.sampled_from(["spread", "shared_x0", "negative_zero"]),
+    weights=st.sampled_from(["random", "tied", "some_pruned", "all_pruned"]),
+    tau=st.sampled_from([0.0, 3.22]),
+    diffuse=st.sampled_from([0.0, 0.2]),
+)
+def test_prune_and_merge_matches_dense_reference(seed, d, sizes, spread, layout, weights, tau, diffuse):
+    rng = np.random.default_rng(seed)
+    k = sum(sizes)
+    centres = rng.normal(size=(len(sizes), d)) * 20.0
+    ms = np.repeat(centres, sizes, axis=0) + spread * rng.normal(size=(k, d))
+    if layout == "shared_x0":  # every pair falls in the window
+        ms[:, 0] = ms[0, 0]
+    elif layout == "negative_zero":  # signed zeros in every sum
+        ms[rng.random((k, d)) < 0.5] = -0.0
+    a = rng.normal(size=(k, d, d)) * rng.uniform(0.2, 2.0)
+    vs = a @ np.swapaxes(a, 1, 2) + 0.05 * np.eye(d)
+    vs = 0.5 * (vs + np.swapaxes(vs, 1, 2))
+    ws = rng.uniform(0.0, 1.0, k)
+    if weights == "tied":
+        ws = np.maximum(np.round(ws, 1), 0.1)
+    ws = ws / ws.sum() * (1.0 - diffuse)
+    if weights == "some_pruned":
+        ws[rng.random(k) < 0.3] = 1e-6
+    elif weights == "all_pruned":
+        ws[:] = 1e-6
+    p = _model(d, tau)
+
+    out = _prune_and_merge(ws, ms, vs, diffuse, p)
+    ref = _ref_prune_and_merge(ws, ms, vs, diffuse, p)
+    for x, y in zip(out[:3], ref[:3]):
+        assert x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+    assert out[3] == ref[3]
+
+
+def test_prune_and_merge_memory_is_subquadratic():
+    # 3000 terms spread along coordinate 0: a dense k x k float64 gate alone
+    # would take 72 MB; the windows hold a few neighbours per term
+    k = 3000
+    rng = np.random.default_rng(5)
+    ms = np.column_stack([np.arange(k, dtype=float), rng.normal(size=k)])
+    vs = np.tile(np.diag([0.5, 2.0]), (k, 1, 1))
+    ws = rng.uniform(0.1, 1.0, k)
+    tracemalloc.start()
+    try:
+        out_w, _, _, _ = _prune_and_merge(ws / ws.sum(), ms, vs, 0.0, _model(2, 3.22))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 0 < out_w.size < k
+    assert peak < k * k * 8 / 10
 
 
 # ------------------------------------------------------- clean-data behavior

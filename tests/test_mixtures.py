@@ -109,6 +109,22 @@ def test_mixture_eval_many_matches_scalar_calls():
     np.testing.assert_allclose(batch, singles, rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("k", [1, 2, 7])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_eval_many_value_does_not_depend_on_the_batch(d, k):
+    rng = np.random.default_rng(10 * k + d)
+    a = rng.normal(size=(k, d, d))
+    mix = MaxMixture.from_arrays(
+        rng.uniform(0.1, 1.0, k), rng.normal(size=(k, d)), a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(d)
+    )
+    xs = rng.normal(size=(50, d)) * 2.0
+    batch = mix.eval_many(xs)
+    quads = batch_quadratic(mix.means, mix.covs, xs)
+    for i, x in enumerate(xs):
+        assert mix.eval_many(x[None]).tobytes() == batch[i : i + 1].tobytes()
+        assert batch_quadratic(mix.means, mix.covs, x[None]).tobytes() == quads[:, i : i + 1].tobytes()
+
+
 def test_empty_mixture_without_flat_is_rejected_on_eval():
     mix = MaxMixture([], flat_weight=0.0)
     assert mix.sup() == 0.0
@@ -712,6 +728,50 @@ def test_reduction_matches_dense_reference(seed, d, k, layout, flat, tau_m):
         _assert_same_bits(out, ref)
         _assert_same_bits(merge(src_mix, tau_m), ref)
         assert bounds == ref_bounds
+
+
+def _ref_extract_targets(fm, tau_x, merge_radius):
+    # the dense gate that extract_targets read before its windowed gate
+    reduced = dominance_reduce(fm)
+    ws = reduced.weights
+    cands = np.flatnonzero((ws > tau_x) & (ws > fm.floor))
+    cands = cands[np.lexsort((np.trace(reduced.covs[cands], axis1=1, axis2=2), -ws[cands]))]
+    ms, vs = reduced.means[cands], reduced.covs[cands]
+    in_gate = batch_quadratic(ms, vs, ms) <= merge_radius * merge_radius
+    accepted = []
+    for c in range(cands.size):
+        if not in_gate[accepted, c].any():
+            accepted.append(c)
+    return [ms[a] for a in accepted]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([1, 2, 4]),
+    k=st.integers(0, 40),
+    layout=st.sampled_from(["spread", "duplicated", "shared_x0"]),
+    tau_x=st.sampled_from([0.0, 0.5, 0.9]),
+    merge_radius=st.sampled_from([0.0, 1.0, 3.22, -3.22]),
+)
+def test_extract_targets_matches_dense_reference(seed, d, k, layout, tau_x, merge_radius):
+    rng = np.random.default_rng(seed)
+    ws = np.maximum(np.round(rng.uniform(0.0, 1.0, k), 1), 0.1)  # ties
+    ms = rng.normal(size=(k, d)) * rng.uniform(0.2, 4.0)
+    a = rng.normal(size=(k, d, d)) * rng.uniform(0.2, 2.0)
+    vs = a @ np.swapaxes(a, 1, 2) + 0.05 * np.eye(d)
+    vs = 0.5 * (vs + np.swapaxes(vs, 1, 2))
+    if layout == "duplicated" and k:
+        src, dst = rng.integers(0, k, size=(2, k // 2))
+        ms[dst] = ms[src]
+    elif layout == "shared_x0" and k:
+        ms[:, 0] = ms[0, 0]
+    fm = IntensityMixture._trusted(ws, ms if k else np.empty((0, 0)), vs if k else np.empty((0, 0, 0)), 0.05)
+    out = extract_targets(fm, tau_x, merge_radius)
+    ref = _ref_extract_targets(fm, tau_x, merge_radius)
+    assert len(out) == len(ref)
+    for x, y in zip(out, ref):
+        assert x.tobytes() == y.tobytes()
 
 
 def test_reduction_memory_is_subquadratic():

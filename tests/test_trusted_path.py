@@ -1,8 +1,9 @@
 """The recursions build their stacks without the full boundary check.
 
-The property test runs that check, ``_checked_stack``, on the output of every
-stage over random scans and model parameters, so a recursion that produced a
-stack a caller could not build would fail here.  The other tests force a
+The property test runs that check, ``_checked_stack`` or the ``IpdaState``
+constructor, on the output of every stage over random scans and model
+parameters, so a recursion that produced a stack or a state a caller could
+not build would fail here.  The other tests force a
 numerical breakdown in each recursion and expect NumericalError, never a
 ValueError or a LinAlgError.
 """
@@ -20,7 +21,7 @@ from possitrack.intensity import (
     propagate_intensity,
     update_intensity,
 )
-from possitrack.ipda import IpdaParams, IpdaState, ipda_update
+from possitrack.ipda import IpdaParams, IpdaState, ipda_predict, ipda_update
 from possitrack.mixtures import (
     GaussianPossibility,
     MaxMixture,
@@ -50,6 +51,17 @@ def assert_checked(mix: MaxMixture) -> None:
     assert 0.0 <= mix.flat_weight <= 1.0
 
 
+def assert_checked_ipda(state: IpdaState) -> None:
+    """The state passes the constructor's full check and is read-only."""
+    again = IpdaState(state.existence, state.weights, state.means, state.covs,
+                      state.diffuse_weight, state.time_index)
+    for a, b in ((again.weights, state.weights), (again.means, state.means), (again.covs, state.covs)):
+        assert a.shape == b.shape and np.array_equal(a, b)
+        assert not b.flags.writeable
+    assert again.existence == state.existence and again.diffuse_weight == state.diffuse_weight
+    assert type(state.existence) is float and type(state.diffuse_weight) is float
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
@@ -67,15 +79,20 @@ def test_trusted_path_admits_no_bad_stack(
 ):
     sc = ScenarioConfig(dt=dt, q_accel=q_accel, r_obs=r_obs)
     cfg = BenchConfig(scenario=sc, a_pi=survival, a_omega=1.0 if survival < 1.0 else 0.01,
-                      a_df=missed)
+                      a_df=missed, p_d=1.0 - missed, p_s=survival)
     p = cfg.proposed_params()
+    b = cfg.baseline_params(lam)
     if explicit_birth:
         p = replace(p, birth=ExplicitBirth((GaussianPossibility(0.9, [0.0, 0.0], np.diag([4.0, 1.0])),)))
     mt = MultiTargetParams(trans=p.trans, trans_noise=p.trans_noise, obs=p.obs,
                            obs_noise=p.obs_noise, survival=survival, missed_detection=missed)
     _, obs = make_run(sc, lam, seed, 0, 0)
-    state, fm = ExtendedPossibility.absent(), IntensityMixture()
+    state, fm, ip = ExtendedPossibility.absent(), IntensityMixture(), IpdaState.initial()
     for ys in obs.steps[:n_steps]:
+        ip = ipda_predict(ip, b)
+        assert_checked_ipda(ip)
+        ip = ipda_update(ip, b, ys)
+        assert_checked_ipda(ip)
         pred = predict(state, p)
         assert_checked(pred.on_s)
         post = update(pred, p, ys)
@@ -108,6 +125,8 @@ def test_singular_predicted_covariance_raises_numerical_error():
     fm = IntensityMixture(0.0, [GaussianPossibility(1.0, [0.0, 0.0], np.eye(2))])
     with pytest.raises(NumericalError, match="predicted covariance"):
         propagate_intensity(fm, MultiTargetParams(**mats))
+    with pytest.raises(NumericalError, match="predicted covariance"):
+        ipda_predict(IpdaState(0.5, [1.0], [[0.0, 0.0]], [np.eye(2)]), IpdaParams(**mats))
     # F V F' overflows to inf, which a Cholesky factorization does not reject
     big = ExtendedPossibility(0.5, MaxMixture([GaussianPossibility(1.0, [0.0, 0.0], 1e200 * np.eye(2))]))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="predicted covariance"):
@@ -148,3 +167,41 @@ def test_singular_birth_covariance_raises_numerical_error():
         update_intensity(IntensityMixture(0.5), MultiTargetParams(**mats), [0.5])
     with pytest.raises(NumericalError, match="birth covariance"):
         ipda_update(IpdaState.initial(), IpdaParams(**mats), [0.5])
+
+
+def test_birth_covariance_is_factorized_once_per_parameter_object(monkeypatch):
+    import possitrack.single_target as single_target
+
+    checked = []
+    real = single_target._require_pd
+
+    def counting(covs, what):
+        checked.append(what)
+        real(covs, what)
+
+    monkeypatch.setattr(single_target, "_require_pd", counting)
+    mats = model()
+    filters = (
+        (SingleTargetParams(**mats), lambda p: update(ExtendedPossibility(0.5, MaxMixture([], 1.0)), p, [0.5, 2.0])),
+        (IpdaParams(**mats), lambda p: ipda_update(IpdaState.initial(), p, [0.5, 2.0])),
+        (MultiTargetParams(**mats), lambda p: update_intensity(IntensityMixture(0.5), p, [0.5, 2.0])),
+    )
+    for params, run in filters:
+        for _ in range(4):
+            run(params)
+        assert checked.count("birth") == 1
+        run(replace(params))  # a new parameter object builds its own
+        assert checked.count("birth") == 2
+        checked.clear()
+    params = IpdaParams(**mats)
+    _, cov = single_target._born_terms(params, 1.0, np.array([[0.5]]))
+    assert not cov.flags.writeable
+    assert single_target._born_terms(params, 1.0, np.array([[2.0]]))[1] is cov
+    np.testing.assert_array_equal(cov, materialize_birth(np.array([[0.5]]), params.obs, params.obs_noise, 1.0)[1])
+
+
+def test_singular_birth_covariance_is_reported_on_every_use():
+    p = IpdaParams(**model(obs_noise=np.zeros((1, 1))))
+    for _ in range(2):
+        with pytest.raises(NumericalError, match="birth covariance"):
+            ipda_update(IpdaState.initial(), p, [0.5])

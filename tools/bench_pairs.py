@@ -1,0 +1,199 @@
+"""Paired benchmark runs: a parent commit against the working tree.
+
+Run from the repository root:
+
+    python3 tools/bench_pairs.py --label pr8 --change "what the change does" \
+        --workloads clutter study multi --seeds 1-10 --seconds 30 --traced
+
+Both sides are exported with ``git archive`` into one temporary directory:
+the parent commit (``--parent``, default HEAD) and the working tree, with its
+uncommitted and untracked files, through a temporary index so that the
+repository's own index is not touched.  For every workload and seed,
+``perfbench/run.py`` runs once on each side, one side after the other, and
+the side that runs first alternates from pair to pair, the parent first on
+the first pair.  With ``--traced`` each side then makes one traced run per
+workload at the first seed.
+
+``BENCH_<label>.json`` records every run's result and info lines and, per
+workload and end-to-end metric of BENCHMARK.json, each side's median and
+quartiles, the change's median over the parent's, and the pairs the change
+wins and ties.  The file is rewritten after every run, so an interrupted
+session keeps the runs it made.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """Seeds from a list like ``1-10,13``."""
+    seeds: list[int] = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def summarize(parent: list[float], change: list[float], better: str) -> dict:
+    """Medians, quartiles, ratio of medians, wins and ties of paired values.
+
+    ``parent[i]`` and ``change[i]`` are one pair; ``better`` is "higher" or
+    "lower".  Quartiles are those of ``statistics.quantiles(method="inclusive")``.
+    """
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need the same positive number of parent and change values")
+    out = {"better": better}
+    for side, vals in zip(SIDES, (parent, change)):
+        q1, med, q3 = statistics.quantiles(vals, n=4, method="inclusive") if len(vals) > 1 else vals * 3
+        out.update({f"{side}_median": med, f"{side}_q1": q1, f"{side}_q3": q3})
+    out["change_over_parent"] = out["change_median"] / out["parent_median"]
+    sign = 1.0 if better == "higher" else -1.0
+    out["change_wins"] = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
+    out["ties"] = sum(c == p for p, c in zip(parent, change))
+    out["parent"], out["change"] = list(parent), list(change)
+    return out
+
+
+def summarize_runs(runs: list[dict], metrics: list[dict]) -> dict:
+    """Per workload, the pairs of successful runs and ``summarize`` of each metric."""
+    by_key = {(r["side"], r["workload"], r["seed"]): r for r in runs if r["exit"] == 0 and r["result"]}
+    summary: dict = {}
+    for workload in dict.fromkeys(r["workload"] for r in runs):
+        seeds = [s for (side, w, s) in by_key if side == "parent" and w == workload
+                 and ("change", w, s) in by_key]
+        if not seeds:
+            continue
+        entry: dict = {"pairs": len(seeds)}
+        for metric in metrics:
+            name = metric["name"]
+            vals = {side: [by_key[(side, workload, s)]["result"]["metrics"][name]["value"] for s in seeds]
+                    for side in SIDES}
+            entry[name] = summarize(vals["parent"], vals["change"], metric["better"])
+        summary[workload] = entry
+    return summary
+
+
+def _git(*args: str, env: dict | None = None) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, env=env, capture_output=True, check=True).stdout
+
+
+def _extract(tree: str, dest: Path) -> None:
+    with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", tree))) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def _worktree_tree() -> str:
+    """The tree id of the working tree, untracked files included, as ``git add -A`` would stage it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        index = Path(tmp) / "index"
+        real = ROOT / _git("rev-parse", "--git-path", "index").decode().strip()
+        if real.is_file():
+            shutil.copyfile(real, index)
+        env = {**os.environ, "GIT_INDEX_FILE": str(index)}
+        _git("add", "-A", env=env)
+        return _git("write-tree", env=env).decode().strip()
+
+
+def run_perfbench(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+    """One perfbench run in ``tree``: exit code, wall time and its last two output lines."""
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=tree, capture_output=True, text=True,
+    )
+    wall = round(time.perf_counter() - t0, 1)
+    lines = proc.stdout.strip().splitlines()
+    result = info = None
+    if proc.returncode == 0 and len(lines) >= 2:
+        info, result = json.loads(lines[-2]), json.loads(lines[-1])
+    elif proc.stderr:
+        print(proc.stderr, file=sys.stderr)
+    return {"exit": proc.returncode, "wall_s": wall, "result": result, "info": info}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True)
+    parser.add_argument("--change", required=True, help="one line saying what the change does")
+    parser.add_argument("--parent", default="HEAD")
+    parser.add_argument("--workloads", nargs="+", default=["study", "clutter", "multi"])
+    parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"))
+    parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--traced", action="store_true", help="add one traced run per side and workload")
+    args = parser.parse_args(argv)
+
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    parent_commit = _git("rev-parse", f"{args.parent}^{{commit}}").decode().strip()
+    out_path = ROOT / f"BENCH_{args.label}.json"
+    record = {
+        "label": args.label,
+        "change": args.change,
+        "parent_commit": parent_commit,
+        "change_tree": _worktree_tree(),
+        "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds} --trace 0",
+        "machine": None,
+        "protocol": (
+            "parent and change exported side by side with git archive on one machine; one pair per "
+            f"(workload, seed), seeds {args.seeds[0]}-{args.seeds[-1]} ({len(args.seeds)} pairs per "
+            "workload), the side that runs first alternating from pair to pair (parent first on the "
+            "first pair)" + ("; one traced run (--trace 1) per side and workload at the first seed"
+                             if args.traced else "")
+        ),
+        "summary": {},
+        "runs": [],
+        "traced_runs": [],
+    }
+
+    def save():
+        record["summary"] = summarize_runs(record["runs"], metrics)
+        out_path.write_text(json.dumps(record, indent=1) + "\n")
+
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        trees = {side: Path(tmp) / side for side in SIDES}
+        _extract(parent_commit, trees["parent"])
+        _extract(record["change_tree"], trees["change"])
+        n = 0
+        for workload in args.workloads:
+            for seed in args.seeds:
+                order = SIDES if n % 2 == 0 else SIDES[::-1]
+                n += 1
+                for side in order:
+                    run = run_perfbench(trees[side], workload, seed, args.seconds, 0)
+                    record["runs"].append({"side": side, "workload": workload, "seed": seed,
+                                           "ran_first": side == order[0], **run})
+                    if record["machine"] is None and run["info"]:
+                        record["machine"] = run["info"]["env"]
+                    value = run["result"]["metrics"]["scans_per_s"]["value"] if run["result"] else None
+                    print(f"{workload} seed={seed} {side}: exit {run['exit']}, scans_per_s {value}",
+                          file=sys.stderr)
+                    save()
+        if args.traced:
+            for workload in args.workloads:
+                for side in SIDES:
+                    run = run_perfbench(trees[side], workload, args.seeds[0], args.seconds, 1)
+                    record["traced_runs"].append({"side": side, "workload": workload,
+                                                  "seed": args.seeds[0], **run})
+                    print(f"{workload} traced {side}: exit {run['exit']}", file=sys.stderr)
+                    save()
+    save()
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
