@@ -27,6 +27,7 @@ from .mixtures import (
     LinearGaussianModel,
     MaxMixture,
     _gate_neighbours,
+    _greedy_clusters,
     batch_kalman_update,
     batch_predict,
     concat_terms,
@@ -170,23 +171,21 @@ def extract_targets(
 
     At most one extraction per spatial cluster: a candidate within
     merge_radius (Mahalanobis, in an accepted component's covariance) of an
-    already accepted component is skipped.
+    already accepted component is skipped.  The candidates are dominance
+    reduced first and taken heaviest first, ties toward the smaller
+    covariance trace; the accepted ones are the heads of
+    :func:`_greedy_clusters`.
     """
-    reduced = dominance_reduce(fm)
-    ws = reduced.weights
+    ws = fm.weights
     cands = np.flatnonzero((ws > tau_x) & (ws > fm.floor))
-    cands = cands[np.lexsort((np.trace(reduced.covs[cands], axis1=1, axis2=2), -ws[cands]))]
     if not cands.size:
         return []
-    ms, vs = reduced.means[cands], reduced.covs[cands]
+    # reducing the candidates alone keeps the same ones: only a heavier-ranked
+    # term can dominate a candidate, and such a term is a candidate too
+    reduced = dominance_reduce(fm.take(cands))
+    order = np.lexsort((np.trace(reduced.covs, axis1=1, axis2=2), -reduced.weights))
+    ms, vs = reduced.means[order], reduced.covs[order]
     # near[start[a]:start[a + 1]]: the later candidates within merge_radius of a in a's covariance
-    start, near = _gate_neighbours(ms, vs, abs(merge_radius), np.arange(cands.size))
-    start, near = start.tolist(), near.tolist()
-    skipped = [False] * cands.size
-    accepted: list[int] = []
-    for a in range(cands.size):
-        if not skipped[a]:
-            accepted.append(a)
-            for c in near[start[a]:start[a + 1]]:
-                skipped[c] = True
-    return [ms[a].copy() for a in accepted]
+    start, near = _gate_neighbours(ms, vs, abs(merge_radius), np.arange(order.size))
+    _, heads = _greedy_clusters(np.arange(order.size), start, near)
+    return list(ms[heads])

@@ -24,6 +24,7 @@ from .mixtures import (
     LinearGaussianModel,
     _check_terms,
     _gate_neighbours,
+    _greedy_clusters,
     _require_pd,
     batch_kalman_update,
     concat_terms,
@@ -195,10 +196,10 @@ def _gaussian_densities(state: IpdaState, params: IpdaParams, ys: np.ndarray):
 def _prune_and_merge(ws, ms, vs, diffuse, params):
     """Association-weight pruning then moment-matching merge; renormalizes.
 
-    Greedy from the heaviest term down: each term not yet merged heads a
-    cluster of the unmerged terms within merge_threshold of its mean in the
-    metric of its covariance, and the cluster is replaced by its moment
-    match.  The gate tests only the pairs of a coordinate-0 window
+    Greedy from the heaviest term down (:func:`_greedy_clusters`): each term
+    not yet merged heads a cluster of the unmerged terms within
+    merge_threshold of its mean in the metric of its covariance, and the
+    cluster is replaced by its moment match.  The gate tests only the pairs of a coordinate-0 window
     (:func:`_gate_neighbours`).  The result is bit for bit that of testing
     every pair and merging one cluster at a time.
     """
@@ -207,36 +208,16 @@ def _prune_and_merge(ws, ms, vs, diffuse, params):
     if ws.size:
         # the default sort, not a stable one: its order among equal weights picks the heads
         order = np.argsort(-ws)
-        label = _greedy_clusters(order, ms, vs, params.merge_threshold)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        # only later-ranked neighbours: every term ranked before h is clustered when h is reached
+        start, nbrs = _gate_neighbours(ms, vs, params.merge_threshold, rank)
+        label, _ = _greedy_clusters(order, start, nbrs)
         ws, ms, vs = _moment_merge(ws, ms, vs, order, label)
     total = float(ws.sum()) + diffuse
     if total <= 0.0:
         return np.empty(0), np.empty((0, 0)), np.empty((0, 0, 0)), 1.0
     return ws / total, ms, vs, diffuse / total
-
-
-def _greedy_clusters(order, ms, vs, tau):
-    """Each term's cluster number; ``order`` ranks the terms, heaviest first.
-
-    The first unclustered term in that order heads the next cluster, which
-    takes every unclustered term within tau of the head's mean in the metric
-    of the head's covariance.
-    """
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    # every term ranked before h is clustered when h is reached
-    start, nbrs = _gate_neighbours(ms, vs, tau, rank)
-    start, nbrs = start.tolist(), nbrs.tolist()
-    label = [-1] * order.size
-    n_clusters = 0
-    for h in order.tolist():
-        if label[h] < 0:
-            label[h] = n_clusters
-            for j in nbrs[start[h]:start[h + 1]]:
-                if label[j] < 0:
-                    label[j] = n_clusters
-            n_clusters += 1
-    return np.asarray(label)
 
 
 def _moment_merge(ws, ms, vs, order, label):

@@ -298,15 +298,23 @@ def concat_terms(stacks: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray, np.nd
 def batch_quadratic(ms: np.ndarray, vs: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """(x - m_k)' V_k^-1 (x - m_k) for every component k and point x: (k, n).
 
-    Summed in the fixed order of :func:`_pair_quadratic`, so a point's value
-    does not depend on how many points are evaluated with it.
+    Summed in the fixed order of :func:`_quadratic`, so a point's value does
+    not depend on how many points are evaluated with it.
     """
-    inv = np.linalg.inv(vs)  # (k, d, d)
-    diff = xs[None, :, :] - ms[:, None, :]  # (k, n, d)
-    q = np.zeros(diff.shape[:2])
-    for a in range(ms.shape[1]):
-        for b in range(ms.shape[1]):
-            q += diff[:, :, a] * inv[:, a, b, None] * diff[:, :, b]
+    return _quadratic(xs[None, :, :] - ms[:, None, :], np.linalg.inv(vs)[:, None])
+
+
+def _quadratic(dd: np.ndarray, prec: np.ndarray) -> np.ndarray:
+    """``d' P d`` over the last axes of dd (..., d) and prec (..., d, d).
+
+    The terms are summed in one fixed order (row index outer) rather than by
+    einsum, whose summation order changes with the array shapes, so a value
+    does not depend on which other values are computed with it.
+    """
+    q = np.zeros(dd.shape[:-1])
+    for a in range(dd.shape[-1]):
+        for b in range(dd.shape[-1]):
+            q += dd[..., a] * prec[..., a, b] * dd[..., b]
     return q
 
 
@@ -512,22 +520,6 @@ def _window_pairs(x: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.nda
     return rows, cols
 
 
-def _pair_quadratic(ms: np.ndarray, ps: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``(m_b - m_a)' P_a (m_b - m_a)`` for each pair (a, b); ps are precision matrices.
-
-    The terms are summed in one fixed order (row index outer) rather than by
-    einsum, whose summation order changes with the array shapes, so a pair's
-    value does not depend on which other pairs are computed with it.
-    """
-    dd = ms[cols] - ms[rows]
-    pr = ps[rows]
-    q = np.zeros(rows.size)
-    for a in range(ms.shape[1]):
-        for b in range(ms.shape[1]):
-            q += dd[:, a] * pr[:, a, b] * dd[:, b]
-    return q
-
-
 def _gate_neighbours(
     ms: np.ndarray, vs: np.ndarray, tau: float, rank: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -547,8 +539,32 @@ def _gate_neighbours(
     if rank is not None:
         later = rank[cols] > rank[rows]
         rows, cols = rows[later], cols[later]
-    gated = _pair_quadratic(ms, np.linalg.inv(vs), rows, cols) <= tau * tau
+    gated = _quadratic(ms[cols] - ms[rows], np.linalg.inv(vs)[rows]) <= tau * tau
     return np.searchsorted(rows[gated], np.arange(ms.shape[0] + 1)), cols[gated]
+
+
+def _greedy_clusters(order, start, nbrs) -> tuple[np.ndarray, np.ndarray]:
+    """The heaviest-first rule shared by dominance reduction, IPDA's merge and extraction.
+
+    ``order`` ranks the terms, heaviest first, and ``nbrs[start[a]:start[a + 1]]``
+    are the terms paired with a, each ranked after a (the form that
+    :func:`_gate_neighbours` returns).  The terms are visited in ``order``;
+    a term that no head has claimed becomes a head and claims the unclaimed
+    terms paired with it.  This is GM-PHD's extraction and merge rule (Vo &
+    Ma, IEEE TSP 2006).  Returns each term's cluster, numbered in the order
+    of the heads, and the heads in that order.
+    """
+    start, nbrs = start.tolist(), nbrs.tolist()
+    label = [-1] * order.size
+    heads: list[int] = []
+    for h in order.tolist():
+        if label[h] < 0:
+            label[h] = len(heads)
+            for j in nbrs[start[h]:start[h + 1]]:
+                if label[j] < 0:
+                    label[j] = len(heads)
+            heads.append(h)
+    return np.asarray(label), np.asarray(heads, dtype=np.intp)
 
 
 def _dominance_certificates(
@@ -582,8 +598,9 @@ def dominance_reduce(mix: MaxMixture) -> MaxMixture:
     A component is removed when it is certified pointwise-dominated by the
     flat term or by a single heavier-ranked component that is kept, taking
     the components from the heaviest down, so the mixture value is unchanged
-    everywhere.  Pairwise certificates only: a component dominated jointly by
-    several others but by none alone is kept.
+    everywhere: the kept components are the heads of :func:`_greedy_clusters`
+    over the certified pairs.  Pairwise certificates only: a component
+    dominated jointly by several others but by none alone is kept.
 
     Component j can dominate i only if j's term at m_i reaches w_i, which
     needs ``(m_i - m_j)' V_j^-1 (m_i - m_j) <= 2 log(w_j / w_i)``.  By
@@ -614,21 +631,16 @@ def dominance_reduce(mix: MaxMixture) -> MaxMixture:
     ps = np.linalg.inv(vs)
     # cheap necessary condition: j can only dominate i if j's term at i's mean
     # reaches i's weight
-    vals = ws[js] * _floored_exp(-0.5 * _pair_quadratic(ms, ps, js, iis))
+    vals = ws[js] * _floored_exp(-0.5 * _quadratic(ms[iis] - ms[js], ps[js]))
     reaches = vals >= ws[iis] * (1.0 - 1e-9)
     js, iis = js[reaches], iis[reaches]
     certified = _dominance_certificates(ws, ms, ps, js, iis)
-
-    dominators: list[list[int]] = [[] for _ in range(ws.size)]
-    for j, i in zip(js[certified].tolist(), iis[certified].tolist()):
-        dominators[i].append(j)
-    kept = [False] * ws.size
-    for i in order.tolist():
-        kept[i] = not any(kept[j] for j in dominators[i])
-    idx = np.flatnonzero(kept)
-    if idx.size == mix.weights.size:
+    # js is still grouped by row, so the certified pairs are in the form of _gate_neighbours
+    js, iis = js[certified], iis[certified]
+    _, heads = _greedy_clusters(order, np.searchsorted(js, np.arange(ws.size + 1)), iis)
+    if heads.size == mix.weights.size:
         return mix
-    return mix.take(survivors[idx])
+    return mix.take(survivors[np.sort(heads)])
 
 
 # absorption is declined when covering the absorbed peak would more than
@@ -739,6 +751,12 @@ def merge(mix: MaxMixture, tau_m: float) -> MaxMixture:
     pointwise from the input (see :func:`merge_with_report` for bounds).
     The gate tests only the pairs of a coordinate-0 window
     (:func:`_gate_neighbours`), with the result of testing every pair.
+
+    This is not the rule of :func:`_greedy_clusters`: a declined component
+    goes back into the queue after the ungated ones, and only an absorption
+    re-sorts the queue by weight, so a declined component can head a later
+    cluster ahead of heavier ones.  The dense reference in the tests pins
+    this order.
     """
     out, _ = _merge_impl(mix, tau_m, report=False)
     return out

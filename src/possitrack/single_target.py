@@ -166,9 +166,10 @@ def canonicalize_observations(observations, obs_dim: int) -> np.ndarray:
     """Sort an observation set lexicographically and drop exact duplicates.
 
     Returns the (n, obs_dim) array of distinct rows in lexicographic order,
-    as ``np.unique(arr, axis=0)`` does; of rows that compare equal (0.0 and
-    -0.0 do) the first given is kept.  Observations form a set: order carries
-    no information and exact duplicates are one observation.
+    as ``np.unique(arr, axis=0)`` does, with -0.0 stored as 0.0, so the
+    bytes do not depend on which of two equal rows came first.  Observations
+    form a set: order carries no information and exact duplicates are one
+    observation.
     ``observations`` is an iterable of observations, or of scalars when
     obs_dim is 1, or an array of either.  An array that is already
     canonical, such as one this function returned, is returned as it is, so
@@ -185,12 +186,12 @@ def canonicalize_observations(observations, obs_dim: int) -> np.ndarray:
         raise ValueError(f"observations must have dimension {obs_dim}")
     if not np.isfinite(arr).all():
         raise ValueError("observations must be finite")
-    if arr is observations and _strictly_increasing(arr):
+    if arr is observations and _strictly_increasing(arr) and not np.signbit(arr[arr == 0.0]).any():
         return arr
     arr = arr[np.lexsort(arr.T[::-1])]
     new = np.ones(arr.shape[0], dtype=bool)
     new[1:] = (arr[1:] != arr[:-1]).any(axis=1)
-    return arr[new]
+    return arr[new] + 0.0  # -0.0 + 0.0 is 0.0; no other value changes
 
 
 def _strictly_increasing(rows: np.ndarray) -> bool:

@@ -731,8 +731,9 @@ def test_reduction_matches_dense_reference(seed, d, k, layout, flat, tau_m):
 
 
 def _ref_extract_targets(fm, tau_x, merge_radius):
-    # the dense gate that extract_targets read before its windowed gate
-    reduced = dominance_reduce(fm)
+    # the dense gate that extract_targets read before its windowed gate, on
+    # the whole mixture reduced by the dense dominance loop
+    reduced = _ref_dominance_reduce(fm)
     ws = reduced.weights
     cands = np.flatnonzero((ws > tau_x) & (ws > fm.floor))
     cands = cands[np.lexsort((np.trace(reduced.covs[cands], axis1=1, axis2=2), -ws[cands]))]

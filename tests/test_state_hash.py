@@ -1,0 +1,19 @@
+"""Smoke test of tools/state_hash.py: a rerun gives the same digests."""
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "state_hash.py"
+_SPEC = importlib.util.spec_from_file_location("state_hash", _PATH)
+state_hash = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(state_hash)
+
+
+def test_reruns_give_equal_digests():
+    cases, scenes = ((1.0, 0), (10.0, 1)), (2,)
+    first = state_hash.digests(cases, scenes)
+    assert list(first) == ["pf", "ipda", "intensity"]
+    assert state_hash.digests(cases, scenes) == first
+    # the digests see the states: another run gives other ones
+    other = state_hash.digests(((1.0, 1),), ())
+    assert other["pf"] != first["pf"] and other["ipda"] != first["ipda"]
