@@ -17,6 +17,7 @@ which keeps the updated intensity bounded by 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -85,8 +86,9 @@ class MultiTargetParams(LinearGaussianModel):
             if not (0.0 < v <= 1.0):
                 raise ValueError(f"{name} must be in (0, 1], got {v!r}")
             object.__setattr__(self, name, v)
-        if not self.birth_velocity_std > 0.0:
-            raise ValueError("birth_velocity_std must be > 0")
+        std = self.birth_velocity_std
+        if not (std > 0.0 and math.isfinite(std)):
+            raise ValueError(f"birth_velocity_std must be finite and > 0, got {std!r}")
         if self.max_components < 1:
             raise ValueError("max_components must be >= 1")
 

@@ -65,10 +65,10 @@ class IpdaParams(LinearGaussianModel):
         rate = self.clutter_rate
         if not (rate >= 0.0) or not math.isfinite(rate):
             raise ValueError(f"clutter_rate must be finite and >= 0, got {rate!r}")
-        if not self.surveillance_volume > 0.0:
-            raise ValueError("surveillance_volume must be > 0")
-        if not self.birth_velocity_std > 0.0:
-            raise ValueError("birth_velocity_std must be > 0")
+        for name in ("surveillance_volume", "birth_velocity_std"):
+            v = getattr(self, name)
+            if not (v > 0.0 and math.isfinite(v)):
+                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
         if not (0.0 <= self.prune_threshold < 1.0):
             raise ValueError("prune_threshold must be in [0, 1)")
         if not (self.merge_threshold >= 0.0):

@@ -32,6 +32,7 @@ result as comparing every pair.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -496,6 +497,11 @@ def prune(mix: MaxMixture, tau_p: float) -> MaxMixture:
 # slack of eps changes the mixture value by less than eps
 _DOMINANCE_TOL = 1e-14
 
+# relative margin below which a 2x2 principal minor's smallest eigenvalue
+# rules a dominance certificate out without eigvalsh (_dominance_certificates);
+# 1e5 times _DOMINANCE_TOL, far above the rounding it has to cover
+_SCREEN_MARGIN = 1e-9
+
 # relative widening of a candidate window's radius.  The Cauchy-Schwarz bound
 # behind the window is exact, the quadratic computed for a pair is not; this
 # slack keeps every pair whose computed quadratic can pass (for covariances
@@ -567,6 +573,16 @@ def _greedy_clusters(order, start, nbrs) -> tuple[np.ndarray, np.ndarray]:
     return np.asarray(label), np.asarray(heads, dtype=np.intp)
 
 
+@functools.cache
+def _minor_positions(n: int) -> np.ndarray:
+    """Flat positions in an n x n matrix of the entries a, c, b of each of its
+    2x2 principal submatrices ``[[a, b], [b, c]]``, as a read-only (3, n(n-1)/2) array."""
+    p, q = np.triu_indices(n, 1)
+    pos = np.stack([p * (n + 1), q * (n + 1), p * n + q])
+    pos.setflags(write=False)
+    return pos
+
+
 def _dominance_certificates(
     ws: np.ndarray, ms: np.ndarray, ps: np.ndarray, js: np.ndarray, iis: np.ndarray
 ) -> np.ndarray:
@@ -574,22 +590,54 @@ def _dominance_certificates(
 
     In log space the difference of the two terms is a quadratic; it is
     nonnegative on all of R^d iff its homogenized (d+1)x(d+1) symmetric
-    matrix is positive semi-definite.  ps are the precision matrices V^-1 and
-    w_j >= w_i for every pair.  One eigvalsh call serves all pairs.
+    matrix A is positive semi-definite.  ps are the precision matrices V^-1
+    and w_j >= w_i for every pair.  A pair is certified when the smallest
+    eigenvalue of A, from ``eigvalsh``, is at least
+    ``-_DOMINANCE_TOL * max(1, max|A|)``.
+
+    Most pairs fail, and a cheap screen rejects them first.  By Cauchy
+    interlacing (Horn & Johnson, Matrix Analysis, Thm 4.3.28) the smallest
+    eigenvalue of A is at most that of each of its 2x2 principal submatrices
+    ``[[a, b], [b, c]]``, which is ``(a + c)/2 - sqrt(((a - c)/2)**2 + b**2)``.
+    A pair for which one of these lies below
+    ``-_SCREEN_MARGIN * max(1, max|A|)`` is not certified.  The margin is far
+    wider than the rounding of that closed form, eigvalsh's backward error (a
+    few eps times the norm of A) and the few ulps by which the screen's
+    ``np.log`` can differ from the ``math.log`` of the exact check, so the
+    screen rejects only pairs that eigvalsh would reject too.  The pairs it
+    leaves get the exact matrices and one batched eigvalsh call, and the
+    certified set is bit for bit that of running eigvalsh on every pair.  A
+    NaN or -inf screen value (non-finite entries, or squares past the float
+    range) leaves its pair to eigvalsh.
     """
+    if not js.size:
+        return np.zeros(0, dtype=bool)
     d = ms.shape[1]
     pm = (ps @ ms[:, :, None])[:, :, 0]  # P m
     mpm = ((ms[:, None, :] @ ps) @ ms[:, :, None])[:, 0, 0]  # m' P m
     half_b = 0.5 * (pm[js] - pm[iis])
-    # math.log, not np.log: the two differ in the last bit on some inputs
-    log_ratio = [math.log(a / b) for a, b in zip(ws[js].tolist(), ws[iis].tolist())]
+    corner = 0.5 * (mpm[iis] - mpm[js])
     mats = np.empty((js.size, d + 1, d + 1))
     mats[:, :d, :d] = 0.5 * (ps[iis] - ps[js])
     mats[:, :d, d] = half_b
     mats[:, d, :d] = half_b
-    mats[:, d, d] = np.asarray(log_ratio) + 0.5 * (mpm[iis] - mpm[js])
-    tol = _DOMINANCE_TOL * np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
-    return np.linalg.eigvalsh(mats)[:, 0] >= -tol
+    mats[:, d, d] = np.log(ws[js] / ws[iis]) + corner
+    a, c, b = mats.reshape(js.size, (d + 1) ** 2).T[_minor_positions(d + 1)]
+    with np.errstate(over="ignore", invalid="ignore"):  # left to eigvalsh below
+        minor_min = (0.5 * (a + c) - np.sqrt((0.5 * (a - c)) ** 2 + b * b)).min(axis=0)
+    scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
+    ruled_out = (-np.inf < minor_min) & (minor_min < -_SCREEN_MARGIN * scale)
+    undecided = np.flatnonzero(~ruled_out)
+    certified = np.zeros(js.size, dtype=bool)
+    if undecided.size:
+        mats = mats[undecided]
+        ju, iu = js[undecided], iis[undecided]
+        # math.log, not np.log: the two differ in the last bit on some inputs
+        log_ratio = [math.log(wj / wi) for wj, wi in zip(ws[ju].tolist(), ws[iu].tolist())]
+        mats[:, d, d] = np.asarray(log_ratio) + corner[undecided]
+        tol = _DOMINANCE_TOL * np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
+        certified[undecided] = np.linalg.eigvalsh(mats)[:, 0] >= -tol
+    return certified
 
 
 def dominance_reduce(mix: MaxMixture) -> MaxMixture:
@@ -609,7 +657,9 @@ def dominance_reduce(mix: MaxMixture) -> MaxMixture:
     within ``sqrt(2 log(w_j / w_min) V_j[0, 0])`` of m_j in coordinate 0.  The
     window skips only pairs that cannot pass, so the result is exactly that
     of comparing every pair.  The certificates of the pairs left are computed
-    in one batch.  Time and memory grow with the number of pairs in the
+    in one batch by :func:`_dominance_certificates`, which rules most of them
+    out with the 2x2 principal minors of their matrices and runs eigvalsh only
+    on the rest.  Time and memory grow with the number of pairs in the
     windows: quadratic in the worst case, when all means share coordinate 0.
     """
     if not mix.weights.size:

@@ -80,8 +80,8 @@ class ObservationDrivenBirth:
     velocity_std: float = 1.0
 
     def __post_init__(self):
-        if not self.velocity_std > 0.0:
-            raise ValueError("velocity_std must be > 0")
+        if not (self.velocity_std > 0.0 and math.isfinite(self.velocity_std)):
+            raise ValueError(f"velocity_std must be finite and > 0, got {self.velocity_std!r}")
 
 
 @dataclass(frozen=True)

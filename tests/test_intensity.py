@@ -50,6 +50,12 @@ def params(**kw) -> MultiTargetParams:
     return MultiTargetParams(**base)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_params_reject_bad_birth_velocity_std(value):
+    with pytest.raises(ValueError, match="birth_velocity_std"):
+        params(birth_velocity_std=value)
+
+
 # ----------------------------------------------------------------- intensity
 
 

@@ -96,6 +96,18 @@ def test_params_reject_bad_clutter_rate(rate):
         params(clutter_rate=rate)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_params_reject_bad_surveillance_volume(value):
+    with pytest.raises(ValueError, match="surveillance_volume"):
+        params(surveillance_volume=value)
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_params_reject_bad_birth_velocity_std(value):
+    with pytest.raises(ValueError, match="birth_velocity_std"):
+        params(birth_velocity_std=value)
+
+
 # ------------------------------------------------------------------- predict
 
 

@@ -20,6 +20,7 @@ from possitrack.mixtures import (
     MaxMixture,
     NumericalError,
     _deficit_bound,
+    _dominance_certificates,
     _floored_exp,
     _overshoot_bound,
     batch_kalman_update,
@@ -636,6 +637,83 @@ def _ref_dominance_reduce(mix):
     if len(kept) == mix.weights.size:
         return mix
     return mix.take(survivors[sorted(kept)])
+
+
+def _ordered_pairs(ws):
+    # every (j, i) with j != i and w_j >= w_i, grouped by j
+    return np.nonzero((ws[:, None] >= ws[None, :]) & ~np.eye(ws.size, dtype=bool))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([1, 2, 3, 4]),
+    k=st.integers(2, 10),
+    layout=st.sampled_from(["random", "identical", "offset", "equal_weights"]),
+    offset=st.sampled_from([1e-9, 1e-7, 1e-5, 1e-3]),
+    origin=st.sampled_from([0.0, 1e3, 1e4, 1e5]),
+)
+def test_dominance_certificates_match_per_pair_reference(seed, d, k, layout, offset, origin):
+    # the 2x2-minor screen must never reject a pair that eigvalsh certifies;
+    # the layouts put many pairs near the boundary of the certificate
+    rng = np.random.default_rng(seed)
+    ws = rng.uniform(0.05, 1.0, k)
+    ms = rng.normal(size=(k, d)) * rng.uniform(0.2, 4.0)
+    a = rng.normal(size=(k, d, d)) * rng.uniform(0.2, 2.0)
+    vs = a @ np.swapaxes(a, 1, 2) + 0.05 * np.eye(d)
+    if layout == "identical":  # whole repeated terms
+        src = rng.integers(0, k, size=k)
+        ws, ms, vs = ws[src], ms[src], vs[src]
+    elif layout in ("offset", "equal_weights"):
+        # means at most `offset` from one point, half of them on it
+        steps = rng.normal(size=(k, d))
+        steps *= offset * rng.uniform(0.0, 1.0, (k, 1)) / np.linalg.norm(steps, axis=1, keepdims=True)
+        ms = ms[0] + steps * (rng.uniform(size=(k, 1)) < 0.5)
+        if layout == "offset":  # equal covariances
+            vs = np.repeat(vs[:1], k, axis=0)
+        else:  # equal weights, nested covariances
+            ws = np.full(k, ws[0])
+            vs = vs[0] * rng.choice([1.0, 1.0 + offset, 2.0], size=(k, 1, 1))
+    direction = rng.normal(size=d)
+    ms = ms + origin * direction / np.linalg.norm(direction)
+    ps = np.linalg.inv(vs)
+    js, iis = _ordered_pairs(ws)
+    certified = _dominance_certificates(ws, ms, ps, js, iis)
+    ref = [_ref_dominates(ws[j], ms[j], ps[j], ws[i], ms[i], ps[i]) for j, i in zip(js, iis)]
+    assert certified.tolist() == ref
+
+
+def test_eigvalsh_decides_the_pairs_the_screen_cannot(monkeypatch):
+    # pair (0, 1): the certificate matrix is [[1, .9, .9], [.9, 1, -.9],
+    # [.9, -.9, 1]] up to rounding; each 2x2 principal minor is PSD (smallest
+    # eigenvalue 0.1) but the matrix is not (-0.8), so only eigvalsh can
+    # reject it.  (0, 2): a term and its copy, certified.  (0, 3): far apart,
+    # ruled out by the screen alone.
+    ws = np.array([1.0, math.exp(-4.24), 1.0, 0.5])
+    ms = np.array([[1.8, -1.8], [0.0, 0.0], [1.8, -1.8], [10.0, 10.0]])
+    ps = np.array([np.eye(2), [[3.0, 1.8], [1.8, 3.0]], np.eye(2), np.eye(2)])
+    js, iis = np.array([0, 0, 0]), np.array([1, 2, 3])
+    rows = []
+
+    def eigvalsh(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return np.linalg.eigh(a, *args, **kwargs)[0]
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    assert _dominance_certificates(ws, ms, ps, js, iis).tolist() == [False, True, False]
+    assert rows == [2]
+    monkeypatch.undo()
+    assert [_ref_dominates(ws[0], ms[0], ps[0], ws[i], ms[i], ps[i]) for i in iis] == [False, True, False]
+
+
+def test_screen_leaves_overflowing_pairs_to_eigvalsh():
+    # a variance of 1e-160 puts 1e160 on the diagonal of the certificate
+    # matrix [[1e160, 0], [0, 0]]: its 2x2 closed form overflows to -inf,
+    # but the matrix is PSD and the broad term dominates the narrow one
+    ws, ms, ps = np.ones(2), np.zeros((2, 1)), np.array([[[1.0]], [[1.0 + 2e160]]])
+    js, iis = np.array([0]), np.array([1])
+    assert _dominance_certificates(ws, ms, ps, js, iis).tolist() == [True]
+    assert _ref_dominates(ws[0], ms[0], ps[0], ws[1], ms[1], ps[1])
 
 
 def _ref_absorb(w_i, m_i, v_cur, w_j, m_j):

@@ -85,6 +85,15 @@ def test_params_reject_bad_merge_threshold(tau):
     with pytest.raises(ValueError):
         params_1d(merge_threshold=tau)
 
+
+@pytest.mark.parametrize("std", [0.0, -1.0, float("nan"), float("inf")])
+def test_observation_driven_birth_rejects_bad_velocity_std(std):
+    # an infinite std used to pass here and fail later as a NumericalError
+    # on the birth covariance
+    with pytest.raises(ValueError, match="velocity_std"):
+        ObservationDrivenBirth(velocity_std=std)
+
+
 def test_initial_state_is_fully_absent():
     st = ExtendedPossibility.absent()
     assert st.psi_mass == 1.0
