@@ -17,7 +17,6 @@ which keeps the updated intensity bounded by 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -34,7 +33,7 @@ from .mixtures import (
     concat_terms,
     dominance_reduce,
 )
-from .single_target import _born_terms, canonicalize_observations
+from .single_target import _born_terms, _check_birth_std, canonicalize_observations
 
 __all__ = [
     "IntensityMixture",
@@ -86,9 +85,7 @@ class MultiTargetParams(LinearGaussianModel):
             if not (0.0 < v <= 1.0):
                 raise ValueError(f"{name} must be in (0, 1], got {v!r}")
             object.__setattr__(self, name, v)
-        std = self.birth_velocity_std
-        if not (std > 0.0 and math.isfinite(std)):
-            raise ValueError(f"birth_velocity_std must be finite and > 0, got {std!r}")
+        _check_birth_std("birth_velocity_std", self.birth_velocity_std)
         if self.max_components < 1:
             raise ValueError("max_components must be >= 1")
 
@@ -140,7 +137,8 @@ def update_intensity(fm: IntensityMixture, params: MultiTargetParams, observatio
     new_w, new_m, new_v = concat_terms(branches)
     keep = new_w > 0.0
     out = dominance_reduce(IntensityMixture._trusted(
-        new_w[keep], new_m[keep], new_v[keep], floor * params.missed_detection
+        new_w.compress(keep), new_m.compress(keep, axis=0), new_v.compress(keep, axis=0),
+        floor * params.missed_detection,
     ))
     if out.weights.size > params.max_components:
         out = out.take(np.argsort(-out.weights, kind="stable")[: params.max_components])
@@ -186,8 +184,8 @@ def extract_targets(
     # term can dominate a candidate, and such a term is a candidate too
     reduced = dominance_reduce(fm.take(cands))
     order = np.lexsort((np.trace(reduced.covs, axis1=1, axis2=2), -reduced.weights))
-    ms, vs = reduced.means[order], reduced.covs[order]
+    ms, vs = reduced.means.take(order, axis=0), reduced.covs.take(order, axis=0)
     # near[start[a]:start[a + 1]]: the later candidates within merge_radius of a in a's covariance
     start, near = _gate_neighbours(ms, vs, abs(merge_radius), np.arange(order.size))
     _, heads = _greedy_clusters(np.arange(order.size), start, near)
-    return list(ms[heads])
+    return list(ms.take(heads, axis=0))

@@ -29,7 +29,7 @@ from .mixtures import (
     batch_kalman_update,
     concat_terms,
 )
-from .single_target import _born_terms, canonicalize_observations
+from .single_target import _born_terms, _check_birth_std, canonicalize_observations
 
 __all__ = ["IpdaParams", "IpdaState", "ipda_predict", "ipda_update", "ipda_estimate", "ipda_step"]
 
@@ -65,10 +65,10 @@ class IpdaParams(LinearGaussianModel):
         rate = self.clutter_rate
         if not (rate >= 0.0) or not math.isfinite(rate):
             raise ValueError(f"clutter_rate must be finite and >= 0, got {rate!r}")
-        for name in ("surveillance_volume", "birth_velocity_std"):
-            v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+        volume = self.surveillance_volume
+        if not (volume > 0.0 and math.isfinite(volume)):
+            raise ValueError(f"surveillance_volume must be finite and > 0, got {volume!r}")
+        _check_birth_std("birth_velocity_std", self.birth_velocity_std)
         if not (0.0 <= self.prune_threshold < 1.0):
             raise ValueError("prune_threshold must be in [0, 1)")
         if not (self.merge_threshold >= 0.0):
@@ -204,7 +204,7 @@ def _prune_and_merge(ws, ms, vs, diffuse, params):
     every pair and merging one cluster at a time.
     """
     keep = ws >= params.prune_threshold
-    ws, ms, vs = ws[keep], ms[keep], vs[keep]
+    ws, ms, vs = ws.compress(keep), ms.compress(keep, axis=0), vs.compress(keep, axis=0)
     if ws.size:
         # the default sort, not a stable one: its order among equal weights picks the heads
         order = np.argsort(-ws)
@@ -230,7 +230,7 @@ def _moment_merge(ws, ms, vs, order, label):
     """
     # the terms grouped by cluster and in ``order`` within each
     members = order[np.argsort(label[order], kind="stable")]
-    ws, ms, vs = ws[members], ms[members], vs[members]
+    ws, ms, vs = ws.take(members), ms.take(members, axis=0), vs.take(members, axis=0)
     sizes = np.bincount(label)
     first = np.cumsum(sizes) - sizes
     small = sizes < _SEQUENTIAL_SUM
@@ -243,8 +243,8 @@ def _moment_merge(ws, ms, vs, order, label):
     at = np.where(filled, first[small, None] + slots, 0)
     out_w = np.empty(sizes.size)
     out_m = np.empty((sizes.size, ms.shape[1]))
-    out_w[small] = _slot_sum(np.where(filled, ws[at], 0.0))
-    out_m[small] = _slot_sum(np.where(filled[:, :, None], wm[at], 0.0)) / out_w[small, None]
+    out_w[small] = _slot_sum(np.where(filled, ws.take(at), 0.0))
+    out_m[small] = _slot_sum(np.where(filled[:, :, None], wm.take(at, axis=0), 0.0)) / out_w[small, None]
     for c in large:
         part = slice(first[c], first[c] + sizes[c])
         out_w[c] = ws[part].sum()
@@ -253,7 +253,7 @@ def _moment_merge(ws, ms, vs, order, label):
     dif = ms - np.repeat(out_m, sizes, axis=0)
     wv = ws[:, None, None] * (vs + dif[:, :, None] * dif[:, None, :])
     out_v = np.empty((sizes.size, *vs.shape[1:]))
-    out_v[small] = _slot_sum(np.where(filled[:, :, None, None], wv[at], 0.0))
+    out_v[small] = _slot_sum(np.where(filled[:, :, None, None], wv.take(at, axis=0), 0.0))
     for c in large:
         out_v[c] = wv[first[c] : first[c] + sizes[c]].sum(axis=0)
     out_v /= out_w[:, None, None]

@@ -16,6 +16,7 @@ and turned into a Gaussian component the first time an observation meets it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -80,8 +81,19 @@ class ObservationDrivenBirth:
     velocity_std: float = 1.0
 
     def __post_init__(self):
-        if not (self.velocity_std > 0.0 and math.isfinite(self.velocity_std)):
-            raise ValueError(f"velocity_std must be finite and > 0, got {self.velocity_std!r}")
+        _check_birth_std("velocity_std", self.velocity_std)
+
+
+def _check_birth_std(name: str, value) -> None:
+    """Raise ValueError unless value > 0 and value**2, the variance a born
+    term gets on each unobserved coordinate, is a finite normal float.
+
+    1e200 squares to inf and 1e-200 to 0; either would break the birth
+    covariance only at the first scan that builds it.
+    """
+    v = float(value)
+    if not (v > 0.0 and sys.float_info.min <= v * v < math.inf):
+        raise ValueError(f"{name} must be > 0 with a finite, normal square, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -308,7 +320,7 @@ def predict(state: ExtendedPossibility, params: SingleTargetParams) -> ExtendedP
     new_w, new_m, new_v = concat_terms(stacks)
     if not new_w.all():  # a scaled weight can underflow to 0
         keep = new_w > 0.0
-        new_w, new_m, new_v = new_w[keep], new_m[keep], new_v[keep]
+        new_w, new_m, new_v = new_w.compress(keep), new_m.compress(keep, axis=0), new_v.compress(keep, axis=0)
     on_s = MaxMixture._trusted(new_w, new_m, new_v, flat_new)
     return ExtendedPossibility(psi_new, on_s, state.time_index + 1)
 
@@ -368,7 +380,9 @@ def update(state: ExtendedPossibility, params: SingleTargetParams, observations)
         raise NumericalError(f"posterior has no positive possibility (C_t = {c_t!r})")
 
     keep = new_w > 0.0
-    on_s = MaxMixture._trusted(new_w[keep] / c_t, new_m[keep], new_v[keep], flat_mis / c_t)
+    on_s = MaxMixture._trusted(
+        new_w.compress(keep) / c_t, new_m.compress(keep, axis=0), new_v.compress(keep, axis=0), flat_mis / c_t
+    )
     return ExtendedPossibility(psi_un / c_t, on_s, state.time_index)
 
 

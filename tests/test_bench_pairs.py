@@ -58,3 +58,37 @@ def test_summarize_runs_pairs_by_seed_and_skips_failed_runs():
 def test_parse_seeds():
     assert bench_pairs.parse_seeds("1-3,7") == [1, 2, 3, 7]
     assert bench_pairs.parse_seeds("5") == [5]
+
+
+def test_pair_schedule_alternates_the_side_that_runs_first():
+    schedule = bench_pairs.pair_schedule(["clutter", "study"], [1, 2, 3])
+    assert [(w, s) for w, s, _ in schedule] == [
+        ("clutter", 1), ("clutter", 2), ("clutter", 3), ("study", 1), ("study", 2), ("study", 3),
+    ]
+    parent_first = ("parent", "change")
+    assert [order == parent_first for _, _, order in schedule] == [True, False, True, False, True, False]
+    assert bench_pairs.pair_schedule(["clutter"], []) == []
+
+
+def _traced(side, seed, merge_ms):
+    metrics = {"mixtures.merge_ms": {"value": merge_ms}, "intensity.update_ms": {"value": 0.0}}
+    return {"side": side, "workload": "clutter", "seed": seed, "exit": 0, "result": {"metrics": metrics}}
+
+
+def test_summarize_runs_gives_medians_and_wins_of_traced_per_layer_metrics():
+    runs = [
+        _traced("parent", 1, 4.0), _traced("change", 1, 3.0),
+        _traced("change", 2, 3.5), _traced("parent", 2, 3.6),
+        _traced("parent", 3, 4.4), _traced("change", 3, 3.2),
+    ]
+    layers = [{"name": n, "better": "lower"} for n in ("mixtures.merge_ms", "intensity.update_ms")]
+    entry = bench_pairs.summarize_runs(runs, layers)["clutter"]
+    assert entry["pairs"] == 3
+    merge_ms = entry["mixtures.merge_ms"]
+    assert (merge_ms["parent_q1"], merge_ms["parent_median"], merge_ms["parent_q3"]) == (3.8, 4.0, 4.2)
+    assert (merge_ms["change_q1"], merge_ms["change_median"], merge_ms["change_q3"]) == (3.1, 3.2, 3.35)
+    assert merge_ms["change_over_parent"] == 3.2 / 4.0
+    assert (merge_ms["change_wins"], merge_ms["ties"]) == (3, 0)
+    # a layer the workload does not run reads 0 on both sides: no ratio, all ties
+    idle = entry["intensity.update_ms"]
+    assert idle["change_over_parent"] is None and idle["ties"] == 3

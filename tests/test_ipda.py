@@ -102,10 +102,16 @@ def test_params_reject_bad_surveillance_volume(value):
         params(surveillance_volume=value)
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+# 1e200 squares to inf, 1e-200 to 0 and 1e-160 to a subnormal
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, 1e200, 1e-200, 1e-160])
 def test_params_reject_bad_birth_velocity_std(value):
     with pytest.raises(ValueError, match="birth_velocity_std"):
         params(birth_velocity_std=value)
+
+
+@pytest.mark.parametrize("value", [1e154, 1e-150])
+def test_params_accept_birth_velocity_std_whose_square_is_normal(value):
+    assert params(birth_velocity_std=value).birth_velocity_std == value
 
 
 # ------------------------------------------------------------------- predict

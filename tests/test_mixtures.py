@@ -7,11 +7,14 @@ lattice used at runtime).
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from possitrack import mixtures
+from possitrack.bench import default_config, make_run
 from possitrack.intensity import IntensityMixture, MultiTargetParams, extract_targets
 from possitrack.ipda import IpdaParams, IpdaState, _prune_and_merge
 from possitrack.mixtures import (
@@ -33,7 +36,7 @@ from possitrack.mixtures import (
     prune,
     update_gaussian,
 )
-from possitrack.single_target import SingleTargetParams
+from possitrack.single_target import ExtendedPossibility, SingleTargetParams, predict, update
 
 # frozen oracle values
 EXP_M1 = 0.36787944117144233  # exp(-1)
@@ -806,6 +809,60 @@ def test_reduction_matches_dense_reference(seed, d, k, layout, flat, tau_m):
         _assert_same_bits(out, ref)
         _assert_same_bits(merge(src_mix, tau_m), ref)
         assert bounds == ref_bounds
+
+
+def _count_declines(monkeypatch):
+    """Patch merge's absorb step to record each call's head weight and declined count."""
+    calls = []
+    absorb = mixtures._absorb_cluster
+
+    def counted(w_h, *args):
+        v, absorbed, declined = absorb(w_h, *args)
+        calls.append((w_h, len(declined)))
+        return v, absorbed, declined
+
+    monkeypatch.setattr(mixtures, "_absorb_cluster", counted)
+    return calls
+
+
+def test_merge_matches_dense_reference_on_a_clutter_run(monkeypatch):
+    # the mixtures that merge meets at false-alarm rate 30: up to 227 terms
+    # and about 65 declined terms per call, far past the random cases above
+    cfg = default_config()
+    params = cfg.proposed_params()
+    _, obs = make_run(cfg.scenario, 30.0, cfg.base_seed, 2, 0)
+    calls = _count_declines(monkeypatch)
+    state, sizes = ExtendedPossibility.absent(), []
+    for scan in obs.steps:
+        post = update(predict(state, params), params, scan)
+        reduced = dominance_reduce(prune(post.on_s, params.prune_threshold))
+        out, bounds = merge_with_report(reduced, params.merge_threshold)
+        ref, ref_bounds = _ref_merge_with_report(reduced, params.merge_threshold)
+        _assert_same_bits(out, ref)
+        _assert_same_bits(merge(reduced, params.merge_threshold), ref)
+        assert bounds == ref_bounds
+        sizes.append(reduced.weights.size)
+        state = replace(post, on_s=out)
+    assert max(sizes) >= 200
+    assert sum(n for _, n in calls) >= 20 * len(obs.steps)
+
+
+def test_merge_requeues_a_declined_term_until_an_absorption(monkeypatch):
+    # A (w 1) declines B (0.9), which goes behind the lighter, ungated C, E,
+    # D and F.  C then absorbs D, which re-sorts the queue and puts B ahead
+    # of E again: B absorbs F with no inflation, and E keeps its variance.
+    # Had B stayed behind E, E would have absorbed F and widened to cover it.
+    weights = {"A": 1.0, "B": 0.9, "C": 0.5, "E": 0.3, "D": 0.1, "F": 0.02}
+    terms = {"A": (0.0, 1.0), "B": (2.5, 1.0), "C": (100.0, 1.0), "E": (6.5, 0.5),
+             "D": (100.5, 1.0), "F": (4.5, 1.0)}
+    mix = MaxMixture([g1(weights[n], *terms[n]) for n in weights])
+    calls = _count_declines(monkeypatch)
+    out, _ = merge_with_report(mix, 3.22)
+    # the heads that met a cluster, in the order they were taken from the queue
+    assert calls == [(1.0, 1), (0.5, 0), (0.9, 0)]
+    assert out.weights.tolist() == [1.0, 0.9, 0.5, 0.3]
+    assert out.covs[:, 0, 0].tolist() == [1.0, 1.0, 1.0, 0.5]
+    _assert_same_bits(out, _ref_merge_with_report(mix, 3.22)[0])
 
 
 def _ref_extract_targets(fm, tau_x, merge_radius):

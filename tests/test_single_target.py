@@ -86,12 +86,18 @@ def test_params_reject_bad_merge_threshold(tau):
         params_1d(merge_threshold=tau)
 
 
-@pytest.mark.parametrize("std", [0.0, -1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("std", [0.0, -1.0, float("nan"), float("inf"), 1e200, 1e-200, 1e-160])
 def test_observation_driven_birth_rejects_bad_velocity_std(std):
     # an infinite std used to pass here and fail later as a NumericalError
-    # on the birth covariance
+    # on the birth covariance; 1e200 (square inf) raised OverflowError at the
+    # first step, 1e-200 (square 0) a NumericalError; 1e-160 squares to a subnormal
     with pytest.raises(ValueError, match="velocity_std"):
         ObservationDrivenBirth(velocity_std=std)
+
+
+@pytest.mark.parametrize("std", [1e154, 1e-150])
+def test_observation_driven_birth_accepts_std_whose_square_is_normal(std):
+    assert ObservationDrivenBirth(velocity_std=std).velocity_std == std
 
 
 def test_initial_state_is_fully_absent():

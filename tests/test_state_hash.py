@@ -17,3 +17,13 @@ def test_reruns_give_equal_digests():
     # the digests see the states: another run gives other ones
     other = state_hash.digests(((1.0, 1),), ())
     assert other["pf"] != first["pf"] and other["ipda"] != first["ipda"]
+
+
+def test_compare_marks_each_section_and_any_difference():
+    theirs = {"pf": "aa", "ipda": "bb", "intensity": "cc"}
+    lines, same = state_hash.compare(dict(theirs), theirs)
+    assert same and lines == ["pf aa aa equal", "ipda bb bb equal", "intensity cc cc equal"]
+    lines, same = state_hash.compare({"pf": "aa", "ipda": "bx", "intensity": "cc"}, theirs)
+    assert not same and lines[1] == "ipda bb bx DIFFERENT"
+    lines, same = state_hash.compare({"pf": "aa", "ipda": "bb"}, theirs)
+    assert not same and lines[2] == "intensity cc - DIFFERENT"

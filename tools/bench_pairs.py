@@ -3,7 +3,7 @@
 Run from the repository root:
 
     python3 tools/bench_pairs.py --label pr8 --change "what the change does" \
-        --workloads clutter study multi --seeds 1-10 --seconds 30 --traced
+        --workloads clutter study multi --seeds 1-10 --seconds 30 --traced 3
 
 Both sides are exported with ``git archive`` into one temporary directory:
 the parent commit (``--parent``, default HEAD) and the working tree, with its
@@ -11,14 +11,16 @@ uncommitted and untracked files, through a temporary index so that the
 repository's own index is not touched.  For every workload and seed,
 ``perfbench/run.py`` runs once on each side, one side after the other, and
 the side that runs first alternates from pair to pair, the parent first on
-the first pair.  With ``--traced`` each side then makes one traced run per
-workload at the first seed.
+the first pair.  ``--traced N`` (N = 3 when given alone) then makes N traced
+pairs (``--trace 1``) per workload, at the first N seeds, alternating sides
+the same way.
 
 ``BENCH_<label>.json`` records every run's result and info lines and, per
 workload and end-to-end metric of BENCHMARK.json, each side's median and
 quartiles, the change's median over the parent's, and the pairs the change
-wins and ties.  The file is rewritten after every run, so an interrupted
-session keeps the runs it made.
+wins and ties.  ``summary_traced`` gives the same for each per-layer metric
+over the traced pairs.  The file is rewritten after every run, so an
+interrupted session keeps the runs it made.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
 
     ``parent[i]`` and ``change[i]`` are one pair; ``better`` is "higher" or
     "lower".  Quartiles are those of ``statistics.quantiles(method="inclusive")``.
+    The ratio of medians is None when the parent's median is 0.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of parent and change values")
@@ -61,7 +64,7 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     for side, vals in zip(SIDES, (parent, change)):
         q1, med, q3 = statistics.quantiles(vals, n=4, method="inclusive") if len(vals) > 1 else vals * 3
         out.update({f"{side}_median": med, f"{side}_q1": q1, f"{side}_q3": q3})
-    out["change_over_parent"] = out["change_median"] / out["parent_median"]
+    out["change_over_parent"] = out["change_median"] / out["parent_median"] if out["parent_median"] else None
     sign = 1.0 if better == "higher" else -1.0
     out["change_wins"] = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
     out["ties"] = sum(c == p for p, c in zip(parent, change))
@@ -88,11 +91,18 @@ def summarize_runs(runs: list[dict], metrics: list[dict]) -> dict:
     return summary
 
 
+def pair_schedule(workloads: list[str], seeds: list[int]) -> list[tuple[str, int, tuple[str, str]]]:
+    """(workload, seed, side order) of each pair; the side that runs first alternates, parent first."""
+    pairs = [(w, s) for w in workloads for s in seeds]
+    return [(w, s, SIDES if n % 2 == 0 else SIDES[::-1]) for n, (w, s) in enumerate(pairs)]
+
+
 def _git(*args: str, env: dict | None = None) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, env=env, capture_output=True, check=True).stdout
 
 
-def _extract(tree: str, dest: Path) -> None:
+def export_tree(tree: str, dest: Path) -> None:
+    """Write the files of a commit or tree (anything ``git archive`` takes) under dest."""
     with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", tree))) as tar:
         tar.extractall(dest, filter="data")
 
@@ -135,10 +145,14 @@ def main(argv=None) -> int:
     parser.add_argument("--workloads", nargs="+", default=["study", "clutter", "multi"])
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"))
     parser.add_argument("--seconds", type=int, default=30)
-    parser.add_argument("--traced", action="store_true", help="add one traced run per side and workload")
+    parser.add_argument("--traced", type=int, nargs="?", const=3, default=0, metavar="N",
+                        help="add N traced pairs per workload (3 when N is not given)")
     args = parser.parse_args(argv)
+    if not 0 <= args.traced <= len(args.seeds):
+        parser.error(f"--traced takes 0 to {len(args.seeds)} pairs, one per seed")
 
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics, layer_metrics = bench["end_to_end"], bench["per_layer"]
     parent_commit = _git("rev-parse", f"{args.parent}^{{commit}}").decode().strip()
     out_path = ROOT / f"BENCH_{args.label}.json"
     record = {
@@ -152,45 +166,42 @@ def main(argv=None) -> int:
             "parent and change exported side by side with git archive on one machine; one pair per "
             f"(workload, seed), seeds {args.seeds[0]}-{args.seeds[-1]} ({len(args.seeds)} pairs per "
             "workload), the side that runs first alternating from pair to pair (parent first on the "
-            "first pair)" + ("; one traced run (--trace 1) per side and workload at the first seed"
-                             if args.traced else "")
+            "first pair)" + (f"; {args.traced} traced pairs (--trace 1) per workload at the first "
+                             f"{args.traced} seeds, alternating the same way" if args.traced else "")
         ),
         "summary": {},
+        "summary_traced": {},
         "runs": [],
         "traced_runs": [],
     }
 
     def save():
         record["summary"] = summarize_runs(record["runs"], metrics)
+        record["summary_traced"] = summarize_runs(record["traced_runs"], layer_metrics)
         out_path.write_text(json.dumps(record, indent=1) + "\n")
 
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         trees = {side: Path(tmp) / side for side in SIDES}
-        _extract(parent_commit, trees["parent"])
-        _extract(record["change_tree"], trees["change"])
-        n = 0
-        for workload in args.workloads:
-            for seed in args.seeds:
-                order = SIDES if n % 2 == 0 else SIDES[::-1]
-                n += 1
-                for side in order:
-                    run = run_perfbench(trees[side], workload, seed, args.seconds, 0)
-                    record["runs"].append({"side": side, "workload": workload, "seed": seed,
-                                           "ran_first": side == order[0], **run})
-                    if record["machine"] is None and run["info"]:
-                        record["machine"] = run["info"]["env"]
-                    value = run["result"]["metrics"]["scans_per_s"]["value"] if run["result"] else None
-                    print(f"{workload} seed={seed} {side}: exit {run['exit']}, scans_per_s {value}",
-                          file=sys.stderr)
-                    save()
-        if args.traced:
-            for workload in args.workloads:
-                for side in SIDES:
-                    run = run_perfbench(trees[side], workload, args.seeds[0], args.seconds, 1)
-                    record["traced_runs"].append({"side": side, "workload": workload,
-                                                  "seed": args.seeds[0], **run})
-                    print(f"{workload} traced {side}: exit {run['exit']}", file=sys.stderr)
-                    save()
+        export_tree(parent_commit, trees["parent"])
+        export_tree(record["change_tree"], trees["change"])
+        for workload, seed, order in pair_schedule(args.workloads, args.seeds):
+            for side in order:
+                run = run_perfbench(trees[side], workload, seed, args.seconds, 0)
+                record["runs"].append({"side": side, "workload": workload, "seed": seed,
+                                       "ran_first": side == order[0], **run})
+                if record["machine"] is None and run["info"]:
+                    record["machine"] = run["info"]["env"]
+                value = run["result"]["metrics"]["scans_per_s"]["value"] if run["result"] else None
+                print(f"{workload} seed={seed} {side}: exit {run['exit']}, scans_per_s {value}",
+                      file=sys.stderr)
+                save()
+        for workload, seed, order in pair_schedule(args.workloads, args.seeds[: args.traced]):
+            for side in order:
+                run = run_perfbench(trees[side], workload, seed, args.seconds, 1)
+                record["traced_runs"].append({"side": side, "workload": workload, "seed": seed,
+                                              "ran_first": side == order[0], **run})
+                print(f"{workload} traced seed={seed} {side}: exit {run['exit']}", file=sys.stderr)
+                save()
     save()
     return 0
 

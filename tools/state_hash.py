@@ -20,13 +20,24 @@ filter runs on four three-system scenes with lambda = 10 clutter, built by
 ``three_system_scene`` of ``tests/test_intensity.py`` (so pytest must be
 installed).  Two checkouts whose digests agree compute the same bytes on all
 of these.  The whole run takes about a minute on a 2-core machine.
+
+    python3 tools/state_hash.py --against HEAD~1
+
+also exports the commit HEAD~1 with ``git archive`` (the export of
+``tools/bench_pairs.py``), runs this file there on that commit's ``src/``,
+prints the two digest sets side by side and exits with status 1 if any
+section differs.  Both sides run at once, one process each.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib.util
+import shutil
+import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -123,10 +134,53 @@ def digests(pf_cases=PF_CASES, scene_seeds=SCENE_SEEDS) -> dict[str, str]:
     return {"pf": pf.hexdigest(), "ipda": ipda.hexdigest(), "intensity": intensity.hexdigest()}
 
 
-def main() -> int:
-    for name, digest in digests().items():
-        print(f"{name} {digest}")
-    return 0
+def compare(mine: dict[str, str], theirs: dict[str, str]) -> tuple[list[str], bool]:
+    """One line per section, ``name theirs mine equal|DIFFERENT``, and whether all are equal.
+
+    A section missing on one side shows as ``-`` and counts as different.
+    """
+    lines, same = [], True
+    for name in dict.fromkeys([*theirs, *mine]):
+        a, b = theirs.get(name), mine.get(name)
+        equal = a is not None and a == b
+        same = same and equal
+        lines.append(f"{name} {a or '-'} {b or '-'} {'equal' if equal else 'DIFFERENT'}")
+    return lines, same
+
+
+def _start_at(rev: str, tmp: Path) -> subprocess.Popen:
+    """Start this file on the files of ``rev``, exported under tmp."""
+    sys.path.insert(0, str(ROOT / "tools"))
+    from bench_pairs import export_tree
+
+    export_tree(rev, tmp)
+    # the same hashing code on both sides: only src/ (and the scenes) come from rev
+    (tmp / "tools").mkdir(exist_ok=True)
+    shutil.copyfile(Path(__file__), tmp / "tools" / "state_hash.py")
+    return subprocess.Popen([sys.executable, "tools/state_hash.py"], cwd=tmp,
+                            stdout=subprocess.PIPE, text=True)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", metavar="REV",
+                        help="also hash commit REV; print both digest sets and exit 1 if they differ")
+    args = parser.parse_args(argv)
+    if args.against is None:
+        for name, digest in digests().items():
+            print(f"{name} {digest}")
+        return 0
+    with tempfile.TemporaryDirectory(prefix="state_hash_") as tmp, _start_at(args.against, Path(tmp)) as proc:
+        mine = digests()
+        out, _ = proc.communicate()
+    if proc.returncode:
+        print(f"state_hash.py failed at {args.against} (exit {proc.returncode})", file=sys.stderr)
+        return 2
+    theirs = dict(line.split(" ", 1) for line in out.splitlines() if line)
+    lines, same = compare(mine, theirs)
+    print(f"section {args.against} working-tree")
+    print("\n".join(lines))
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
