@@ -15,9 +15,7 @@ from .mixtures import (
     grid_sup_oracle,
     merge,
     merge_with_report,
-    predict_gaussian,
     prune,
-    update_gaussian,
 )
 from .single_target import (
     ClutterModel,

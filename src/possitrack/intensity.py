@@ -17,13 +17,13 @@ which keeps the updated intensity bounded by 1.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .mixtures import (
-    GaussianPossibility,
     LinearGaussianModel,
     MaxMixture,
     _gate_neighbours,
@@ -49,12 +49,8 @@ __all__ = [
 class IntensityMixture(MaxMixture):
     """Intensity function: max of a constant floor and Gaussian components.
 
-    A :class:`MaxMixture` whose flat term is called the floor; the
-    constructor takes ``(floor, components)`` in that order.
+    A :class:`MaxMixture` whose flat term is called the floor.
     """
-
-    def __init__(self, floor: float = 0.0, components: Sequence[GaussianPossibility] = ()):
-        super().__init__(components, floor)
 
     @property
     def floor(self) -> float:
@@ -73,8 +69,8 @@ class MultiTargetParams(LinearGaussianModel):
 
     survival: float = 1.0
     missed_detection: float = 0.2
-    birth: IntensityMixture = IntensityMixture(floor=0.5)
-    clutter: IntensityMixture = IntensityMixture(floor=0.5)
+    birth: IntensityMixture = IntensityMixture(flat_weight=0.5)
+    clutter: IntensityMixture = IntensityMixture(flat_weight=0.5)
     birth_velocity_std: float = 1.0
     max_components: int = 200
 
@@ -86,8 +82,13 @@ class MultiTargetParams(LinearGaussianModel):
                 raise ValueError(f"{name} must be in (0, 1], got {v!r}")
             object.__setattr__(self, name, v)
         _check_birth_std("birth_velocity_std", self.birth_velocity_std)
-        if self.max_components < 1:
-            raise ValueError("max_components must be >= 1")
+        try:
+            cap = operator.index(self.max_components)
+        except TypeError:  # 2.5, nan, None, ...
+            cap = 0
+        if cap < 1 or isinstance(self.max_components, bool):
+            raise ValueError(f"max_components must be an integer >= 1, got {self.max_components!r}")
+        object.__setattr__(self, "max_components", cap)
 
 
 def sum_intensities(a: IntensityMixture, b: IntensityMixture) -> IntensityMixture:
@@ -160,7 +161,7 @@ def recover_cardinality_spatial(fm: IntensityMixture):
         return float(s**n)
 
     if s <= 0.0:
-        return card, IntensityMixture(floor=1.0)
+        return card, IntensityMixture(flat_weight=1.0)
     return card, IntensityMixture._trusted(fm.weights / s, fm.means, fm.covs, fm.floor / s)
 
 
@@ -176,6 +177,8 @@ def extract_targets(
     covariance trace; the accepted ones are the heads of
     :func:`_greedy_clusters`.
     """
+    if math.isnan(tau_x) or math.isnan(merge_radius):
+        raise ValueError(f"thresholds must not be NaN, got tau_x={tau_x!r}, merge_radius={merge_radius!r}")
     ws = fm.weights
     cands = np.flatnonzero((ws > tau_x) & (ws > fm.floor))
     if not cands.size:

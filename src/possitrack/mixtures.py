@@ -15,14 +15,14 @@ usual Kalman algebra intact: propagating a Gaussian term through a linear
 transition and fusing it with a linear-Gaussian observation both stay in
 closed form.  A mixture of k terms in d dimensions is therefore stored as one
 stack, ``weights`` (k,), ``means`` (k, d) and ``covs`` (k, d, d), and every
-recursion is batched algebra over that stack.  Stacks are read-only.  A stack
-given from outside is checked in full when the mixture is built; a stack that
-a recursion derives from checked stacks is not checked again.  The recursions
-check only what their arithmetic can break, such as the positive
-definiteness of a predicted or posterior covariance, and raise
-:class:`NumericalError` when it breaks.
-:class:`GaussianPossibility` is the single-term type for callers; a
-mixture's ``components`` builds those terms on request.  The reduction
+recursion is batched algebra over that stack.  Stacks are read-only.  The
+one way into a mixture is ``MaxMixture(weights, means, covs, flat_weight)``,
+which checks the stack in full; a stack that a recursion derives from checked
+stacks is not checked again.  The recursions check only what their
+arithmetic can break, such as the positive definiteness of a predicted or
+posterior covariance, and raise :class:`NumericalError` when it breaks.  A
+mixture's ``components`` gives its terms back as unchecked
+:class:`GaussianPossibility` records.  The reduction
 operations (pruning, dominance removal, merging) keep mixtures small;
 dominance removal is exact while merging is an approximation with a
 reportable pointwise error bound.  Both compare only the pairs of terms whose
@@ -44,7 +44,7 @@ import heapq
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -58,8 +58,6 @@ __all__ = [
     "NumericalError",
     "GaussianPossibility",
     "MaxMixture",
-    "predict_gaussian",
-    "update_gaussian",
     "prune",
     "dominance_reduce",
     "merge",
@@ -117,6 +115,8 @@ def _checked_stack(weights, means, covs) -> tuple[np.ndarray, np.ndarray, np.nda
     w = np.array(weights, dtype=float)
     m = np.array(means, dtype=float)
     v = np.array(covs, dtype=float)
+    if not m.size and m.ndim == 1:  # no terms, given as empty sequences
+        m, v = m.reshape(0, 0), v.reshape(0, 0, 0)
     k = w.shape[0] if w.ndim == 1 else -1
     if m.ndim != 2 or m.shape[0] != k or v.shape != (k, m.shape[1], m.shape[1]):
         raise ValueError(
@@ -146,37 +146,13 @@ def _check_terms(means: np.ndarray, covs: np.ndarray) -> None:
         raise ValueError("cov must be positive-definite") from err
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianPossibility:
-    """One weighted Gaussian possibility term ``w * N(x; m, V)``.
-
-    weight must lie in (0, 1]; cov must be symmetric positive-definite.
-    Instances are immutable and hold their own copies of mean and cov.
-    """
+class GaussianPossibility(NamedTuple):
+    """One term ``weight * N(x; mean, cov)`` of a mixture, as
+    :attr:`MaxMixture.components` gives it: a plain record, not checked."""
 
     weight: float
     mean: np.ndarray
     cov: np.ndarray
-
-    def __post_init__(self):
-        m = _as_vector(self.mean, "mean")
-        v = _as_matrix(self.cov, "cov")
-        w, ms, vs = _checked_stack([self.weight], m[None], v[None])
-        object.__setattr__(self, "weight", float(w[0]))
-        object.__setattr__(self, "mean", ms[0])
-        object.__setattr__(self, "cov", vs[0])
-
-    @property
-    def dim(self) -> int:
-        return self.mean.size
-
-    def __call__(self, x) -> float:
-        x = _as_vector(x)
-        if x.size != self.dim:
-            raise ValueError(f"point has dim {x.size}, component has dim {self.dim}")
-        d = x - self.mean
-        quad = d @ np.linalg.solve(self.cov, d)
-        return float(self.weight * _floored_exp(-0.5 * quad))
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -187,11 +163,8 @@ class MaxMixture:
     (k, d, d), read-only copies checked when the mixture is built.
     ``flat_weight`` is the value of a constant term over the whole space; 0
     means no flat term.  eval(x) = max(flat_weight, max_i w_i N(x; m_i, V_i)).
-
-    ``MaxMixture(components, flat_weight)`` builds a mixture from
-    :class:`GaussianPossibility` terms and :meth:`from_arrays` from a stack;
-    both run the same checks.  The recursions build their results with the
-    private ``_trusted``, which does not check them again.
+    ``MaxMixture()`` is the empty mixture.  The recursions build their
+    results with the private ``_trusted``, which does not check them again.
     """
 
     weights: np.ndarray
@@ -199,24 +172,15 @@ class MaxMixture:
     covs: np.ndarray
     flat_weight: float
 
-    def __init__(self, components: Sequence[GaussianPossibility] = (), flat_weight: float = 0.0):
-        comps = tuple(components)
-        if not all(isinstance(c, GaussianPossibility) for c in comps):
-            raise ValueError("components must be GaussianPossibility instances")
-        if len({c.dim for c in comps}) > 1:
-            raise ValueError("components must share one state dimension")
-        if comps:
-            stack = ([c.weight for c in comps], [c.mean for c in comps], [c.cov for c in comps])
-        else:
-            stack = (np.empty(0), np.empty((0, 0)), np.empty((0, 0, 0)))
-        self._set(*stack, flat_weight)
-
-    @classmethod
-    def from_arrays(cls, weights, means, covs, flat_weight: float = 0.0):
-        """The mixture of the stack ``weights`` (k,), ``means`` (k, d), ``covs`` (k, d, d)."""
-        mix = object.__new__(cls)
-        mix._set(weights, means, covs, flat_weight)
-        return mix
+    def __init__(self, weights=(), means=(), covs=(), flat_weight: float = 0.0):
+        w, m, v = _checked_stack(weights, means, covs)
+        b = float(flat_weight)
+        if not (0.0 <= b <= 1.0) or not math.isfinite(b):
+            raise ValueError(f"flat_weight must be in [0, 1], got {b!r}")
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "means", m)
+        object.__setattr__(self, "covs", v)
+        object.__setattr__(self, "flat_weight", b)
 
     @classmethod
     def _trusted(cls, weights, means, covs, flat_weight: float):
@@ -236,31 +200,11 @@ class MaxMixture:
         object.__setattr__(mix, "flat_weight", float(flat_weight))
         return mix
 
-    def _set(self, weights, means, covs, flat_weight):
-        w, m, v = _checked_stack(weights, means, covs)
-        b = float(flat_weight)
-        if not (0.0 <= b <= 1.0) or not math.isfinite(b):
-            raise ValueError(f"flat_weight must be in [0, 1], got {b!r}")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "means", m)
-        object.__setattr__(self, "covs", v)
-        object.__setattr__(self, "flat_weight", b)
-
     @property
     def components(self) -> tuple[GaussianPossibility, ...]:
-        """The terms as GaussianPossibility objects, built on each access.
-
-        They are views of the mixture's read-only stack, which is checked
-        already, so they are not checked again.
-        """
-        terms = []
-        for w, m, v in zip(self.weights.tolist(), self.means, self.covs):
-            g = object.__new__(GaussianPossibility)
-            object.__setattr__(g, "weight", w)
-            object.__setattr__(g, "mean", m)
-            object.__setattr__(g, "cov", v)
-            terms.append(g)
-        return tuple(terms)
+        """The terms as records, built on each access; their means and covs
+        are views of the read-only stack."""
+        return tuple(map(GaussianPossibility, self.weights.tolist(), self.means, self.covs))
 
     def take(self, idx):
         """The mixture of the terms at the integer indices ``idx``, in that order, with the same flat term."""
@@ -403,51 +347,6 @@ def batch_predict(ms: np.ndarray, vs: np.ndarray, trans: np.ndarray, noise: np.n
     covs = 0.5 * (covs + np.swapaxes(covs, 1, 2))
     _require_pd(covs, "predicted")
     return means, covs
-
-
-def predict_gaussian(
-    g: GaussianPossibility, trans: np.ndarray, noise: np.ndarray, gain: float
-) -> GaussianPossibility:
-    """Propagate one term through a linear transition with Gaussian possibility noise.
-
-    The sup-convolution of ``w N(x'; m, V)`` with ``gain * N(x; F x', Q)`` is
-    again Gaussian: weight ``gain * w``, mean ``F m``, covariance ``F V F' + Q``.
-    ``noise`` may be singular (positive semi-definite) as long as the output
-    covariance stays positive-definite; otherwise NumericalError is raised.
-    """
-    trans = _as_matrix(trans, "transition")
-    noise = _require_psd(noise, "noise covariance")
-    gain = float(gain)
-    if not (0.0 < gain <= 1.0):
-        raise ValueError(f"gain must be in (0, 1], got {gain!r}")
-    if trans.shape != (g.dim, g.dim):
-        raise ValueError(f"transition shape {trans.shape} does not match dim {g.dim}")
-    means, covs = batch_predict(g.mean[None], g.cov[None], trans, noise)
-    return GaussianPossibility(gain * g.weight, means[0], covs[0])
-
-
-def update_gaussian(
-    g: GaussianPossibility, y, obs: np.ndarray, obs_noise: np.ndarray
-) -> tuple[GaussianPossibility, float]:
-    """Fuse one term with a linear-Gaussian observation ``N(y; H x, R)``.
-
-    Returns the posterior term (same weight as the input; the caller composes
-    branch weights) and the scalar possibility likelihood ``N(y; H m, S)``
-    with ``S = H V H' + R``.  Raises NumericalError if S or the posterior
-    covariance is not positive-definite.
-    """
-    y = _as_vector(y, "observation")
-    obs = _as_matrix(obs, "observation matrix")
-    obs_noise = _as_matrix(obs_noise, "observation noise")
-    if obs.shape != (y.size, g.dim):
-        raise ValueError(
-            f"observation matrix shape {obs.shape} does not match obs dim {y.size} / state dim {g.dim}"
-        )
-    liks, m_post, v_post = batch_kalman_update(
-        np.asarray([g.mean]), np.asarray([g.cov]), np.asarray([y]), obs, obs_noise
-    )
-    post = GaussianPossibility(g.weight, m_post[0, 0], v_post[0])
-    return post, float(liks[0, 0])
 
 
 def batch_kalman_update(ms, vs, ys, obs, obs_noise):

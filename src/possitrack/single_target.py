@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .mixtures import (
-    GaussianPossibility,
     LinearGaussianModel,
     MaxMixture,
     NumericalError,
@@ -44,7 +43,6 @@ __all__ = [
     "ExtendedPossibility",
     "canonicalize_observations",
     "clutter_possibility",
-    "materialize_birth",
     "predict",
     "update",
     "estimate",
@@ -100,19 +98,19 @@ def _check_birth_std(name: str, value) -> None:
 class ExplicitBirth:
     """Appearance described by a fixed Gaussian max-mixture.
 
-    ``mixture`` is the components' stack, checked once when the birth model
-    is built.
+    ``mixture`` is checked when it is built.  It must have at least one term
+    and no flat term, which :func:`predict` would ignore.
     """
 
-    components: tuple[GaussianPossibility, ...]
-    mixture: MaxMixture = field(init=False, repr=False, compare=False)
+    mixture: MaxMixture
 
     def __post_init__(self):
-        comps = tuple(self.components)
-        if not comps:
-            raise ValueError("explicit birth needs at least one component")
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "mixture", MaxMixture(comps))
+        if not isinstance(self.mixture, MaxMixture):
+            raise ValueError(f"explicit birth needs a MaxMixture, got {type(self.mixture).__name__}")
+        if not self.mixture.weights.size:
+            raise ValueError("explicit birth needs at least one term")
+        if self.mixture.flat_weight:
+            raise ValueError("explicit birth mixture must have no flat term")
 
 
 BirthModel = ObservationDrivenBirth | ExplicitBirth
@@ -246,26 +244,16 @@ def _selection_indices(obs: np.ndarray) -> np.ndarray:
     return np.asarray(idx, dtype=int)
 
 
-def materialize_birth(
-    y: np.ndarray, obs: np.ndarray, obs_noise: np.ndarray, velocity_std: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Moments of a component born from one observation meeting the flat term.
+def _born_terms(params: LinearGaussianModel, velocity_std: float, ys: np.ndarray):
+    """Moments of the terms born from observations ``ys`` (n, p) meeting the flat term.
 
     Observed coordinates take the observation value with the observation
     noise covariance; unobserved coordinates get mean 0 and the velocity
     prior variance.  For a selection observation matrix the product of the
     flat term, the observation likelihood and the velocity prior is exactly
-    this Gaussian possibility.  ``y`` may also be a stack (n, p) of
-    observations; the means are then (n, d) and share the one covariance.
-    Raises NumericalError if that covariance is not positive-definite, as
-    happens when the observation noise is singular.
-    """
-    idx, cov = _birth_layout(obs, obs_noise, velocity_std)
-    return _born_means(y, idx, obs.shape[1]), cov
-
-
-def _born_terms(params: LinearGaussianModel, velocity_std: float, ys: np.ndarray):
-    """``materialize_birth(ys, params.obs, params.obs_noise, velocity_std)``.
+    this Gaussian possibility.  Returns the means (n, d) and the one
+    covariance they share.  Raises NumericalError if that covariance is not
+    positive-definite, as happens when the observation noise is singular.
 
     The covariance and the selection indices depend only on the model, so
     they are built and checked once per parameter object, on first use, and

@@ -34,11 +34,9 @@ from possitrack.intensity import (
     update_intensity,
 )
 from possitrack.mixtures import (
-    GaussianPossibility,
     MaxMixture,
     dominance_reduce,
     grid_sup_oracle,
-    predict_gaussian,
     prune,
 )
 from possitrack.scenario import (
@@ -80,8 +78,9 @@ def test_criterion_1_prediction_matches_grid_oracle():
         f = rng.uniform(-1.5, 1.5)
         q = rng.uniform(0.8, 3.0)
         a_pi = rng.uniform(0.1, 1.0)
-        g = GaussianPossibility(1.0, [m], [[v]])
-        pred = predict_gaussian(g, np.array([[f]]), np.array([[q]]), a_pi)
+        params = SingleTargetParams(trans=[[f]], trans_noise=[[q]], obs=[[1.0]], obs_noise=[[1.0]],
+                                    survival=a_pi, disappearance=1.0)
+        pred = predict(ExtendedPossibility(0.0, MaxMixture([1.0], [[m]], [[[v]]])), params).on_s
         xs = rng.uniform(-6.0, 6.0, size=50)
         for x in xs:
             brute = grid_sup_oracle(
@@ -156,7 +155,7 @@ def test_criterion_3_clean_data_kalman_equivalence():
         disappearance=0.01,
         remain_absent=0.01,  # kills rebirth weight after the first injection
         missed_detection=0.01,
-        birth=ExplicitBirth((GaussianPossibility(1.0, m0, v0),)),
+        birth=ExplicitBirth(MaxMixture([1.0], [m0], [v0])),
         prune_threshold=0.05,
         merge_threshold=0.0,  # merging off: equivalence must be exact
     )
@@ -206,7 +205,7 @@ def test_criterion_4_intensity_bound_and_duplicate_invariance():
     worst = 0.0
     checked_points = 0
     for chain in range(5):
-        fm = IntensityMixture(floor=0.5)
+        fm = IntensityMixture(flat_weight=0.5)
         for _ in range(20):
             fm = propagate_intensity(fm, params)
             n = int(rng.integers(0, 4))
@@ -468,12 +467,10 @@ def test_criterion_7_reduction_safety():
     worst_prune = 0.0
     for _ in range(20):
         comps = [
-            GaussianPossibility(
-                rng.uniform(0.01, 1.0), [rng.uniform(-6, 6)], [[rng.uniform(0.2, 3.0)]]
-            )
+            (rng.uniform(0.01, 1.0), [rng.uniform(-6, 6)], [[rng.uniform(0.2, 3.0)]])
             for _ in range(rng.integers(1, 8))
         ]
-        mix = MaxMixture(comps, flat_weight=float(rng.uniform(0.0, 0.3)))
+        mix = MaxMixture(*zip(*comps), flat_weight=float(rng.uniform(0.0, 0.3)))
         before = mix.eval_many(xs)
         worst_dom = max(
             worst_dom, float(np.abs(dominance_reduce(mix).eval_many(xs) - before).max())

@@ -20,7 +20,6 @@ from possitrack.intensity import (
     sum_intensities,
     update_intensity,
 )
-from possitrack.mixtures import GaussianPossibility
 from possitrack.scenario import (
     ScenarioConfig,
     generate_observations,
@@ -35,7 +34,13 @@ DATA = Path(__file__).parent / "data"
 
 
 def g2(w, px, vx=0.0, cov=None):
-    return GaussianPossibility(w, [px, vx], np.eye(2) if cov is None else cov)
+    """A 2-d term (weight, mean, cov)."""
+    return w, [px, vx], np.eye(2) if cov is None else cov
+
+
+def intensity(floor, *terms):
+    """The intensity of a floor and (weight, mean, cov) terms."""
+    return IntensityMixture(*zip(*terms), flat_weight=floor)
 
 
 def params(**kw) -> MultiTargetParams:
@@ -62,11 +67,24 @@ def test_params_accept_birth_velocity_std_whose_square_is_normal(value):
     assert params(birth_velocity_std=value).birth_velocity_std == value
 
 
+@pytest.mark.parametrize("value", [2.5, float("nan"), True, 0])
+def test_params_reject_max_components_that_is_not_a_positive_integer(value):
+    # 2.5 failed only at the first capped scan, nan never capped, True was 1
+    with pytest.raises(ValueError, match="max_components"):
+        params(max_components=value)
+
+
+@pytest.mark.parametrize("value", [1, np.int64(5)])
+def test_params_accept_integer_max_components(value):
+    p = params(max_components=value)
+    assert p.max_components == value and type(p.max_components) is int
+
+
 # ----------------------------------------------------------------- intensity
 
 
 def test_intensity_is_max_of_floor_and_components():
-    fm = IntensityMixture(0.3, (g2(0.8, 0.0),))
+    fm = intensity(0.3, g2(0.8, 0.0))
     assert fm(np.array([0.0, 0.0])) == 0.8
     assert fm(np.array([50.0, 0.0])) == 0.3
     assert fm.sup() == 0.8
@@ -74,12 +92,12 @@ def test_intensity_is_max_of_floor_and_components():
 
 def test_intensity_rejects_floor_above_one():
     with pytest.raises(ValueError):
-        IntensityMixture(1.2)
+        IntensityMixture(flat_weight=1.2)
 
 
 def test_sum_is_pointwise_max():
-    a = IntensityMixture(0.2, (g2(0.9, 0.0),))
-    b = IntensityMixture(0.4, (g2(0.7, 5.0),))
+    a = intensity(0.2, g2(0.9, 0.0))
+    b = intensity(0.4, g2(0.7, 5.0))
     out = sum_intensities(a, b)
     assert out.floor == 0.4
     xs = np.array([[0.0, 0.0], [5.0, 0.0], [20.0, 0.0]])
@@ -92,18 +110,18 @@ def test_sum_is_pointwise_max():
 
 
 def test_propagate_floor_is_max_of_survival_and_birth():
-    p = params(birth=IntensityMixture(floor=0.5))
-    low = propagate_intensity(IntensityMixture(floor=0.3), p)
+    p = params(birth=IntensityMixture(flat_weight=0.5))
+    low = propagate_intensity(IntensityMixture(flat_weight=0.3), p)
     assert low.floor == 0.5
-    high = propagate_intensity(IntensityMixture(floor=0.8), p)
+    high = propagate_intensity(IntensityMixture(flat_weight=0.8), p)
     assert high.floor == 0.8
 
 
 def test_propagate_moves_components():
     cfg = ScenarioConfig()
     F, Q = transition_matrix(cfg), process_noise(cfg)
-    fm = IntensityMixture(0.0, (GaussianPossibility(1.0, [0.0, 1.0], np.eye(2)),))
-    out = propagate_intensity(fm, params(birth=IntensityMixture(floor=0.0)))
+    fm = IntensityMixture([1.0], [[0.0, 1.0]], [np.eye(2)])
+    out = propagate_intensity(fm, params(birth=IntensityMixture(flat_weight=0.0)))
     c = out.components[0]
     np.testing.assert_allclose(c.mean, [0.1, 1.0], atol=1e-15)
     np.testing.assert_allclose(c.cov, F @ np.eye(2) @ F.T + Q, atol=1e-15)
@@ -114,7 +132,7 @@ def test_propagate_moves_components():
 
 def test_update_birth_from_floor_only():
     # D_y = max(floor, 0, clutter) = 0.5, so the newborn has weight 1
-    fm = IntensityMixture(floor=0.5)
+    fm = IntensityMixture(flat_weight=0.5)
     out = update_intensity(fm, params(), [[2.0]])
     assert out.floor == pytest.approx(0.1, rel=1e-15)
     assert len(out.components) == 1
@@ -125,7 +143,7 @@ def test_update_birth_from_floor_only():
 
 
 def test_update_detection_and_misdetection_branches():
-    fm = IntensityMixture(0.5, (g2(1.0, 0.0),))
+    fm = intensity(0.5, g2(1.0, 0.0))
     out = update_intensity(fm, params(), [[0.0]])
     ws = sorted(c.weight for c in out.components)
     # misdetection 0.2; newborn floor/D_y = 0.5; detection 1.0*lik(0)/D_y = 1
@@ -141,7 +159,7 @@ def test_update_detection_and_misdetection_branches():
 def test_update_never_exceeds_one():
     rng = np.random.default_rng(17)
     p = params()
-    fm = IntensityMixture(floor=0.5)
+    fm = IntensityMixture(flat_weight=0.5)
     for _ in range(30):
         ys = rng.uniform(-10, 10, size=(rng.integers(0, 5), 1))
         fm = update_intensity(propagate_intensity(fm, p), p, ys)
@@ -150,7 +168,7 @@ def test_update_never_exceeds_one():
 
 
 def test_update_duplicate_observation_is_single():
-    fm = IntensityMixture(0.5, (g2(1.0, 0.0),))
+    fm = intensity(0.5, g2(1.0, 0.0))
     p = params()
     once = update_intensity(fm, p, [[1.0]])
     twice = update_intensity(fm, p, [[1.0], [1.0]])
@@ -164,7 +182,7 @@ def test_update_duplicate_observation_is_single():
 
 def test_update_component_cap():
     p = params(max_components=5)
-    fm = IntensityMixture(0.5, (g2(1.0, 0.0),))
+    fm = intensity(0.5, g2(1.0, 0.0))
     ys = [[float(k)] for k in range(-6, 7)]
     out = update_intensity(fm, p, ys)
     assert len(out.components) <= 5
@@ -172,7 +190,7 @@ def test_update_component_cap():
 
 
 def test_clutter_intensity_lookup():
-    p = params(clutter=IntensityMixture(0.25, (g2(0.9, 3.0),)))
+    p = params(clutter=intensity(0.25, g2(0.9, 3.0)))
     assert p.clutter(np.array([3.0, 0.0])) == 0.9
     assert p.clutter(np.array([30.0, 0.0])) == 0.25
 
@@ -181,7 +199,7 @@ def test_clutter_intensity_lookup():
 
 
 def test_recover_cardinality_powers_of_sup():
-    fm = IntensityMixture(0.1, (g2(0.5, 0.0),))
+    fm = intensity(0.1, g2(0.5, 0.0))
     card, spatial = recover_cardinality_spatial(fm)
     assert card(0) == 1.0
     assert card(2) == pytest.approx(0.25, rel=1e-15)
@@ -196,7 +214,7 @@ def test_recover_zero_intensity_has_flat_spatial():
 
 
 def test_recover_rejects_negative_count():
-    card, _ = recover_cardinality_spatial(IntensityMixture(floor=0.5))
+    card, _ = recover_cardinality_spatial(IntensityMixture(flat_weight=0.5))
     with pytest.raises(ValueError):
         card(-1)
 
@@ -205,7 +223,7 @@ def test_recover_rejects_negative_count():
 
 
 def test_extract_separated_peaks():
-    fm = IntensityMixture(0.1, (g2(0.95, 0.0), g2(0.92, 8.0)))
+    fm = intensity(0.1, g2(0.95, 0.0), g2(0.92, 8.0))
     out = extract_targets(fm, tau_x=0.9)
     assert len(out) == 2
     np.testing.assert_array_equal(out[0], [0.0, 0.0])
@@ -213,17 +231,27 @@ def test_extract_separated_peaks():
 
 
 def test_extract_one_per_cluster():
-    fm = IntensityMixture(0.1, (g2(0.95, 0.0), g2(0.92, 0.5)))
+    fm = intensity(0.1, g2(0.95, 0.0), g2(0.92, 0.5))
     out = extract_targets(fm, tau_x=0.9)
     assert len(out) == 1
     np.testing.assert_array_equal(out[0], [0.0, 0.0])  # heaviest wins
 
 
 def test_extract_requires_beating_threshold_and_floor():
-    fm = IntensityMixture(0.1, (g2(0.85, 0.0),))
+    fm = intensity(0.1, g2(0.85, 0.0))
     assert extract_targets(fm, tau_x=0.9) == []
-    high_floor = IntensityMixture(0.97, (g2(0.95, 0.0),))
+    high_floor = intensity(0.97, g2(0.95, 0.0))
     assert extract_targets(high_floor, tau_x=0.9) == []
+
+
+def test_extract_rejects_nan_thresholds():
+    # three candidates 0.5 apart form one cluster; a NaN radius extracted all
+    # three and a NaN tau_x none
+    fm = intensity(0.1, g2(0.95, 0.0), g2(0.94, 0.5), g2(0.93, 1.0))
+    assert len(extract_targets(fm, tau_x=0.9)) == 1
+    for kw in ({"merge_radius": float("nan")}, {"tau_x": float("nan")}):
+        with pytest.raises(ValueError, match="NaN"):
+            extract_targets(fm, **kw)
 
 
 # ------------------------------------------------------------- golden scene

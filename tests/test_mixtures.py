@@ -19,7 +19,6 @@ from possitrack.intensity import IntensityMixture, MultiTargetParams, extract_ta
 from possitrack.ipda import IpdaParams, IpdaState, _prune_and_merge
 from possitrack.mixtures import (
     EXP_FLOOR,
-    GaussianPossibility,
     MaxMixture,
     NumericalError,
     _deficit_bound,
@@ -32,9 +31,7 @@ from possitrack.mixtures import (
     grid_sup_oracle,
     merge,
     merge_with_report,
-    predict_gaussian,
     prune,
-    update_gaussian,
 )
 from possitrack.single_target import ExtendedPossibility, SingleTargetParams, predict, update
 
@@ -44,44 +41,50 @@ EXP_M9_4 = 0.10539922456186433  # exp(-9/4)
 
 
 def g1(w, m, v):
-    return GaussianPossibility(w, [m], [[v]])
+    """A 1-d term (weight, mean, cov)."""
+    return w, [m], [[v]]
+
+
+def mixture(*terms, flat_weight=0.0):
+    """The mixture of (weight, mean, cov) terms."""
+    return MaxMixture(*zip(*terms), flat_weight=flat_weight)
 
 
 # ---------------------------------------------------------------- components
 
 
 def test_component_peaks_at_weight():
-    g = g1(0.7, 1.5, 2.0)
+    g = mixture(g1(0.7, 1.5, 2.0))
     assert g(np.array([1.5])) == pytest.approx(0.7, rel=0, abs=0)
 
 
 def test_component_value_at_three_sigma():
-    g = g1(1.0, 0.0, 1.0)
+    g = mixture(g1(1.0, 0.0, 1.0))
     assert g(np.array([3.0])) == pytest.approx(np.exp(-4.5), rel=1e-15)
 
 
 @pytest.mark.parametrize("w", [0.0, -0.1, 1.0000001, np.nan])
 def test_component_rejects_bad_weight(w):
     with pytest.raises(ValueError):
-        g1(w, 0.0, 1.0)
+        mixture(g1(w, 0.0, 1.0))
 
 
 def test_component_rejects_non_pd_cov():
     with pytest.raises(ValueError):
-        g1(1.0, 0.0, 0.0)
+        mixture(g1(1.0, 0.0, 0.0))
     with pytest.raises(ValueError):
-        GaussianPossibility(1.0, [0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
+        mixture((1.0, [0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]]))
 
 
 def test_component_rejects_asymmetric_cov():
     with pytest.raises(ValueError):
-        GaussianPossibility(1.0, [0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]])
+        mixture((1.0, [0.0, 0.0], [[1.0, 0.5], [0.0, 1.0]]))
 
 
 def test_exp_floor_keeps_far_tail_finite():
     # a 60-sigma quadratic would underflow exp(); the floored exponent keeps
     # the value finite, nonnegative, and effectively zero
-    g = g1(1.0, 0.0, 1.0)
+    g = mixture(g1(1.0, 0.0, 1.0))
     val = g(np.array([60.0]))
     assert np.isfinite(val)
     assert 0.0 <= val < 1e-300
@@ -91,22 +94,20 @@ def test_exp_floor_keeps_far_tail_finite():
 
 
 def test_mixture_eval_is_pointwise_max():
-    mix = MaxMixture([g1(1.0, 0.0, 1.0)], flat_weight=0.8)
+    mix = mixture(g1(1.0, 0.0, 1.0), flat_weight=0.8)
     # at x=3 the Gaussian term is exp(-4.5) < 0.8, so the flat term wins
     assert mix(np.array([3.0])) == pytest.approx(0.8, abs=0)
     assert mix(np.array([0.0])) == pytest.approx(1.0, abs=0)
 
 
 def test_mixture_sup_is_max_of_weights():
-    mix = MaxMixture([g1(0.4, -1.0, 1.0), g1(0.9, 2.0, 0.5)], flat_weight=0.3)
+    mix = mixture(g1(0.4, -1.0, 1.0), g1(0.9, 2.0, 0.5), flat_weight=0.3)
     assert mix.sup() == pytest.approx(0.9, abs=0)
-    assert MaxMixture([], flat_weight=0.25).sup() == 0.25
+    assert MaxMixture(flat_weight=0.25).sup() == 0.25
 
 
 def test_mixture_eval_many_matches_scalar_calls():
-    mix = MaxMixture(
-        [g1(1.0, 0.0, 1.0), g1(0.5, 2.0, 0.7)], flat_weight=0.1
-    )
+    mix = mixture(g1(1.0, 0.0, 1.0), g1(0.5, 2.0, 0.7), flat_weight=0.1)
     xs = np.linspace(-4.0, 4.0, 33).reshape(-1, 1)
     batch = mix.eval_many(xs)
     singles = np.array([mix(x) for x in xs])
@@ -118,7 +119,7 @@ def test_mixture_eval_many_matches_scalar_calls():
 def test_eval_many_value_does_not_depend_on_the_batch(d, k):
     rng = np.random.default_rng(10 * k + d)
     a = rng.normal(size=(k, d, d))
-    mix = MaxMixture.from_arrays(
+    mix = MaxMixture(
         rng.uniform(0.1, 1.0, k), rng.normal(size=(k, d)), a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(d)
     )
     xs = rng.normal(size=(50, d)) * 2.0
@@ -130,14 +131,14 @@ def test_eval_many_value_does_not_depend_on_the_batch(d, k):
 
 
 def test_empty_mixture_without_flat_is_rejected_on_eval():
-    mix = MaxMixture([], flat_weight=0.0)
+    mix = MaxMixture()
     assert mix.sup() == 0.0
     assert mix(np.array([0.0])) == 0.0
 
 
 def test_mixture_rejects_mixed_dims():
     with pytest.raises(ValueError):
-        MaxMixture([g1(1.0, 0.0, 1.0), GaussianPossibility(1.0, [0.0, 0.0], np.eye(2))])
+        mixture(g1(1.0, 0.0, 1.0), (1.0, [0.0, 0.0], np.eye(2)))
 
 
 @settings(max_examples=60)
@@ -149,7 +150,7 @@ def test_mixture_rejects_mixed_dims():
 )
 def test_eval_at_mean_dominated_only_by_flat(w, m, v, flat):
     # the value at a component mean is max(weight, flat term)
-    mix = MaxMixture([g1(w, m, v)], flat_weight=flat)
+    mix = mixture(g1(w, m, v), flat_weight=flat)
     assert mix(np.array([m])) == pytest.approx(max(w, flat), rel=1e-12)
 
 
@@ -181,10 +182,10 @@ def _not_pd(ws, ms, vs, i):
 )
 def test_stack_rejects_bad_term_at_any_index(spoil, i):
     ws, ms, vs = stack3()
-    MaxMixture.from_arrays(ws, ms, vs)
+    MaxMixture(ws, ms, vs)
     spoil(ws, ms, vs, i)
     with pytest.raises(ValueError):
-        MaxMixture.from_arrays(ws, ms, vs)
+        MaxMixture(ws, ms, vs)
 
 
 @pytest.mark.parametrize(
@@ -199,14 +200,15 @@ def test_stack_rejects_bad_term_at_any_index(spoil, i):
 )
 def test_stack_rejects_mismatched_shapes(shapes):
     with pytest.raises(ValueError):
-        MaxMixture.from_arrays(*shapes(*stack3()))
+        MaxMixture(*shapes(*stack3()))
 
 
 def _gaussian_possibility(ws, ms, vs):
-    return GaussianPossibility(ws[0], ms[0], vs[0])
+    """A single Gaussian possibility: the mixture of the stack's first term."""
+    return MaxMixture(ws[:1], ms[:1], vs[:1])
 
 
-@pytest.mark.parametrize("build", [_gaussian_possibility, MaxMixture.from_arrays])
+@pytest.mark.parametrize("build", [_gaussian_possibility, MaxMixture])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 @pytest.mark.parametrize("where", ["means", "covs"])
 def test_stack_rejects_non_finite_means_and_covs(build, bad, where):
@@ -234,37 +236,33 @@ def test_params_reject_non_finite_matrices(cls, name):
 def test_stack_rejects_flat_weight_outside_unit_interval():
     for b in (-0.1, 1.5, np.nan):
         with pytest.raises(ValueError):
-            MaxMixture.from_arrays(*stack3(), flat_weight=b)
+            MaxMixture(*stack3(), flat_weight=b)
 
 
 def test_mixture_from_components_gives_back_its_arrays():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(5, 2, 2))
-    mix = MaxMixture.from_arrays(
+    mix = MaxMixture(
         rng.uniform(0.01, 1.0, 5), rng.normal(size=(5, 2)), a @ np.swapaxes(a, 1, 2) + np.eye(2), 0.2
     )
-    for again in (MaxMixture(mix.components, mix.flat_weight),
-                  IntensityMixture(mix.flat_weight, mix.components)):
+    for again in (mixture(*mix.components, flat_weight=mix.flat_weight),
+                  IntensityMixture(*zip(*mix.components), mix.flat_weight)):
         for x, y in ((again.weights, mix.weights), (again.means, mix.means), (again.covs, mix.covs)):
             assert x.shape == y.shape and np.array_equal(x, y)
         assert again.flat_weight == mix.flat_weight
 
 
 def test_constructors_copy_the_callers_arrays():
-    m, v = np.array([0.0, 1.0]), np.eye(2)
-    g = GaussianPossibility(0.5, m, v)
     ws, ms, vs = stack3()
-    mix = MaxMixture.from_arrays(ws, ms, vs)
+    mix = MaxMixture(ws, ms, vs)
     ipda = IpdaState(0.5, ws / ws.sum(), ms, vs)
-    for arr in (m, v, ws, ms, vs):
+    for arr in (ws, ms, vs):
         assert arr.flags.writeable
-    for stored, given in ((g.mean, m), (g.cov, v), (mix.weights, ws), (mix.means, ms),
-                          (mix.covs, vs), (ipda.means, ms), (ipda.covs, vs)):
+    for stored, given in ((mix.weights, ws), (mix.means, ms), (mix.covs, vs), (ipda.means, ms), (ipda.covs, vs)):
         assert not stored.flags.writeable
         assert not np.shares_memory(stored, given)
-    m[0] = 99.0
     ms[0, 0] = 99.0
-    assert g.mean[0] == 0.0 and mix.means[0, 0] == 0.0 and ipda.means[0, 0] == 0.0
+    assert mix.means[0, 0] == 0.0 and ipda.means[0, 0] == 0.0
 
 
 @pytest.mark.parametrize("cls", [SingleTargetParams, MultiTargetParams, IpdaParams])
@@ -282,38 +280,42 @@ def test_params_copy_the_callers_matrices(cls):
 # ---------------------------------------------------------------- prediction
 
 
+def predicted(term, trans, noise, survival=1.0):
+    """The filter's prediction of one term, with absence mass 0 and survival as the gain."""
+    params = SingleTargetParams(trans=trans, trans_noise=noise, obs=np.eye(1, len(term[1])),
+                                obs_noise=np.eye(1), survival=survival, disappearance=1.0)
+    return predict(ExtendedPossibility(0.0, mixture(term)), params).on_s
+
+
 def test_predict_scales_weight_and_propagates_moments():
     dt = 0.1
     F = np.array([[1.0, dt], [0.0, 1.0]])
     G = np.array([0.5 * dt**2, dt])
     Q = 1.5**2 * np.outer(G, G)
-    g = GaussianPossibility(1.0, [0.0, 1.0], np.eye(2))
-    out = predict_gaussian(g, F, Q, gain=1.0)
-    np.testing.assert_allclose(out.mean, [0.1, 1.0], atol=1e-15)
-    np.testing.assert_allclose(out.cov, F @ np.eye(2) @ F.T + Q, atol=1e-15)
-    assert out.weight == 1.0
+    out = predicted((1.0, [0.0, 1.0], np.eye(2)), F, Q)
+    np.testing.assert_allclose(out.means, [[0.1, 1.0]], atol=1e-15)
+    np.testing.assert_allclose(out.covs, [F @ np.eye(2) @ F.T + Q], atol=1e-15)
+    assert out.weights.tolist() == [1.0]
+    assert out.flat_weight == 0.0
 
 
 def test_predict_gain_scales_weight():
-    g = g1(0.8, 0.0, 1.0)
-    out = predict_gaussian(g, np.eye(1), np.zeros((1, 1)), gain=0.5)
-    assert out.weight == pytest.approx(0.4, abs=1e-15)
+    out = predicted(g1(0.8, 0.0, 1.0), np.eye(1), np.zeros((1, 1)), survival=0.5)
+    assert out.weights[0] == pytest.approx(0.4, abs=1e-15)
 
 
 def test_predict_rejects_gain_outside_unit_interval():
-    g = g1(1.0, 0.0, 1.0)
     for gain in (0.0, -0.5, 1.5):
         with pytest.raises(ValueError):
-            predict_gaussian(g, np.eye(1), np.zeros((1, 1)), gain)
+            predicted(g1(1.0, 0.0, 1.0), np.eye(1), np.zeros((1, 1)), gain)
 
 
 def test_predict_accepts_singular_noise():
     # rank-1 process noise on a 2-d state must be accepted
     G = np.array([0.005, 0.1])
     Q = np.outer(G, G)
-    g = GaussianPossibility(1.0, [0.0, 0.0], np.eye(2))
-    out = predict_gaussian(g, np.eye(2), Q, gain=1.0)
-    np.testing.assert_allclose(out.cov, np.eye(2) + Q, atol=1e-15)
+    out = predicted((1.0, [0.0, 0.0], np.eye(2)), np.eye(2), Q)
+    np.testing.assert_allclose(out.covs[0], np.eye(2) + Q, atol=1e-15)
 
 
 @settings(max_examples=40, deadline=None)
@@ -328,8 +330,7 @@ def test_predict_accepts_singular_noise():
 def test_predict_matches_lattice_sup(m, v, f, q, gain, x):
     # prediction is the sup over x' of gain * N(x; f x', q) * N(x'; m, v);
     # ranges keep curvature low enough for the 1e-3 lattice to resolve 1e-6
-    g = g1(1.0, m, v)
-    pred = predict_gaussian(g, np.array([[f]]), np.array([[q]]), gain)
+    pred = predicted(g1(1.0, m, v), np.array([[f]]), np.array([[q]]), gain)
 
     def integrand(xp):
         return gain * np.exp(-0.5 * (x - f * xp) ** 2 / q) * np.exp(
@@ -342,29 +343,34 @@ def test_predict_matches_lattice_sup(m, v, f, q, gain, x):
 
 def test_predict_sup_property_closed_form():
     # frozen: sup_x N(3; x, 1) N(x; 0, 1) = N(3; 0, 2) = exp(-9/4)
-    g = g1(1.0, 0.0, 1.0)
-    pred = predict_gaussian(g, np.eye(1), np.eye(1), gain=1.0)
+    pred = predicted(g1(1.0, 0.0, 1.0), np.eye(1), np.eye(1))
     assert pred(np.array([3.0])) == pytest.approx(EXP_M9_4, rel=1e-14)
 
 
 # -------------------------------------------------------------------- update
 
 
+def updated(term, y, obs, obs_noise):
+    """The posterior term (weight kept) and the likelihood of one term and one observation."""
+    w, m, v = (np.asarray(a, dtype=float) for a in term)
+    liks, m_post, v_post = batch_kalman_update(m[None], v[None], np.asarray([y], dtype=float),
+                                               np.asarray(obs, dtype=float), np.asarray(obs_noise, dtype=float))
+    return (w, m_post[0, 0], v_post[0]), float(liks[0, 0])
+
+
 def test_update_example_centered_observation():
-    g = g1(1.0, 0.0, 1.0)
-    post, lik = update_gaussian(g, [0.0], np.eye(1), np.eye(1))
+    (w, mean, cov), lik = updated(g1(1.0, 0.0, 1.0), [0.0], np.eye(1), np.eye(1))
     assert lik == pytest.approx(1.0, abs=0)
-    np.testing.assert_allclose(post.mean, [0.0], atol=0)
-    np.testing.assert_allclose(post.cov, [[0.5]], atol=1e-15)
-    assert post.weight == 1.0
+    np.testing.assert_allclose(mean, [0.0], atol=0)
+    np.testing.assert_allclose(cov, [[0.5]], atol=1e-15)
+    assert w == 1.0
 
 
 def test_update_example_offset_observation():
     # frozen: N(2; 0, S=2) = exp(-1)
-    g = g1(1.0, 0.0, 1.0)
-    post, lik = update_gaussian(g, [2.0], np.eye(1), np.eye(1))
+    (_, mean, _), lik = updated(g1(1.0, 0.0, 1.0), [2.0], np.eye(1), np.eye(1))
     assert lik == pytest.approx(EXP_M1, rel=1e-15)
-    np.testing.assert_allclose(post.mean, [1.0], atol=1e-15)
+    np.testing.assert_allclose(mean, [1.0], atol=1e-15)
 
 
 def test_update_pointwise_identity():
@@ -377,11 +383,11 @@ def test_update_pointwise_identity():
         A = rng.normal(size=(2, 2))
         V = A @ A.T + 0.1 * np.eye(2)
         y = rng.normal(size=1)
-        g = GaussianPossibility(1.0, m, V)
-        post, lik = update_gaussian(g, y, H, R)
+        post, lik = updated((1.0, m, V), y, H, R)
+        prior, post = mixture((1.0, m, V)), mixture(post)
         for _ in range(10):
             x = rng.normal(scale=2.0, size=2)
-            lhs = g(x) * np.exp(-0.5 * (y - H @ x).T @ np.linalg.solve(R, y - H @ x))
+            lhs = prior(x) * np.exp(-0.5 * (y - H @ x).T @ np.linalg.solve(R, y - H @ x))
             rhs = lik * post(x)
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-300)
 
@@ -399,24 +405,22 @@ def test_batch_kalman_update_matches_single():
     assert v_post.shape == (4, 2, 2)
     for k in range(4):
         for n in range(3):
-            g = GaussianPossibility(1.0, ms[k], vs[k])
-            post, lik = update_gaussian(g, ys[n], H, R)
+            (_, mean, cov), lik = updated((1.0, ms[k], vs[k]), ys[n], H, R)
             assert liks[k, n] == pytest.approx(lik, rel=1e-12)
-            np.testing.assert_allclose(m_post[k, n], post.mean, rtol=1e-12)
-        np.testing.assert_allclose(v_post[k], post.cov, rtol=1e-12)
+            np.testing.assert_allclose(m_post[k, n], mean, rtol=1e-12)
+        np.testing.assert_allclose(v_post[k], cov, rtol=1e-12)
 
 
 def test_update_singular_innovation_raises():
-    g = GaussianPossibility(1.0, [0.0], [[1e-3]])
     with pytest.raises(NumericalError):
-        update_gaussian(g, [0.0], np.zeros((1, 1)), np.zeros((1, 1)))
+        updated(g1(1.0, 0.0, 1e-3), [0.0], np.zeros((1, 1)), np.zeros((1, 1)))
 
 
 # ------------------------------------------------------------------- pruning
 
 
 def test_prune_drops_below_threshold():
-    mix = MaxMixture([g1(1.0, 0.0, 1.0), g1(1e-5, 3.0, 1.0)], flat_weight=0.0)
+    mix = mixture(g1(1.0, 0.0, 1.0), g1(1e-5, 3.0, 1.0), flat_weight=0.0)
     out = prune(mix, 1e-4)
     assert len(out.components) == 1
     assert out.components[0].weight == 1.0
@@ -424,14 +428,14 @@ def test_prune_drops_below_threshold():
 
 def test_prune_always_keeps_argmax():
     # even with a threshold above every weight, the best component survives
-    mix = MaxMixture([g1(0.01, 0.0, 1.0), g1(0.02, 1.0, 1.0)], flat_weight=0.0)
+    mix = mixture(g1(0.01, 0.0, 1.0), g1(0.02, 1.0, 1.0), flat_weight=0.0)
     out = prune(mix, 0.5)
     assert len(out.components) == 1
     assert out.components[0].weight == 0.02
 
 
 def test_prune_keeps_flat_term():
-    mix = MaxMixture([g1(1e-6, 0.0, 1.0)], flat_weight=0.4)
+    mix = mixture(g1(1e-6, 0.0, 1.0), flat_weight=0.4)
     out = prune(mix, 1e-4)
     assert out.flat_weight == 0.4
 
@@ -443,7 +447,7 @@ def test_prune_keeps_flat_term():
 )
 def test_prune_never_discards_above_threshold(ws, tau):
     comps = [g1(w, float(i), 1.0) for i, w in enumerate(ws)]
-    out = prune(MaxMixture(comps), tau)
+    out = prune(mixture(*comps), tau)
     kept = {c.weight for c in out.components}
     for w in ws:
         if w >= tau:
@@ -456,34 +460,34 @@ def test_prune_never_discards_above_threshold(ws, tau):
 
 def test_dominated_component_removed():
     # 0.3 exp(-x^2/2) <= exp(-x^2/4) everywhere (lattice-verified)
-    wide = GaussianPossibility(1.0, [0.0], [[2.0]])
-    narrow = GaussianPossibility(0.3, [0.0], [[1.0]])
-    out = dominance_reduce(MaxMixture([wide, narrow]))
+    wide = g1(1.0, 0.0, 2.0)
+    narrow = g1(0.3, 0.0, 1.0)
+    out = dominance_reduce(mixture(wide, narrow))
     assert len(out.components) == 1
     assert out.components[0].cov[0, 0] == 2.0
 
 
 def test_duplicate_components_collapse_to_one():
     a = g1(0.8, 1.0, 1.5)
-    out = dominance_reduce(MaxMixture([a, g1(0.8, 1.0, 1.5)]))
+    out = dominance_reduce(mixture(a, g1(0.8, 1.0, 1.5)))
     assert len(out.components) == 1
 
 
 def test_non_dominated_pair_survives():
-    out = dominance_reduce(MaxMixture([g1(1.0, 0.0, 1.0), g1(1.0, 5.0, 1.0)]))
+    out = dominance_reduce(mixture(g1(1.0, 0.0, 1.0), g1(1.0, 5.0, 1.0)))
     assert len(out.components) == 2
 
 
 def test_flat_term_absorbs_weaker_components():
     # a component with weight below the flat term is pointwise redundant
-    out = dominance_reduce(MaxMixture([g1(0.2, 0.0, 1.0)], flat_weight=0.3))
+    out = dominance_reduce(mixture(g1(0.2, 0.0, 1.0), flat_weight=0.3))
     assert len(out.components) == 0
     assert out.flat_weight == 0.3
 
 
 def test_heavier_wider_component_dominates():
     out = dominance_reduce(
-        MaxMixture([g1(0.5, 0.0, 1.0), g1(0.6, 0.0, 3.0)])
+        mixture(g1(0.5, 0.0, 1.0), g1(0.6, 0.0, 3.0))
     )
     assert len(out.components) == 1
     assert out.components[0].cov[0, 0] == 3.0
@@ -494,7 +498,7 @@ def test_equal_weight_nested_pair_kept():
     # kept rather than resolved by covariance width; that is safe (the
     # contract is only that removals never change the function)
     out = dominance_reduce(
-        MaxMixture([g1(0.5, 0.0, 1.0), g1(0.5, 0.0, 3.0)])
+        mixture(g1(0.5, 0.0, 1.0), g1(0.5, 0.0, 3.0))
     )
     assert len(out.components) == 2
 
@@ -510,7 +514,7 @@ def test_dominance_reduce_preserves_function(seed, n):
         g1(rng.uniform(0.05, 1.0), rng.uniform(-3, 3), rng.uniform(0.2, 3.0))
         for _ in range(n)
     ]
-    mix = MaxMixture(comps, flat_weight=float(rng.uniform(0.0, 0.5)))
+    mix = mixture(*comps, flat_weight=float(rng.uniform(0.0, 0.5)))
     out = dominance_reduce(mix)
     assert len(out.components) <= len(mix.components)
     xs = np.linspace(-8.0, 8.0, 401).reshape(-1, 1)
@@ -522,7 +526,7 @@ def test_dominance_reduce_preserves_function(seed, n):
 
 def test_merge_identical_means_keeps_covariance():
     # absorbed peak 0.9 at distance 0.1 is already covered: no inflation
-    out = merge(MaxMixture([g1(1.0, 0.0, 1.0), g1(0.9, 0.1, 1.0)]), tau_m=3.22)
+    out = merge(mixture(g1(1.0, 0.0, 1.0), g1(0.9, 0.1, 1.0)), tau_m=3.22)
     assert len(out.components) == 1
     c = out.components[0]
     assert c.weight == 1.0
@@ -533,22 +537,22 @@ def test_merge_identical_means_keeps_covariance():
 def test_merge_inflates_to_cover_absorbed_peak():
     # frozen: beta = 2 ln(1/0.7), gamma = 1/beta - 1, merged var 1.40183663;
     # the merged mixture equals 0.7 exactly at the absorbed mean
-    out = merge(MaxMixture([g1(1.0, 0.0, 1.0), g1(0.7, 1.0, 1.0)]), tau_m=3.22)
+    out = merge(mixture(g1(1.0, 0.0, 1.0), g1(0.7, 1.0, 1.0)), tau_m=3.22)
     assert len(out.components) == 1
     c = out.components[0]
     np.testing.assert_allclose(c.cov, [[1.4018366260285644]], rtol=1e-12)
-    assert c(np.array([1.0])) == pytest.approx(0.7, rel=1e-12)
+    assert out(np.array([1.0])) == pytest.approx(0.7, rel=1e-12)
 
 
 def test_merge_declines_equal_weight_distant_pair():
     # equal weights make beta = 0: covering the other peak needs unbounded
     # inflation, so the pair stays separate even inside the gate
-    out = merge(MaxMixture([g1(1.0, 0.0, 1.0), g1(1.0, 2.0, 1.0)]), tau_m=3.22)
+    out = merge(mixture(g1(1.0, 0.0, 1.0), g1(1.0, 2.0, 1.0)), tau_m=3.22)
     assert len(out.components) == 2
 
 
 def test_merge_zero_threshold_is_identity_on_distinct_means():
-    mix = MaxMixture([g1(1.0, 0.0, 1.0), g1(0.5, 0.5, 1.0)])
+    mix = mixture(g1(1.0, 0.0, 1.0), g1(0.5, 0.5, 1.0))
     out = merge(mix, tau_m=0.0)
     assert len(out.components) == 2
 
@@ -556,13 +560,13 @@ def test_merge_zero_threshold_is_identity_on_distinct_means():
 def test_merge_gate_uses_squared_threshold():
     # separation s = 4.0 in the dominant metric; gate passes iff tau_m^2 >= 4
     # (weight 0.3 keeps the coverage inflation within its doubling limit)
-    mix = MaxMixture([g1(1.0, 0.0, 1.0), g1(0.3, 2.0, 1.0)])
+    mix = mixture(g1(1.0, 0.0, 1.0), g1(0.3, 2.0, 1.0))
     assert len(merge(mix, tau_m=1.9).components) == 2
     assert len(merge(mix, tau_m=2.1).components) == 1
 
 
 def test_merge_report_bounds_dominate_lattice_error():
-    mix = MaxMixture([g1(1.0, 0.0, 1.0), g1(0.7, 1.0, 1.0), g1(0.4, -0.8, 0.6)])
+    mix = mixture(g1(1.0, 0.0, 1.0), g1(0.7, 1.0, 1.0), g1(0.4, -0.8, 0.6))
     out, bounds = merge_with_report(mix, tau_m=3.22)
     assert len(out.components) < len(mix.components)
     assert bounds  # at least one absorption happened
@@ -578,14 +582,14 @@ def test_merge_never_loses_sup():
             g1(rng.uniform(0.05, 1.0), rng.uniform(-2, 2), rng.uniform(0.2, 2.0))
             for _ in range(rng.integers(1, 6))
         ]
-        mix = MaxMixture(comps)
+        mix = mixture(*comps)
         out = merge(mix, tau_m=3.22)
         assert out.sup() == pytest.approx(mix.sup(), abs=0)
         assert len(out.components) <= len(mix.components)
 
 
 def test_merge_rejects_nan_threshold():
-    mix = MaxMixture([g1(1.0, 0.0, 1.0), g1(0.9, 0.1, 1.0)])
+    mix = mixture(g1(1.0, 0.0, 1.0), g1(0.9, 0.1, 1.0))
     with pytest.raises(ValueError):
         merge(mix, float("nan"))
     with pytest.raises(ValueError):
@@ -763,7 +767,7 @@ def _ref_merge_with_report(mix, tau_m):
         remaining = sorted(rest, key=lambda j: -ws[j]) if absorbed else rest
     order = np.argsort(-mix.weights[heads], kind="stable")
     idx = np.asarray(heads)[order]
-    merged = MaxMixture.from_arrays(
+    merged = MaxMixture(
         mix.weights[idx], mix.means[idx], np.stack(covs)[order], mix.flat_weight
     )
     return merged, bounds
@@ -799,7 +803,7 @@ def test_reduction_matches_dense_reference(seed, d, k, layout, flat, tau_m):
         ws[whole], vs[whole] = ws[src[: k // 4]], vs[src[: k // 4]]
     elif layout == "shared_x0":  # every pair falls in the window
         ms[:, 0] = ms[0, 0]
-    mix = MaxMixture.from_arrays(ws, ms, vs, flat)
+    mix = MaxMixture(ws, ms, vs, flat)
 
     reduced = dominance_reduce(mix)
     _assert_same_bits(reduced, _ref_dominance_reduce(mix))
@@ -855,7 +859,7 @@ def test_merge_requeues_a_declined_term_until_an_absorption(monkeypatch):
     weights = {"A": 1.0, "B": 0.9, "C": 0.5, "E": 0.3, "D": 0.1, "F": 0.02}
     terms = {"A": (0.0, 1.0), "B": (2.5, 1.0), "C": (100.0, 1.0), "E": (6.5, 0.5),
              "D": (100.5, 1.0), "F": (4.5, 1.0)}
-    mix = MaxMixture([g1(weights[n], *terms[n]) for n in weights])
+    mix = mixture(*(g1(weights[n], *terms[n]) for n in weights))
     calls = _count_declines(monkeypatch)
     out, _ = merge_with_report(mix, 3.22)
     # the heads that met a cluster, in the order they were taken from the queue
@@ -916,7 +920,7 @@ def test_reduction_memory_is_subquadratic():
     k = 3000
     rng = np.random.default_rng(5)
     ms = np.column_stack([np.arange(k, dtype=float), rng.normal(size=k)])
-    mix = MaxMixture.from_arrays(
+    mix = MaxMixture(
         np.round(rng.uniform(0.1, 1.0, k), 2), ms, np.tile(np.diag([0.5, 2.0]), (k, 1, 1))
     )
     tracemalloc.start()
@@ -936,14 +940,12 @@ def test_reduction_memory_is_subquadratic():
 
 
 def _merge_term_count():
-    return merge(MaxMixture([g1(1.0, 0.0, 4.0), g1(0.3, 1.5, 0.25)]), tau_m=1.0).weights.size
+    return merge(mixture(g1(1.0, 0.0, 4.0), g1(0.3, 1.5, 0.25)), tau_m=1.0).weights.size
 
 
 def _extract_target_count():
-    fm = IntensityMixture(0.1, (
-        GaussianPossibility(0.98, [0.0, 0.0], np.diag([4.0, 1.0])),
-        GaussianPossibility(0.95, [1.5, 0.0], np.diag([0.25, 1.0])),
-    ))
+    fm = IntensityMixture([0.98, 0.95], [[0.0, 0.0], [1.5, 0.0]],
+                          [np.diag([4.0, 1.0]), np.diag([0.25, 1.0])], 0.1)
     return len(extract_targets(fm, tau_x=0.9, merge_radius=1.0))
 
 

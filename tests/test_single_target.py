@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as hst
 from possitrack.bench import BenchConfig, make_run
 from possitrack.intensity import IntensityMixture, MultiTargetParams, propagate_intensity, update_intensity
 from possitrack.ipda import IpdaState, ipda_step
-from possitrack.mixtures import GaussianPossibility, MaxMixture, NumericalError
+from possitrack.mixtures import MaxMixture, NumericalError
 from possitrack.scenario import (
     ScenarioConfig,
     observation_matrix,
@@ -31,7 +31,6 @@ from possitrack.single_target import (
     canonicalize_observations,
     clutter_possibility,
     estimate,
-    materialize_birth,
     predict,
     step,
     update,
@@ -42,7 +41,13 @@ EXP_M1 = 0.36787944117144233  # frozen exp(-1)
 
 
 def g1(w, m, v):
-    return GaussianPossibility(w, [m], [[v]])
+    """A 1-d term (weight, mean, cov)."""
+    return w, [m], [[v]]
+
+
+def mixture(*terms, flat_weight=0.0):
+    """The mixture of (weight, mean, cov) terms."""
+    return MaxMixture(*zip(*terms), flat_weight=flat_weight)
 
 
 def params_1d(**kw) -> SingleTargetParams:
@@ -213,19 +218,18 @@ def test_clutter_rejects_out_of_range_values():
 # --------------------------------------------------------------------- birth
 
 
-def test_materialize_birth_places_observed_coordinates():
-    mean, cov = materialize_birth(
-        np.array([2.0]), np.array([[1.0, 0.0]]), np.array([[0.25]]), velocity_std=2.0
-    )
-    np.testing.assert_array_equal(mean, [2.0, 0.0])
-    np.testing.assert_array_equal(cov, [[0.25, 0.0], [0.0, 4.0]])
+def test_birth_places_observed_coordinates():
+    p = params_ncv(obs=np.array([[1.0, 0.0]]), obs_noise=np.array([[0.25]]),
+                   birth=ObservationDrivenBirth(velocity_std=2.0))
+    out = update(ExtendedPossibility(0.0, MaxMixture(flat_weight=1.0)), p, [[2.0]])
+    np.testing.assert_array_equal(out.on_s.means, [[2.0, 0.0]])
+    np.testing.assert_array_equal(out.on_s.covs, [[[0.25, 0.0], [0.0, 4.0]]])
 
 
-def test_materialize_birth_needs_selection_matrix():
-    with pytest.raises(ValueError):
-        materialize_birth(
-            np.array([1.0]), np.array([[1.0, 0.5]]), np.array([[0.25]]), 1.0
-        )
+def test_birth_needs_selection_matrix():
+    p = params_ncv(obs=np.array([[1.0, 0.5]]), obs_noise=np.array([[0.25]]))
+    with pytest.raises(ValueError, match="selection"):
+        update(ExtendedPossibility(0.0, MaxMixture(flat_weight=1.0)), p, [[1.0]])
 
 
 # ------------------------------------------------------------------- predict
@@ -245,7 +249,7 @@ def test_predict_propagates_component_and_feeds_absence():
     cfg = ScenarioConfig()
     F, Q = transition_matrix(cfg), process_noise(cfg)
     st = ExtendedPossibility(
-        0.0, MaxMixture([GaussianPossibility(1.0, [0.0, 1.0], np.eye(2))])
+        0.0, MaxMixture([1.0], [[0.0, 1.0]], [np.eye(2)])
     )
     out = predict(st, params_ncv())
     c = out.on_s.components[0]
@@ -260,7 +264,7 @@ def test_predict_propagates_component_and_feeds_absence():
 def test_predict_flat_term_never_decays_with_full_survival():
     # flat -> max(flat * survival, psi): with survival 1 the flat term is
     # invariant under prediction whenever psi is smaller
-    st = ExtendedPossibility(0.2, MaxMixture([], flat_weight=0.7))
+    st = ExtendedPossibility(0.2, MaxMixture(flat_weight=0.7))
     out = predict(st, params_ncv())
     assert out.on_s.flat_weight == 0.7
 
@@ -268,7 +272,7 @@ def test_predict_flat_term_never_decays_with_full_survival():
 def test_predict_survival_scales_weights():
     st = ExtendedPossibility(
         0.0,
-        MaxMixture([GaussianPossibility(1.0, [0.0, 0.0], np.eye(2))], flat_weight=0.4),
+        MaxMixture([1.0], [[0.0, 0.0]], [np.eye(2)], flat_weight=0.4),
     )
     out = predict(st, params_ncv(survival=0.5, disappearance=1.0))
     assert out.on_s.components[0].weight == pytest.approx(0.5, abs=0)
@@ -276,7 +280,7 @@ def test_predict_survival_scales_weights():
 
 
 def test_predict_explicit_birth_scaled_by_psi():
-    birth = ExplicitBirth((GaussianPossibility(0.8, [1.0, 0.0], np.eye(2)),))
+    birth = ExplicitBirth(MaxMixture([0.8], [[1.0, 0.0]], [np.eye(2)]))
     st = ExtendedPossibility(0.5, MaxMixture())
     out = predict(st, params_ncv(birth=birth))
     assert len(out.on_s.components) == 1
@@ -285,12 +289,15 @@ def test_predict_explicit_birth_scaled_by_psi():
 
 
 def test_explicit_birth_is_checked_once_when_built():
-    terms = (GaussianPossibility(0.8, [1.0, 0.0], np.eye(2)), GaussianPossibility(0.5, [-1.0, 0.0], np.eye(2)))
-    birth = ExplicitBirth(terms)
-    np.testing.assert_array_equal(birth.mixture.weights, [0.8, 0.5])
-    np.testing.assert_array_equal(birth.mixture.means, [[1.0, 0.0], [-1.0, 0.0]])
-    with pytest.raises(ValueError, match="GaussianPossibility"):
-        ExplicitBirth((terms[0], (0.5, [0.0, 0.0], np.eye(2))))
+    mix = MaxMixture([0.8, 0.5], [[1.0, 0.0], [-1.0, 0.0]], [np.eye(2)] * 2)
+    birth = ExplicitBirth(mix)
+    assert birth.mixture is mix
+    with pytest.raises(ValueError, match="MaxMixture"):
+        ExplicitBirth(mix.components)
+    with pytest.raises(ValueError, match="at least one term"):
+        ExplicitBirth(MaxMixture())
+    with pytest.raises(ValueError, match="no flat term"):
+        ExplicitBirth(MaxMixture([0.8], [[1.0, 0.0]], [np.eye(2)], flat_weight=0.3))
     with pytest.raises(ValueError, match="state dimension"):
         params_1d(birth=birth)
 
@@ -299,7 +306,7 @@ def test_explicit_birth_is_checked_once_when_built():
 
 
 def test_update_branches_centered_observation():
-    st = ExtendedPossibility(0.1, MaxMixture([g1(1.0, 0.0, 1.0)]))
+    st = ExtendedPossibility(0.1, mixture(g1(1.0, 0.0, 1.0)))
     out = update(st, params_1d(), [[0.0]])
     # misdetection branch first, then the detection branch; C_t = 1
     ws = [c.weight for c in out.on_s.components]
@@ -313,7 +320,7 @@ def test_update_branches_centered_observation():
 
 def test_update_renormalizes_by_global_max():
     # frozen: lik = exp(-1) at y = 2; it is the max, so it maps to weight 1
-    st = ExtendedPossibility(0.1, MaxMixture([g1(1.0, 0.0, 1.0)]))
+    st = ExtendedPossibility(0.1, mixture(g1(1.0, 0.0, 1.0)))
     out = update(st, params_1d(), [[2.0]])
     ws = [c.weight for c in out.on_s.components]
     assert ws[1] == 1.0
@@ -322,7 +329,7 @@ def test_update_renormalizes_by_global_max():
 
 
 def test_update_empty_set_scales_by_misdetection():
-    st = ExtendedPossibility(0.5, MaxMixture([g1(1.0, 0.0, 1.0)], flat_weight=0.3))
+    st = ExtendedPossibility(0.5, mixture(g1(1.0, 0.0, 1.0), flat_weight=0.3))
     out = update(st, params_1d(), [])
     # only misdetection branches: comp 0.2, flat 0.06, psi 0.5 -> C = 0.5
     assert out.psi_mass == 1.0
@@ -331,7 +338,7 @@ def test_update_empty_set_scales_by_misdetection():
 
 
 def test_update_spawns_birth_from_flat_term():
-    st = ExtendedPossibility(0.2, MaxMixture([], flat_weight=1.0))
+    st = ExtendedPossibility(0.2, MaxMixture(flat_weight=1.0))
     out = update(st, params_ncv(), [[1.5]])
     comps = out.on_s.components
     assert len(comps) == 1
@@ -355,7 +362,7 @@ def test_update_sup_is_one_after_normalization():
 
 def test_update_permutation_and_duplicate_invariance():
     st = ExtendedPossibility(
-        0.3, MaxMixture([GaussianPossibility(1.0, [0.0, 0.0], np.eye(2))])
+        0.3, MaxMixture([1.0], [[0.0, 0.0]], [np.eye(2)])
     )
     p = params_ncv()
     a = update(st, p, [[0.5], [-1.0]])
@@ -410,9 +417,64 @@ def test_step_invariants_under_clutter(seed, lam, n_steps, shuffle):
         st, ip = out, ip_out
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=hst.integers(0, 10_000),
+    lam=hst.sampled_from([0.0, 2.0, 10.0, 30.0]),
+    survival=hst.floats(0.05, 1.0),
+    missed=hst.floats(0.01, 0.99),
+    birth_floor=hst.floats(0.0, 1.0),
+    clutter_floor=hst.floats(0.0, 1.0),
+    q_accel=hst.floats(0.01, 5.0),
+    r_obs=hst.floats(0.05, 3.0),
+    n_steps=hst.integers(1, 12),
+    shuffle=hst.randoms(use_true_random=False),
+)
+def test_invariants_hold_for_random_model_parameters(
+    seed, lam, survival, missed, birth_floor, clutter_floor, q_accel, r_obs, n_steps, shuffle
+):
+    # every filter's invariant after every step, and bit-identical states for
+    # a permuted observation set with a duplicate, under random models
+    sc = ScenarioConfig(q_accel=q_accel, r_obs=r_obs)
+    cfg = BenchConfig(scenario=sc, a_pi=survival, a_omega=1.0 if survival < 1.0 else 0.01, a_df=missed,
+                      p_d=1.0 - missed, p_s=survival, p_b=birth_floor)
+    p, b = cfg.proposed_params(), cfg.baseline_params(lam)
+    mt = MultiTargetParams(trans=p.trans, trans_noise=p.trans_noise, obs=p.obs, obs_noise=p.obs_noise,
+                           survival=survival, missed_detection=missed,
+                           birth=IntensityMixture(flat_weight=birth_floor),
+                           clutter=IntensityMixture(flat_weight=clutter_floor))
+    _, obs = make_run(sc, lam, seed, 0, 0)
+    st, ip, fm = ExtendedPossibility.absent(), IpdaState.initial(), IntensityMixture()
+
+    def run(state, scan):
+        st, ip, fm = state
+        return step(st, p, scan), ipda_step(ip, b, scan), update_intensity(propagate_intensity(fm, mt), mt, scan)
+
+    def bits(state):
+        st, ip, fm = state
+        arrays = (st.on_s.weights, st.on_s.means, st.on_s.covs, ip.weights, ip.means, ip.covs,
+                  fm.weights, fm.means, fm.covs)
+        scalars = (st.psi_mass, st.on_s.flat_weight, st.time_index, ip.existence, ip.diffuse_weight,
+                   ip.time_index, fm.floor)
+        return [a.tobytes() for a in arrays], [a.shape for a in arrays], repr(scalars)
+
+    state = (st, ip, fm)
+    for ys in obs.steps[:n_steps]:
+        out = run(state, ys)
+        st, ip, fm = out
+        assert max(st.psi_mass, st.on_s.sup()) == pytest.approx(1.0, abs=1e-12)
+        assert ip.weights.sum() + ip.diffuse_weight == pytest.approx(1.0, abs=1e-9)
+        assert fm.sup() <= 1.0
+        if ys:
+            other = list(ys) + [ys[0]]
+            shuffle.shuffle(other)
+            assert bits(run(state, other)) == bits(out)
+        state = out
+
+
 def test_update_far_observation_changes_nothing_locally():
     st = ExtendedPossibility(
-        0.3, MaxMixture([GaussianPossibility(1.0, [0.0, 0.0], np.eye(2))])
+        0.3, MaxMixture([1.0], [[0.0, 0.0]], [np.eye(2)])
     )
     p = params_ncv()
     near = update(st, p, [[0.5]])
@@ -427,7 +489,7 @@ def test_update_far_observation_changes_nothing_locally():
 
 
 def test_update_all_zero_possibility_raises():
-    st = ExtendedPossibility(0.0, MaxMixture([], flat_weight=0.5))
+    st = ExtendedPossibility(0.0, MaxMixture(flat_weight=0.5))
     p = params_1d(clutter=ClutterModel(card=lambda n: 0.0))
     with pytest.raises(NumericalError):
         update(st, p, [[1.0]])
@@ -438,27 +500,27 @@ def test_update_all_zero_possibility_raises():
 
 def test_estimate_confirms_clear_leader():
     st = ExtendedPossibility(
-        0.1, MaxMixture([g1(1.0, 2.0, 1.0), g1(0.2, -1.0, 1.0)])
+        0.1, mixture(g1(1.0, 2.0, 1.0), g1(0.2, -1.0, 1.0))
     )
     np.testing.assert_array_equal(estimate(st, tau_c=0.5), [2.0])
 
 
 def test_estimate_ambiguous_pair_stays_silent():
     st = ExtendedPossibility(
-        0.1, MaxMixture([g1(1.0, 2.0, 1.0), g1(0.9, -1.0, 1.0)])
+        0.1, mixture(g1(1.0, 2.0, 1.0), g1(0.9, -1.0, 1.0))
     )
     assert estimate(st, tau_c=0.5) is None
 
 
 def test_estimate_requires_beating_absence():
-    st = ExtendedPossibility(1.0, MaxMixture([g1(1.0, 2.0, 1.0)]))
+    st = ExtendedPossibility(1.0, mixture(g1(1.0, 2.0, 1.0)))
     assert estimate(st, tau_c=0.0) is None  # tie with absence stays absent
 
 
 def test_estimate_flat_term_plays_runner_up():
-    st = ExtendedPossibility(0.1, MaxMixture([g1(1.0, 2.0, 1.0)], flat_weight=0.6))
+    st = ExtendedPossibility(0.1, mixture(g1(1.0, 2.0, 1.0), flat_weight=0.6))
     assert estimate(st, tau_c=0.5) is None
-    st2 = ExtendedPossibility(0.1, MaxMixture([g1(1.0, 2.0, 1.0)], flat_weight=0.4))
+    st2 = ExtendedPossibility(0.1, mixture(g1(1.0, 2.0, 1.0), flat_weight=0.4))
     np.testing.assert_array_equal(estimate(st2, tau_c=0.5), [2.0])
 
 
@@ -467,7 +529,7 @@ def test_estimate_empty_mixture_is_absent():
 
 
 def test_estimate_threshold_is_strict():
-    st = ExtendedPossibility(0.1, MaxMixture([g1(1.0, 2.0, 1.0), g1(0.5, 0.0, 1.0)]))
+    st = ExtendedPossibility(0.1, mixture(g1(1.0, 2.0, 1.0), g1(0.5, 0.0, 1.0)))
     assert estimate(st, tau_c=0.5) is None  # gap exactly 0.5 is not enough
     assert estimate(st, tau_c=0.499) is not None
 
@@ -478,7 +540,7 @@ def test_estimate_threshold_is_strict():
 def test_step_is_predict_update_reduce_composition():
     p = params_ncv()
     st = ExtendedPossibility(
-        0.4, MaxMixture([GaussianPossibility(1.0, [0.0, 0.5], np.eye(2))])
+        0.4, MaxMixture([1.0], [[0.0, 0.5]], [np.eye(2)])
     )
     ys = [[0.3], [5.0]]
     via_step = step(st, p, ys)

@@ -23,7 +23,6 @@ from possitrack.intensity import (
 )
 from possitrack.ipda import IpdaParams, IpdaState, ipda_predict, ipda_update
 from possitrack.mixtures import (
-    GaussianPossibility,
     MaxMixture,
     NumericalError,
     _checked_stack,
@@ -36,7 +35,6 @@ from possitrack.single_target import (
     ExplicitBirth,
     ExtendedPossibility,
     SingleTargetParams,
-    materialize_birth,
     predict,
     update,
 )
@@ -83,7 +81,7 @@ def test_trusted_path_admits_no_bad_stack(
     p = cfg.proposed_params()
     b = cfg.baseline_params(lam)
     if explicit_birth:
-        p = replace(p, birth=ExplicitBirth((GaussianPossibility(0.9, [0.0, 0.0], np.diag([4.0, 1.0])),)))
+        p = replace(p, birth=ExplicitBirth(MaxMixture([0.9], [[0.0, 0.0]], [np.diag([4.0, 1.0])])))
     mt = MultiTargetParams(trans=p.trans, trans_noise=p.trans_noise, obs=p.obs,
                            obs_noise=p.obs_noise, survival=survival, missed_detection=missed)
     _, obs = make_run(sc, lam, seed, 0, 0)
@@ -119,25 +117,22 @@ def model(**kw):
 def test_singular_predicted_covariance_raises_numerical_error():
     # F = 0 and Q = 0 collapse every predicted covariance to 0
     mats = model(trans=np.zeros((2, 2)), trans_noise=np.zeros((2, 2)))
-    state = ExtendedPossibility(0.5, MaxMixture([GaussianPossibility(1.0, [0.0, 0.0], np.eye(2))]))
+    state = ExtendedPossibility(0.5, MaxMixture([1.0], [[0.0, 0.0]], [np.eye(2)]))
     with pytest.raises(NumericalError, match="predicted covariance"):
         predict(state, SingleTargetParams(**mats))
-    fm = IntensityMixture(0.0, [GaussianPossibility(1.0, [0.0, 0.0], np.eye(2))])
+    fm = IntensityMixture([1.0], [[0.0, 0.0]], [np.eye(2)])
     with pytest.raises(NumericalError, match="predicted covariance"):
         propagate_intensity(fm, MultiTargetParams(**mats))
     with pytest.raises(NumericalError, match="predicted covariance"):
         ipda_predict(IpdaState(0.5, [1.0], [[0.0, 0.0]], [np.eye(2)]), IpdaParams(**mats))
     # F V F' overflows to inf, which a Cholesky factorization does not reject
-    big = ExtendedPossibility(0.5, MaxMixture([GaussianPossibility(1.0, [0.0, 0.0], 1e200 * np.eye(2))]))
+    big = ExtendedPossibility(0.5, MaxMixture([1.0], [[0.0, 0.0]], [1e200 * np.eye(2)]))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="predicted covariance"):
         predict(big, SingleTargetParams(**model(trans=1e200 * np.eye(2))))
 
 
 def test_predict_drops_a_weight_that_underflows():
-    state = ExtendedPossibility(0.5, MaxMixture([
-        GaussianPossibility(1.0, [0.0, 0.0], np.eye(2)),
-        GaussianPossibility(5e-324, [1.0, 0.0], np.eye(2)),
-    ]))
+    state = ExtendedPossibility(0.5, MaxMixture([1.0, 5e-324], [[0.0, 0.0], [1.0, 0.0]], [np.eye(2)] * 2))
     out = predict(state, SingleTargetParams(**model(), survival=0.5, disappearance=1.0))
     assert_checked(out.on_s)
     np.testing.assert_array_equal(out.on_s.weights, [0.5])
@@ -146,11 +141,11 @@ def test_predict_drops_a_weight_that_underflows():
 def test_singular_posterior_covariance_raises_numerical_error():
     # a noiseless observation of the whole state leaves no posterior spread
     mats = model(obs=np.eye(2), obs_noise=np.zeros((2, 2)))
-    term = GaussianPossibility(1.0, [0.0, 0.0], np.eye(2))
+    term = [1.0], [[0.0, 0.0]], [np.eye(2)]
     with pytest.raises(NumericalError, match="posterior covariance"):
-        update(ExtendedPossibility(0.5, MaxMixture([term])), SingleTargetParams(**mats), [[0.1, 0.2]])
+        update(ExtendedPossibility(0.5, MaxMixture(*term)), SingleTargetParams(**mats), [[0.1, 0.2]])
     with pytest.raises(NumericalError, match="posterior covariance"):
-        update_intensity(IntensityMixture(0.0, [term]), MultiTargetParams(**mats), [[0.1, 0.2]])
+        update_intensity(IntensityMixture(*term), MultiTargetParams(**mats), [[0.1, 0.2]])
     state = IpdaState(0.5, [1.0], [[0.0, 0.0]], [np.eye(2)])
     with pytest.raises(NumericalError, match="posterior covariance"):
         ipda_update(state, IpdaParams(**mats), [[0.1, 0.2]])
@@ -160,11 +155,9 @@ def test_singular_birth_covariance_raises_numerical_error():
     # zero observation noise gives a term born from an observation no spread
     mats = model(obs_noise=np.zeros((1, 1)))
     with pytest.raises(NumericalError, match="birth covariance"):
-        materialize_birth(np.array([[0.5]]), mats["obs"], mats["obs_noise"], 1.0)
+        update(ExtendedPossibility(0.5, MaxMixture(flat_weight=1.0)), SingleTargetParams(**mats), [0.5])
     with pytest.raises(NumericalError, match="birth covariance"):
-        update(ExtendedPossibility(0.5, MaxMixture([], 1.0)), SingleTargetParams(**mats), [0.5])
-    with pytest.raises(NumericalError, match="birth covariance"):
-        update_intensity(IntensityMixture(0.5), MultiTargetParams(**mats), [0.5])
+        update_intensity(IntensityMixture(flat_weight=0.5), MultiTargetParams(**mats), [0.5])
     with pytest.raises(NumericalError, match="birth covariance"):
         ipda_update(IpdaState.initial(), IpdaParams(**mats), [0.5])
 
@@ -182,9 +175,9 @@ def test_birth_covariance_is_factorized_once_per_parameter_object(monkeypatch):
     monkeypatch.setattr(single_target, "_require_pd", counting)
     mats = model()
     filters = (
-        (SingleTargetParams(**mats), lambda p: update(ExtendedPossibility(0.5, MaxMixture([], 1.0)), p, [0.5, 2.0])),
+        (SingleTargetParams(**mats), lambda p: update(ExtendedPossibility(0.5, MaxMixture(flat_weight=1.0)), p, [0.5, 2.0])),
         (IpdaParams(**mats), lambda p: ipda_update(IpdaState.initial(), p, [0.5, 2.0])),
-        (MultiTargetParams(**mats), lambda p: update_intensity(IntensityMixture(0.5), p, [0.5, 2.0])),
+        (MultiTargetParams(**mats), lambda p: update_intensity(IntensityMixture(flat_weight=0.5), p, [0.5, 2.0])),
     )
     for params, run in filters:
         for _ in range(4):
@@ -197,7 +190,7 @@ def test_birth_covariance_is_factorized_once_per_parameter_object(monkeypatch):
     _, cov = single_target._born_terms(params, 1.0, np.array([[0.5]]))
     assert not cov.flags.writeable
     assert single_target._born_terms(params, 1.0, np.array([[2.0]]))[1] is cov
-    np.testing.assert_array_equal(cov, materialize_birth(np.array([[0.5]]), params.obs, params.obs_noise, 1.0)[1])
+    np.testing.assert_array_equal(cov, single_target._birth_layout(params.obs, params.obs_noise, 1.0)[1])
 
 
 def test_singular_birth_covariance_is_reported_on_every_use():
