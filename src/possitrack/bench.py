@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable
@@ -220,52 +221,100 @@ def make_run(
 def run_benchmark(cfg: BenchConfig, progress: Callable[[str], None] | None = None) -> BenchResult:
     """Run the paired Monte Carlo study and return the result tables.
 
-    Each filter runs once per (rate, run); the threshold sweep is applied to
-    the filter state after every step, so all thresholds see identical
-    filtering behavior.  Each scan is canonicalized once and the array is
-    given to both filters.  A NumericalError from a filter is raised again
-    with the (lambda, run, t, seed) that reproduces it.
+    Each filter runs once per (rate, run) cell; the threshold sweep is
+    applied to the filter state after every step, so all thresholds see
+    identical filtering behavior.  A NumericalError from a filter is raised
+    again with the (lambda, run, t, seed) that reproduces it.
+
+    The cells are independent, so they run on every CPU of the process's
+    affinity set: with n CPUs, cell i runs in the caller when i % n == 0
+    and in one of n - 1 worker processes otherwise.  The caller takes the
+    cells in order, so the sums, the tables, the ``progress`` messages and
+    the error reported (that of the first failing cell) are those of a
+    serial run.  The workers are spawned, so the caller's main module must
+    guard its entry point with ``if __name__ == "__main__"``; none outlives
+    the call.
     """
     thresholds = cfg.threshold_sweep
     n_t = cfg.scenario.t_end + 1
     prop_params = cfg.proposed_params()
+    base_params = [cfg.baseline_params(lam) for lam in cfg.lambda_list]
+    cells = [(li, run) for li in range(len(cfg.lambda_list)) for run in range(cfg.n_runs)]
+    n = min(_cpu_count(), len(cells))
+    pool = None
+    if n > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # spawned workers start from a fresh import: forking a caller that
+        # has threads is unsafe
+        pool = ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("spawn"))
     result = BenchResult(config=cfg)
-    for li, lam in enumerate(cfg.lambda_list):
-        base_params = cfg.baseline_params(lam)
-        err = {
-            PROPOSED: np.zeros((len(thresholds), n_t)),
-            BASELINE: np.zeros((len(thresholds), n_t)),
+    try:
+        pending = {
+            i: pool.submit(_run_cell, cfg, prop_params, base_params[li], li, run)
+            for i, (li, run) in enumerate(cells)
+            if i % n
         }
-        for run in range(cfg.n_runs):
-            truth, obs = make_run(cfg.scenario, lam, cfg.base_seed, li, run)
-            st = ExtendedPossibility.absent()
-            ip = IpdaState.initial()
-            for t in range(n_t):
-                ys = canonicalize_observations(obs.steps[t], prop_params.obs_dim)
-                try:
-                    st = step(st, prop_params, ys)
-                    ip = ipda_step(ip, base_params, ys)
-                except NumericalError as err:
-                    raise NumericalError(
-                        f"lambda={lam:g} run={run} t={t} seed={cfg.base_seed}: {err}"
-                    ) from err
+        for li, lam in enumerate(cfg.lambda_list):
+            err = np.zeros((2, len(thresholds), n_t))
+            for run in range(cfg.n_runs):
+                i = li * cfg.n_runs + run
+                # one addition per entry, in run order
+                err += pending.pop(i).result() if i % n else _run_cell(cfg, prop_params, base_params[li], li, run)
+                if progress is not None:
+                    progress(f"lambda={lam:g} run={run + 1}/{cfg.n_runs}")
+            for k, name in enumerate((PROPOSED, BASELINE)):
+                mean = err[k] / cfg.n_runs
                 for ti, tau in enumerate(thresholds):
-                    err[PROPOSED][ti, t] += error_at(t, estimate(st, tau), truth, cfg.c_err)
-                    err[BASELINE][ti, t] += error_at(t, ipda_estimate(ip, tau), truth, cfg.c_err)
-            if progress is not None:
-                progress(f"lambda={lam:g} run={run + 1}/{cfg.n_runs}")
-        for name in (PROPOSED, BASELINE):
-            mean = err[name] / cfg.n_runs
-            for ti, tau in enumerate(thresholds):
-                for t in range(n_t):
-                    result.per_time.append(
-                        (name, lam, tau, t, float(mean[ti, t]), cfg.n_runs, cfg.base_seed)
+                    for t in range(n_t):
+                        result.per_time.append(
+                            (name, lam, tau, t, float(mean[ti, t]), cfg.n_runs, cfg.base_seed)
+                        )
+                    result.summary.append(
+                        (name, lam, tau, float(mean[ti].mean()), cfg.n_runs, cfg.base_seed, cfg.c_err)
                     )
-                result.summary.append(
-                    (name, lam, tau, float(mean[ti].mean()), cfg.n_runs, cfg.base_seed, cfg.c_err)
-                )
-        logger.info("finished rate lambda=%g", lam)
+            logger.info("finished rate lambda=%g", lam)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return result
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_cell(
+    cfg: BenchConfig, prop_params: SingleTargetParams, base_params: IpdaParams, li: int, run: int
+) -> np.ndarray:
+    """Errors of one (rate, run) cell, as a (2, n_thresholds, n_t) array.
+
+    Row 0 is the possibility filter, row 1 the baseline.  Each scan is
+    canonicalized once and the array is given to both filters.
+    """
+    lam = cfg.lambda_list[li]
+    n_t = cfg.scenario.t_end + 1
+    errors = np.zeros((2, len(cfg.threshold_sweep), n_t))
+    truth, obs = make_run(cfg.scenario, lam, cfg.base_seed, li, run)
+    st = ExtendedPossibility.absent()
+    ip = IpdaState.initial()
+    for t in range(n_t):
+        ys = canonicalize_observations(obs.steps[t], prop_params.obs_dim)
+        try:
+            st = step(st, prop_params, ys)
+            ip = ipda_step(ip, base_params, ys)
+        except NumericalError as exc:
+            raise NumericalError(
+                f"lambda={lam:g} run={run} t={t} seed={cfg.base_seed}: {exc}"
+            ) from exc
+        for ti, tau in enumerate(cfg.threshold_sweep):
+            errors[0, ti, t] = error_at(t, estimate(st, tau), truth, cfg.c_err)
+            errors[1, ti, t] = error_at(t, ipda_estimate(ip, tau), truth, cfg.c_err)
+    return errors
 
 
 def emit_results(result: BenchResult, out_dir) -> tuple[Path, Path]:

@@ -63,8 +63,9 @@ class MultiTargetParams(LinearGaussianModel):
 
     ``birth`` is the appearance intensity on the state space (typically just
     a floor); ``clutter`` is the false-positive intensity on the observation
-    space.  ``birth_velocity_std`` locates floor-born components on the
-    unobserved coordinates.
+    space.  Their terms, if any, must have those dimensions.
+    ``birth_velocity_std`` locates floor-born components on the unobserved
+    coordinates.
     """
 
     survival: float = 1.0
@@ -89,6 +90,16 @@ class MultiTargetParams(LinearGaussianModel):
         if cap < 1 or isinstance(self.max_components, bool):
             raise ValueError(f"max_components must be an integer >= 1, got {self.max_components!r}")
         object.__setattr__(self, "max_components", cap)
+        if not isinstance(self.birth, IntensityMixture):
+            raise ValueError(f"birth must be an IntensityMixture, got {type(self.birth).__name__}")
+        if self.birth.dim not in (None, self.state_dim):
+            raise ValueError(f"birth terms must have the state dimension {self.state_dim}, got {self.birth.dim}")
+        if not isinstance(self.clutter, MaxMixture):
+            raise ValueError(f"clutter must be a MaxMixture, got {type(self.clutter).__name__}")
+        if self.clutter.dim not in (None, self.obs_dim):
+            raise ValueError(
+                f"clutter terms must have the observation dimension {self.obs_dim}, got {self.clutter.dim}"
+            )
 
 
 def sum_intensities(a: IntensityMixture, b: IntensityMixture) -> IntensityMixture:

@@ -617,10 +617,10 @@ _SETTLE_MARGIN = 1e-9
 def _separations(v: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """``d' V^-1 d`` for each row d of deltas.
 
-    One batched solve with one right-hand side per row, so each value has
-    the bits of its own ``d @ np.linalg.solve(v, d)``.
+    One batched solve of ``v`` broadcast against one right-hand side per
+    row, so each value has the bits of its own ``d @ np.linalg.solve(v, d)``.
     """
-    x = np.linalg.solve(np.repeat(v[None], len(deltas), axis=0), deltas[:, :, None])
+    x = np.linalg.solve(v[None], deltas[:, :, None])
     return (deltas[:, None, :] @ x)[:, 0, 0]
 
 

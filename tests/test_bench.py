@@ -8,7 +8,10 @@ hundreds to thousands of branches and prune, dominance reduction and merge
 all act.
 """
 
+import concurrent.futures
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +35,7 @@ from possitrack.bench import (
     run_benchmark,
 )
 from possitrack.cli import main
+from possitrack.mixtures import NumericalError
 from possitrack.scenario import ScenarioConfig
 
 DATA = Path(__file__).parent / "data"
@@ -167,6 +171,63 @@ def test_benchmark_clean_regime_tracks_tightly():
     for name in (PROPOSED, BASELINE):
         window = [rows[(name, t)] for t in range(birth, death + 1)]
         assert float(np.mean(window)) < 0.5, f"{name} failed to lock on clean data"
+
+
+# ------------------------------------------------------------ parallel cells
+
+
+def _use_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("a worker pool was started")
+
+
+@pytest.mark.parametrize("cpus", [3, 1])
+@pytest.mark.parametrize("name", ["demo", "clutter10"])
+def test_goldens_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, cpus, name):
+    _use_cpus(monkeypatch, cpus)
+    if cpus == 1:
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+    cfg = demo_config() if name == "demo" else BenchConfig(
+        lambda_list=(10.0,), threshold_sweep=(0.2, 0.5, 0.8), n_runs=3, base_seed=7
+    )
+    per_time, summary = emit_results(run_benchmark(cfg), tmp_path)
+    assert multiprocessing.active_children() == []
+    assert per_time.read_bytes() == (DATA / f"{name}_per_time.csv").read_bytes()
+    assert summary.read_bytes() == (DATA / f"{name}_summary.csv").read_bytes()
+
+
+def test_progress_gets_the_serial_messages_in_order(monkeypatch):
+    _use_cpus(monkeypatch, 2)
+    cfg = BenchConfig(lambda_list=(1.0, 5.0), threshold_sweep=(0.5,), n_runs=3)
+    messages = []
+    run_benchmark(cfg, progress=messages.append)
+    assert messages == [f"lambda={lam} run={run}/3" for lam in (1, 5) for run in (1, 2, 3)]
+
+
+def _first_breaking_scan(cfg, li):
+    # with no detections, the first clutter point gives a singular birth covariance
+    _, obs = make_run(cfg.scenario, cfg.lambda_list[li], cfg.base_seed, li, 0)
+    return next(t for t, ys in enumerate(obs.steps) if ys)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_worker_cell_error_names_its_cell(monkeypatch, cpus):
+    # cell 0 (rate 0, the caller's) sees no observation; cells 1 and 2 break
+    # in a worker, and the first of them in cell order is the one reported
+    _use_cpus(monkeypatch, cpus)
+    cfg = BenchConfig(
+        scenario=ScenarioConfig(p_detect=0.0, r_obs=1e-200), lambda_list=(0.0, 1.0, 2.0), n_runs=1
+    )
+    messages = []
+    with pytest.raises(NumericalError) as info:
+        run_benchmark(cfg, progress=messages.append)
+    t = _first_breaking_scan(cfg, 1)
+    assert str(info.value).startswith(f"lambda=1 run=0 t={t} seed={cfg.base_seed}: birth covariance")
+    assert messages == ["lambda=0 run=1/1"]
+    assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------- csv

@@ -55,6 +55,32 @@ def test_summarize_runs_pairs_by_seed_and_skips_failed_runs():
     assert entry["scans_per_s"]["change_wins"] == 2
 
 
+def _info_run(side, seed, raw_rate, cal_ms):
+    info = {"raw_scans_per_s": raw_rate, "raw_scan_ms_p50": 1e3 / raw_rate, "calibration_ms": cal_ms}
+    return {**_run(side, "study", seed, 2.0 * raw_rate), "info": info}
+
+
+def test_summarize_runs_reads_the_wall_clock_figures_of_the_info_lines():
+    runs = [
+        _info_run("parent", 1, 800.0, 8.0), _info_run("change", 1, 1250.0, 9.0),
+        _info_run("parent", 2, 1000.0, 7.0), _info_run("change", 2, 1600.0, 6.0),
+        _info_run("parent", 3, 500.0, 9.0), _info_run("change", 3, 400.0, 8.0),
+    ]
+    entry = bench_pairs.summarize_runs(runs, bench_pairs.INFO_METRICS, "info")["study"]
+    assert entry["pairs"] == 3
+    raw = entry["raw_scans_per_s"]
+    assert raw["better"] == "higher" and raw["parent"] == [800.0, 1000.0, 500.0]
+    assert (raw["parent_median"], raw["change_median"], raw["change_wins"]) == (800.0, 1250.0, 2)
+    p50 = entry["raw_scan_ms_p50"]
+    assert p50["better"] == "lower" and p50["change"] == [0.8, 0.625, 2.5] and p50["change_wins"] == 2
+    cal = entry["calibration_ms"]
+    assert (cal["parent_q1"], cal["parent_median"], cal["parent_q3"]) == (7.5, 8.0, 8.5)
+    assert (cal["change_wins"], cal["ties"]) == (2, 0)
+    # the result line of the same runs is untouched
+    normalized = bench_pairs.summarize_runs(runs, [{"name": "scans_per_s", "better": "higher"}])
+    assert normalized["study"]["scans_per_s"]["parent"] == [1600.0, 2000.0, 1000.0]
+
+
 def test_parse_seeds():
     assert bench_pairs.parse_seeds("1-3,7") == [1, 2, 3, 7]
     assert bench_pairs.parse_seeds("5") == [5]

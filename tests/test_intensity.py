@@ -190,9 +190,30 @@ def test_update_component_cap():
 
 
 def test_clutter_intensity_lookup():
-    p = params(clutter=intensity(0.25, g2(0.9, 3.0)))
-    assert p.clutter(np.array([3.0, 0.0])) == 0.9
-    assert p.clutter(np.array([30.0, 0.0])) == 0.25
+    p = params(clutter=intensity(0.25, (0.9, [3.0], [[1.0]])))
+    assert p.clutter(np.array([3.0])) == 0.9
+    assert p.clutter(np.array([30.0])) == 0.25
+
+
+def test_params_accept_default_and_floor_only_birth_and_clutter():
+    p = params()
+    assert (p.birth.floor, p.birth.dim, p.clutter.floor, p.clutter.dim) == (0.5, None, 0.5, None)
+    p = params(birth=intensity(0.1, g2(0.9, 1.0)), clutter=IntensityMixture(flat_weight=0.0))
+    assert p.birth.dim == p.state_dim and p.clutter.dim is None
+
+
+def test_params_reject_birth_off_the_state_space():
+    with pytest.raises(ValueError, match="birth terms must have the state dimension 2, got 1"):
+        params(birth=IntensityMixture([0.9], [[0.0]], [[[1.0]]], 0.5))
+    with pytest.raises(ValueError, match="birth must be an IntensityMixture"):
+        params(birth=0.5)
+
+
+def test_params_reject_clutter_off_the_observation_space():
+    with pytest.raises(ValueError, match="clutter terms must have the observation dimension 1, got 2"):
+        params(clutter=intensity(0.25, g2(0.9, 3.0)))
+    with pytest.raises(ValueError, match="clutter must be a MaxMixture"):
+        params(clutter=0.5)
 
 
 # ----------------------------------------------------- cardinality / spatial

@@ -18,9 +18,12 @@ the same way.
 ``BENCH_<label>.json`` records every run's result and info lines and, per
 workload and end-to-end metric of BENCHMARK.json, each side's median and
 quartiles, the change's median over the parent's, and the pairs the change
-wins and ties.  ``summary_traced`` gives the same for each per-layer metric
-over the traced pairs.  The file is rewritten after every run, so an
-interrupted session keeps the runs it made.
+wins and ties.  ``summary_info`` gives the same for the wall-clock figures
+and the calibration kernel's time of the info lines (``INFO_METRICS``), so a
+gain in the normalized metrics can be told from a shift of the kernel.
+``summary_traced`` gives the same for each per-layer metric over the traced
+pairs.  The file is rewritten after every run, so an interrupted session
+keeps the runs it made.
 """
 
 from __future__ import annotations
@@ -40,6 +43,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+# info-line figures summarized beside the metrics of BENCHMARK.json
+INFO_METRICS = [
+    {"name": "raw_scans_per_s", "better": "higher"},
+    {"name": "raw_scan_ms_p50", "better": "lower"},
+    {"name": "calibration_ms", "better": "lower"},
+]
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -72,8 +81,12 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     return out
 
 
-def summarize_runs(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per workload, the pairs of successful runs and ``summarize`` of each metric."""
+def summarize_runs(runs: list[dict], metrics: list[dict], line: str = "result") -> dict:
+    """Per workload, the pairs of successful runs and ``summarize`` of each metric.
+
+    ``line`` is "result" for the metrics of the result line or "info" for
+    figures of the info line.
+    """
     by_key = {(r["side"], r["workload"], r["seed"]): r for r in runs if r["exit"] == 0 and r["result"]}
     summary: dict = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -84,11 +97,16 @@ def summarize_runs(runs: list[dict], metrics: list[dict]) -> dict:
         entry: dict = {"pairs": len(seeds)}
         for metric in metrics:
             name = metric["name"]
-            vals = {side: [by_key[(side, workload, s)]["result"]["metrics"][name]["value"] for s in seeds]
-                    for side in SIDES}
+            vals = {side: [_value(by_key[(side, workload, s)], line, name) for s in seeds] for side in SIDES}
             entry[name] = summarize(vals["parent"], vals["change"], metric["better"])
         summary[workload] = entry
     return summary
+
+
+def _value(run: dict, line: str, name: str) -> float:
+    if line == "info":
+        return run["info"][name]
+    return run["result"]["metrics"][name]["value"]
 
 
 def pair_schedule(workloads: list[str], seeds: list[int]) -> list[tuple[str, int, tuple[str, str]]]:
@@ -170,6 +188,7 @@ def main(argv=None) -> int:
                              f"{args.traced} seeds, alternating the same way" if args.traced else "")
         ),
         "summary": {},
+        "summary_info": {},
         "summary_traced": {},
         "runs": [],
         "traced_runs": [],
@@ -177,6 +196,7 @@ def main(argv=None) -> int:
 
     def save():
         record["summary"] = summarize_runs(record["runs"], metrics)
+        record["summary_info"] = summarize_runs(record["runs"], INFO_METRICS, "info")
         record["summary_traced"] = summarize_runs(record["traced_runs"], layer_metrics)
         out_path.write_text(json.dumps(record, indent=1) + "\n")
 
