@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -42,11 +43,10 @@ from .single_target import (
     ExtendedPossibility,
     ObservationDrivenBirth,
     SingleTargetParams,
-    canonicalize_observations,
     estimate,
     step,
 )
-from .mixtures import NumericalError
+from .mixtures import NumericalError, _check_count, _in_range
 
 logger = logging.getLogger(__name__)
 
@@ -104,17 +104,17 @@ class BenchConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "lambda_list", tuple(float(v) for v in self.lambda_list))
-        object.__setattr__(self, "threshold_sweep", tuple(float(v) for v in self.threshold_sweep))
-        if not self.lambda_list or any(v < 0 for v in self.lambda_list):
-            raise ValueError("lambda_list must be non-empty with rates >= 0")
-        if not self.threshold_sweep or any(not 0 <= v < 1 for v in self.threshold_sweep):
-            raise ValueError("threshold_sweep values must be in [0, 1)")
-        if self.n_runs < 1:
-            raise ValueError("n_runs must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be >= 0")
-        if self.c_err <= 0:
-            raise ValueError("c_err must be > 0")
+        sweep = tuple(_in_range("threshold_sweep", v, 0, 1, "[)") for v in self.threshold_sweep)
+        object.__setattr__(self, "threshold_sweep", sweep)
+        if not self.lambda_list or not self.threshold_sweep:
+            raise ValueError("lambda_list and threshold_sweep must be non-empty")
+        _check_count(self, "n_runs", 1)
+        _check_count(self, "base_seed", 0)
+        _in_range("c_err", self.c_err, 0, math.inf, "()")  # checked, not converted: the CSVs print it as given
+        # the filters check their own scalars, and each rate as a clutter rate
+        self.proposed_params()
+        for lam in self.lambda_list:
+            self.baseline_params(lam)
 
     def proposed_params(self) -> SingleTargetParams:
         sc = self.scenario
@@ -293,8 +293,7 @@ def _run_cell(
 ) -> np.ndarray:
     """Errors of one (rate, run) cell, as a (2, n_thresholds, n_t) array.
 
-    Row 0 is the possibility filter, row 1 the baseline.  Each scan is
-    canonicalized once and the array is given to both filters.
+    Row 0 is the possibility filter, row 1 the baseline.
     """
     lam = cfg.lambda_list[li]
     n_t = cfg.scenario.t_end + 1
@@ -302,8 +301,7 @@ def _run_cell(
     truth, obs = make_run(cfg.scenario, lam, cfg.base_seed, li, run)
     st = ExtendedPossibility.absent()
     ip = IpdaState.initial()
-    for t in range(n_t):
-        ys = canonicalize_observations(obs.steps[t], prop_params.obs_dim)
+    for t, ys in enumerate(obs.steps):
         try:
             st = step(st, prop_params, ys)
             ip = ipda_step(ip, base_params, ys)

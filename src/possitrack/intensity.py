@@ -18,7 +18,6 @@ which keeps the updated intensity bounded by 1.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,10 @@ import numpy as np
 from .mixtures import (
     LinearGaussianModel,
     MaxMixture,
+    _check_count,
     _gate_neighbours,
     _greedy_clusters,
+    _in_range,
     batch_kalman_update,
     batch_predict,
     concat_terms,
@@ -78,18 +79,9 @@ class MultiTargetParams(LinearGaussianModel):
     def __post_init__(self):
         super().__post_init__()
         for name in ("survival", "missed_detection"):
-            v = float(getattr(self, name))
-            if not (0.0 < v <= 1.0):
-                raise ValueError(f"{name} must be in (0, 1], got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _in_range(name, getattr(self, name), 0, 1, "(]"))
         _check_birth_std("birth_velocity_std", self.birth_velocity_std)
-        try:
-            cap = operator.index(self.max_components)
-        except TypeError:  # 2.5, nan, None, ...
-            cap = 0
-        if cap < 1 or isinstance(self.max_components, bool):
-            raise ValueError(f"max_components must be an integer >= 1, got {self.max_components!r}")
-        object.__setattr__(self, "max_components", cap)
+        _check_count(self, "max_components", 1)
         if not isinstance(self.birth, IntensityMixture):
             raise ValueError(f"birth must be an IntensityMixture, got {type(self.birth).__name__}")
         if self.birth.dim not in (None, self.state_dim):

@@ -22,9 +22,11 @@ import numpy as np
 
 from .mixtures import (
     LinearGaussianModel,
+    _check_count,
     _check_terms,
     _gate_neighbours,
     _greedy_clusters,
+    _in_range,
     _require_pd,
     batch_kalman_update,
     concat_terms,
@@ -58,21 +60,12 @@ class IpdaParams(LinearGaussianModel):
     def __post_init__(self):
         super().__post_init__()
         for name in ("p_detect", "p_survive", "p_birth"):
-            v = float(getattr(self, name))
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {v!r}")
-            object.__setattr__(self, name, v)
-        rate = self.clutter_rate
-        if not (rate >= 0.0) or not math.isfinite(rate):
-            raise ValueError(f"clutter_rate must be finite and >= 0, got {rate!r}")
-        volume = self.surveillance_volume
-        if not (volume > 0.0 and math.isfinite(volume)):
-            raise ValueError(f"surveillance_volume must be finite and > 0, got {volume!r}")
+            object.__setattr__(self, name, _in_range(name, getattr(self, name), 0, 1, "[]"))
+        _in_range("clutter_rate", self.clutter_rate, 0, math.inf, "[)")
+        _in_range("surveillance_volume", self.surveillance_volume, 0, math.inf, "()")
         _check_birth_std("birth_velocity_std", self.birth_velocity_std)
-        if not (0.0 <= self.prune_threshold < 1.0):
-            raise ValueError("prune_threshold must be in [0, 1)")
-        if not (self.merge_threshold >= 0.0):
-            raise ValueError("merge_threshold must be >= 0")
+        _in_range("prune_threshold", self.prune_threshold, 0, 1, "[)")
+        _in_range("merge_threshold", self.merge_threshold, 0, math.inf, "[]")
 
     @property
     def clutter_density(self) -> float:
@@ -99,18 +92,15 @@ class IpdaState:
     time_index: int = 0
 
     def __post_init__(self):
-        r = float(self.existence)
-        if not (0.0 <= r <= 1.0) or not math.isfinite(r):
-            raise ValueError(f"existence must be in [0, 1], got {r!r}")
+        r = _in_range("existence", self.existence, 0, 1, "[]")
+        _check_count(self, "time_index", 0)
         w = np.array(self.weights, dtype=float, ndmin=1)
         k = w.size
         m = np.array(self.means, dtype=float).reshape(k, -1) if k else np.empty((0, 0))
         v = np.array(self.covs, dtype=float)
         if k and v.shape != (k, m.shape[1], m.shape[1]):
             raise ValueError("covs shape inconsistent with means")
-        delta = float(self.diffuse_weight)
-        if not (0.0 <= delta <= 1.0 + 1e-9):
-            raise ValueError(f"diffuse_weight must be in [0, 1], got {delta!r}")
+        delta = _in_range("diffuse_weight", self.diffuse_weight, 0, 1 + 1e-9, "[]")
         if not (w >= 0.0).all():
             raise ValueError("weights must be >= 0")
         total = float(w.sum()) + delta

@@ -43,6 +43,7 @@ import functools
 import heapq
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
@@ -103,6 +104,34 @@ def _require_psd(mat: np.ndarray, name: str) -> np.ndarray:
     if eigs.min() < -1e-10 * max(1.0, abs(eigs.max())):
         raise ValueError(f"{name} must be positive semi-definite")
     return mat
+
+
+def _in_range(name: str, value, lo: float, hi: float, closed: str) -> float:
+    """``float(value)``, or ValueError unless it lies in the interval from lo to hi.
+
+    ``closed`` is the interval's brackets: "[]", "[)", "(]" or "()".  NaN lies
+    in no interval, and an infinite value only in one whose end at that
+    infinity is closed.  A string is not a number, so it lies in none either.
+    """
+    v = math.nan if isinstance(value, str) else float(value)
+    above = lo <= v if closed[0] == "[" else lo < v
+    below = v <= hi if closed[1] == "]" else v < hi
+    if not (above and below):
+        raise ValueError(f"{name} must be in {closed[0]}{lo!r}, {hi!r}{closed[1]}, got {value!r}")
+    return v
+
+
+def _check_count(obj, name: str, lo: int) -> None:
+    """Store ``obj.<name>`` as an int, or raise ValueError unless it is an
+    integer (``operator.index``, bools excluded) of at least lo."""
+    value = getattr(obj, name)
+    try:
+        n = operator.index(value)
+    except TypeError:  # 2.5, nan, None, ...
+        n = lo - 1
+    if n < lo or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
+    object.__setattr__(obj, name, n)
 
 
 def _checked_stack(weights, means, covs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -174,9 +203,7 @@ class MaxMixture:
 
     def __init__(self, weights=(), means=(), covs=(), flat_weight: float = 0.0):
         w, m, v = _checked_stack(weights, means, covs)
-        b = float(flat_weight)
-        if not (0.0 <= b <= 1.0) or not math.isfinite(b):
-            raise ValueError(f"flat_weight must be in [0, 1], got {b!r}")
+        b = _in_range("flat_weight", flat_weight, 0, 1, "[]")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "means", m)
         object.__setattr__(self, "covs", v)
@@ -388,9 +415,7 @@ def prune(mix: MaxMixture, tau_p: float) -> MaxMixture:
 
     Pruning changes the mixture value by at most tau_p at any point.
     """
-    tau_p = float(tau_p)
-    if not (0.0 <= tau_p < 1.0):
-        raise ValueError(f"prune threshold must be in [0, 1), got {tau_p!r}")
+    tau_p = _in_range("tau_p", tau_p, 0, 1, "[)")
     ws = mix.weights
     if not ws.size:
         return mix
@@ -751,9 +776,7 @@ def merge(mix: MaxMixture, tau_m: float) -> MaxMixture:
 
 
 def _merge_impl(mix: MaxMixture, tau_m: float, report: bool):
-    tau_m = float(tau_m)
-    if not (tau_m >= 0.0):
-        raise ValueError(f"merge threshold must be >= 0, got {tau_m!r}")
+    tau_m = _in_range("tau_m", tau_m, 0, math.inf, "[]")
     if mix.weights.size <= 1:
         return mix, []
     w_arr, m_arr, v_arr = mix.weights, mix.means, mix.covs

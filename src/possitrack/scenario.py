@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mixtures import _check_count, _in_range
+
 __all__ = [
     "ScenarioConfig",
     "GroundTruth",
@@ -46,15 +48,18 @@ class ScenarioConfig:
     init_vel_std: float = 0.1
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.r_obs <= 0.0:
-            raise ValueError("dt and r_obs must be > 0")
-        if self.q_accel < 0.0 or self.lambda_fp < 0.0 or self.init_vel_std < 0.0:
-            raise ValueError("q_accel, lambda_fp and init_vel_std must be >= 0")
-        if not (0.0 <= self.p_detect <= 1.0):
-            raise ValueError("p_detect must be in [0, 1]")
+        for name in ("dt", "r_obs"):
+            _in_range(name, getattr(self, name), 0, math.inf, "()")
+        for name in ("q_accel", "lambda_fp", "init_vel_std"):
+            _in_range(name, getattr(self, name), 0, math.inf, "[)")
+        _in_range("p_detect", self.p_detect, 0, 1, "[]")
+        for name in ("fp_lo", "fp_hi"):
+            _in_range(name, getattr(self, name), -math.inf, math.inf, "()")
         if not self.fp_lo < self.fp_hi:
             raise ValueError("false-positive region must have fp_lo < fp_hi")
-        if not (0 <= self.t_birth <= self.t_death <= self.t_end):
+        for name in ("t_birth", "t_death", "t_end"):
+            _check_count(self, name, 0)
+        if not (self.t_birth <= self.t_death <= self.t_end):
             raise ValueError("need 0 <= t_birth <= t_death <= t_end")
 
 
@@ -156,8 +161,7 @@ def error_at(t: int, estimate, truth: GroundTruth, c_err: float = 5.0) -> float:
     plus c_err when no estimate is declared.  While absent: c_err for a
     declared estimate, 0 otherwise.
     """
-    if c_err <= 0.0:
-        raise ValueError("c_err must be > 0")
+    _in_range("c_err", c_err, 0, math.inf, "()")
     declared = estimate is not None
     if truth.present(t):
         if not declared:

@@ -26,6 +26,8 @@ from .mixtures import (
     LinearGaussianModel,
     MaxMixture,
     NumericalError,
+    _check_count,
+    _in_range,
     _require_pd,
     batch_kalman_update,
     batch_predict,
@@ -138,16 +140,11 @@ class SingleTargetParams(LinearGaussianModel):
     def __post_init__(self):
         super().__post_init__()
         for name in ("survival", "disappearance", "remain_absent", "missed_detection"):
-            v = float(getattr(self, name))
-            if not (0.0 < v <= 1.0):
-                raise ValueError(f"{name} must be in (0, 1], got {v!r}")
-            object.__setattr__(self, name, v)
+            object.__setattr__(self, name, _in_range(name, getattr(self, name), 0, 1, "(]"))
         if abs(max(self.survival, self.disappearance) - 1.0) > 1e-12:
             raise ValueError("max(survival, disappearance) must equal 1")
-        if not (0.0 <= self.prune_threshold < 1.0):
-            raise ValueError("prune_threshold must be in [0, 1)")
-        if not (self.merge_threshold >= 0.0):
-            raise ValueError("merge_threshold must be >= 0")
+        _in_range("prune_threshold", self.prune_threshold, 0, 1, "[)")
+        _in_range("merge_threshold", self.merge_threshold, 0, math.inf, "[]")
         if isinstance(self.birth, ExplicitBirth) and self.birth.mixture.dim != self.state_dim:
             raise ValueError("explicit birth components must have the state dimension")
 
@@ -161,10 +158,10 @@ class ExtendedPossibility:
     time_index: int = 0
 
     def __post_init__(self):
-        p = float(self.psi_mass)
-        if not (0.0 <= p <= 1.0) or not math.isfinite(p):
-            raise ValueError(f"psi_mass must be in [0, 1], got {p!r}")
-        object.__setattr__(self, "psi_mass", p)
+        object.__setattr__(self, "psi_mass", _in_range("psi_mass", self.psi_mass, 0, 1, "[]"))
+        if not isinstance(self.on_s, MaxMixture):
+            raise ValueError(f"on_s must be a MaxMixture, got {type(self.on_s).__name__}")
+        _check_count(self, "time_index", 0)
 
     @staticmethod
     def absent(time_index: int = 0) -> "ExtendedPossibility":
@@ -181,9 +178,7 @@ def canonicalize_observations(observations, obs_dim: int) -> np.ndarray:
     form a set: order carries no information and exact duplicates are one
     observation.
     ``observations`` is an iterable of observations, or of scalars when
-    obs_dim is 1, or an array of either.  An array that is already
-    canonical, such as one this function returned, is returned as it is, so
-    a scan canonicalized once can be given to several filters.
+    obs_dim is 1, or an array of either.
     """
     if not isinstance(observations, (np.ndarray, list, tuple)):
         observations = list(observations)  # a set or another iterable
@@ -196,21 +191,10 @@ def canonicalize_observations(observations, obs_dim: int) -> np.ndarray:
         raise ValueError(f"observations must have dimension {obs_dim}")
     if not np.isfinite(arr).all():
         raise ValueError("observations must be finite")
-    if arr is observations and _strictly_increasing(arr) and not np.signbit(arr[arr == 0.0]).any():
-        return arr
     arr = arr[np.lexsort(arr.T[::-1])]
     new = np.ones(arr.shape[0], dtype=bool)
     new[1:] = (arr[1:] != arr[:-1]).any(axis=1)
     return arr[new] + 0.0  # -0.0 + 0.0 is 0.0; no other value changes
-
-
-def _strictly_increasing(rows: np.ndarray) -> bool:
-    """True iff each row is lexicographically greater than the one before."""
-    a, b = rows[:-1].T, rows[1:].T
-    greater = b[-1] > a[-1]
-    for j in range(len(a) - 2, -1, -1):  # greater on columns j, j+1, ...
-        greater = (b[j] > a[j]) | ((b[j] == a[j]) & greater)
-    return bool(greater.all())
 
 
 def clutter_possibility(model: ClutterModel, observations) -> float:
@@ -219,15 +203,10 @@ def clutter_possibility(model: ClutterModel, observations) -> float:
     n = ys.shape[0]
     val = 1.0
     if model.card is not None:
-        val = float(model.card(n))
-        if not (0.0 <= val <= 1.0):
-            raise ValueError(f"cardinality possibility must be in [0, 1], got {val!r}")
+        val = _in_range("cardinality possibility", model.card(n), 0, 1, "[]")
     if model.spatial is not None:
         for y in ys:
-            s = float(model.spatial(y))
-            if not (0.0 <= s <= 1.0):
-                raise ValueError(f"spatial possibility must be in [0, 1], got {s!r}")
-            val *= s
+            val *= _in_range("spatial possibility", model.spatial(y), 0, 1, "[]")
     return val
 
 

@@ -303,6 +303,27 @@ def test_cli_invalid_config_is_config_error(tmp_path):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "data, args, message",
+    [
+        ({"tau_p": 2.0}, [], "prune_threshold must be in [0, 1), got 2.0"),
+        ({"a_df": 0}, [], "missed_detection must be in (0, 1], got 0"),
+        ({"c_err": float("nan")}, [], "c_err must be in (0, inf), got nan"),
+        ({}, ["--lambda", "nan"], "clutter_rate must be in [0, inf), got nan"),
+    ],
+    ids=["tau_p", "a_df", "c_err_nan", "lambda_nan"],
+)
+def test_cli_out_of_range_value_is_config_error_before_any_cell_runs(tmp_path, capsys, data, args, message):
+    # these used to escape as a traceback from run_benchmark, or (c_err NaN)
+    # to write NaN tables and exit 0
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg_path), *args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_numerical_breakdown_exits_2_and_names_the_cell(tmp_path, capsys):
     # r_obs ** 2 underflows to 0, so a system born from an observation gets a
     # singular covariance; the first scan with an observation breaks

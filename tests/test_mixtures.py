@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from possitrack import mixtures
-from possitrack.bench import default_config, make_run
+from possitrack.bench import BenchConfig, default_config, make_run
 from possitrack.intensity import IntensityMixture, MultiTargetParams, extract_targets
 from possitrack.ipda import IpdaParams, IpdaState, _prune_and_merge
 from possitrack.mixtures import (
@@ -33,6 +33,7 @@ from possitrack.mixtures import (
     merge_with_report,
     prune,
 )
+from possitrack.scenario import ScenarioConfig, error_at, simulate_truth
 from possitrack.single_target import ExtendedPossibility, SingleTargetParams, predict, update
 
 # frozen oracle values
@@ -233,10 +234,119 @@ def test_params_reject_non_finite_matrices(cls, name):
         cls(**mats)
 
 
-def test_stack_rejects_flat_weight_outside_unit_interval():
-    for b in (-0.1, 1.5, np.nan):
-        with pytest.raises(ValueError):
-            MaxMixture(*stack3(), flat_weight=b)
+# ------------------------------------------------------------ scalar boundaries
+#
+# One row per (constructor or function, field, interval) checked where a
+# scalar enters from outside.  build(field, value) gives that field the value
+# and every other argument a valid default.  The interval is written as
+# lo, hi and its brackets; "int" marks an integer field >= lo.
+
+_MIX = mixture(g1(1.0, 0.0, 1.0), g1(0.9, 0.1, 1.0))
+_PF = default_config().proposed_params()
+_IPDA = default_config().baseline_params(1.0)
+_TRUTH = simulate_truth(ScenarioConfig(), seed=0)
+
+
+def _model(field, value):
+    return MultiTargetParams(trans=_PF.trans, trans_noise=_PF.trans_noise, obs=_PF.obs, obs_noise=_PF.obs_noise,
+                             **{field: value})
+
+
+def _ipda_state(field, value):
+    return IpdaState(**{**dict(existence=0.5, weights=[], means=[], covs=[], diffuse_weight=1.0), field: value})
+
+
+def _pf_state(field, value):
+    return ExtendedPossibility(**{**dict(psi_mass=0.5, on_s=MaxMixture()), field: value})
+
+
+BOUNDARIES = {
+    "MaxMixture.flat_weight": (lambda f, v: MaxMixture(*stack3(), flat_weight=v), "flat_weight", 0, 1, "[]"),
+    "prune.tau_p": (lambda f, v: prune(_MIX, v), "tau_p", 0, 1, "[)"),
+    "merge.tau_m": (lambda f, v: merge(_MIX, v), "tau_m", 0, math.inf, "[]"),
+    "merge_with_report.tau_m": (lambda f, v: merge_with_report(_MIX, v), "tau_m", 0, math.inf, "[]"),
+    **{
+        f"SingleTargetParams.{name}": (lambda f, v: replace(_PF, **{f: v}), name, 0, 1, "(]")
+        for name in ("survival", "disappearance", "remain_absent", "missed_detection")
+    },
+    "SingleTargetParams.prune_threshold": (lambda f, v: replace(_PF, **{f: v}), "prune_threshold", 0, 1, "[)"),
+    "SingleTargetParams.merge_threshold": (
+        lambda f, v: replace(_PF, **{f: v}), "merge_threshold", 0, math.inf, "[]"
+    ),
+    "ExtendedPossibility.psi_mass": (_pf_state, "psi_mass", 0, 1, "[]"),
+    "ExtendedPossibility.time_index": (_pf_state, "time_index", 0, None, "int"),
+    **{
+        f"IpdaParams.{name}": (lambda f, v: replace(_IPDA, **{f: v}), name, 0, 1, "[]")
+        for name in ("p_detect", "p_survive", "p_birth")
+    },
+    "IpdaParams.clutter_rate": (lambda f, v: replace(_IPDA, **{f: v}), "clutter_rate", 0, math.inf, "[)"),
+    "IpdaParams.surveillance_volume": (
+        lambda f, v: replace(_IPDA, **{f: v}), "surveillance_volume", 0, math.inf, "()"
+    ),
+    "IpdaParams.prune_threshold": (lambda f, v: replace(_IPDA, **{f: v}), "prune_threshold", 0, 1, "[)"),
+    "IpdaParams.merge_threshold": (lambda f, v: replace(_IPDA, **{f: v}), "merge_threshold", 0, math.inf, "[]"),
+    "IpdaState.existence": (_ipda_state, "existence", 0, 1, "[]"),
+    "IpdaState.diffuse_weight": (_ipda_state, "diffuse_weight", 0, 1 + 1e-9, "[]"),
+    "IpdaState.time_index": (_ipda_state, "time_index", 0, None, "int"),
+    "MultiTargetParams.survival": (_model, "survival", 0, 1, "(]"),
+    "MultiTargetParams.missed_detection": (_model, "missed_detection", 0, 1, "(]"),
+    "MultiTargetParams.max_components": (_model, "max_components", 1, None, "int"),
+    **{
+        f"ScenarioConfig.{name}": (lambda f, v: ScenarioConfig(**{f: v}), name, lo, hi, closed)
+        for name, lo, hi, closed in (
+            ("dt", 0, math.inf, "()"),
+            ("r_obs", 0, math.inf, "()"),
+            ("q_accel", 0, math.inf, "[)"),
+            ("lambda_fp", 0, math.inf, "[)"),
+            ("init_vel_std", 0, math.inf, "[)"),
+            ("p_detect", 0, 1, "[]"),
+            ("fp_lo", -math.inf, math.inf, "()"),
+            ("fp_hi", -math.inf, math.inf, "()"),
+            ("t_birth", 0, None, "int"),
+            ("t_death", 0, None, "int"),
+            ("t_end", 0, None, "int"),
+        )
+    },
+    "error_at.c_err": (lambda f, v: error_at(5, None, _TRUTH, c_err=v), "c_err", 0, math.inf, "()"),
+    "BenchConfig.n_runs": (lambda f, v: BenchConfig(**{f: v}), "n_runs", 1, None, "int"),
+    "BenchConfig.base_seed": (lambda f, v: BenchConfig(**{f: v}), "base_seed", 0, None, "int"),
+    "BenchConfig.c_err": (lambda f, v: BenchConfig(**{f: v}), "c_err", 0, math.inf, "()"),
+    "BenchConfig.threshold_sweep": (lambda f, v: BenchConfig(threshold_sweep=(v,)), "threshold_sweep", 0, 1, "[)"),
+    # each rate is checked as the baseline's clutter rate
+    "BenchConfig.lambda_list": (lambda f, v: BenchConfig(lambda_list=(v,)), "clutter_rate", 0, math.inf, "[)"),
+}
+
+
+def _probes(lo, hi, closed):
+    """(value, accepted) pairs: NaN, both infinities, and each finite end
+    with the nearest float and three more values outside it."""
+    if closed == "int":
+        return [(lo, True), (lo - 1, False), (2.5, False), (True, False), (math.nan, False), (math.inf, False)]
+    probes = [
+        (math.nan, False),
+        (-math.inf, lo == -math.inf and closed[0] == "["),
+        (math.inf, hi == math.inf and closed[1] == "]"),
+    ]
+    for end, bracket, outward in ((lo, closed[0], -1.0), (hi, closed[1], 1.0)):
+        if math.isfinite(end):
+            probes.append((end, bracket in "[]"))
+            probes.append((float(np.nextafter(end, outward * math.inf)), False))
+            probes += [(end + outward * d, False) for d in (0.1, 0.5, 1.0)]
+    return probes
+
+
+@pytest.mark.parametrize("row", BOUNDARIES.values(), ids=BOUNDARIES.keys())
+def test_scalar_boundary(row):
+    # a value this row accepts may still fail another rule (such as
+    # t_birth <= t_death); a value it rejects must fail this rule
+    build, field, lo, hi, closed = row
+    for value, accepted in _probes(lo, hi, closed):
+        try:
+            build(field, value)
+            rejected = False
+        except ValueError as err:
+            rejected = str(err).startswith(f"{field} must be ")
+        assert rejected != accepted, f"{field}={value!r}"
 
 
 def test_mixture_from_components_gives_back_its_arrays():
@@ -586,14 +696,6 @@ def test_merge_never_loses_sup():
         out = merge(mix, tau_m=3.22)
         assert out.sup() == pytest.approx(mix.sup(), abs=0)
         assert len(out.components) <= len(mix.components)
-
-
-def test_merge_rejects_nan_threshold():
-    mix = mixture(g1(1.0, 0.0, 1.0), g1(0.9, 0.1, 1.0))
-    with pytest.raises(ValueError):
-        merge(mix, float("nan"))
-    with pytest.raises(ValueError):
-        merge_with_report(mix, float("nan"))
 
 
 # ------------------------------------------- reduction against a dense reference

@@ -112,11 +112,10 @@ def test_initial_state_is_fully_absent():
     assert st.time_index == 0
 
 
-def test_state_rejects_psi_outside_unit_interval():
-    with pytest.raises(ValueError):
-        ExtendedPossibility(1.5, MaxMixture())
-    with pytest.raises(ValueError):
-        ExtendedPossibility(float("nan"), MaxMixture())
+def test_state_rejects_an_on_s_that_is_not_a_mixture():
+    # it used to be accepted and break the next step with an AttributeError
+    with pytest.raises(ValueError, match="on_s must be a MaxMixture"):
+        ExtendedPossibility(0.5, None)
 
 
 # -------------------------------------------------------------- observations
@@ -159,7 +158,8 @@ def test_canonicalize_matches_numpy_unique():
 
 def test_canonicalize_returns_a_canonical_array_as_is():
     ys = canonicalize_observations([[2.0], [0.5], [2.0], [-0.0]], 1)
-    assert canonicalize_observations(ys, 1) is ys
+    again = canonicalize_observations(ys, 1)
+    assert again.shape == ys.shape and again.tobytes() == ys.tobytes()
     twice = np.array([[0.5], [0.5]])
     assert canonicalize_observations(twice, 1).shape == (1, 1)
     np.testing.assert_array_equal(canonicalize_observations({2.0, 0.5}, 1), [[0.5], [2.0]])
