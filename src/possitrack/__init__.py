@@ -12,7 +12,6 @@ from .mixtures import (
     MaxMixture,
     NumericalError,
     dominance_reduce,
-    grid_sup_oracle,
     merge,
     merge_with_report,
     prune,

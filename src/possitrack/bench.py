@@ -56,7 +56,6 @@ __all__ = [
     "default_config",
     "demo_config",
     "config_from_dict",
-    "config_to_dict",
     "load_config",
     "run_benchmark",
     "emit_results",
@@ -103,7 +102,9 @@ class BenchConfig:
     c_err: float = 5.0
 
     def __post_init__(self):
-        object.__setattr__(self, "lambda_list", tuple(float(v) for v in self.lambda_list))
+        # each rate is checked as the baseline's clutter rate before it becomes a float
+        rates = tuple(_in_range("clutter_rate", v, 0, math.inf, "[)") for v in self.lambda_list)
+        object.__setattr__(self, "lambda_list", rates)
         sweep = tuple(_in_range("threshold_sweep", v, 0, 1, "[)") for v in self.threshold_sweep)
         object.__setattr__(self, "threshold_sweep", sweep)
         if not self.lambda_list or not self.threshold_sweep:
@@ -111,7 +112,7 @@ class BenchConfig:
         _check_count(self, "n_runs", 1)
         _check_count(self, "base_seed", 0)
         _in_range("c_err", self.c_err, 0, math.inf, "()")  # checked, not converted: the CSVs print it as given
-        # the filters check their own scalars, and each rate as a clutter rate
+        # the filters check their own scalars
         self.proposed_params()
         for lam in self.lambda_list:
             self.baseline_params(lam)
@@ -128,7 +129,7 @@ class BenchConfig:
             remain_absent=self.a_alpha,
             missed_detection=self.a_df,
             birth=ObservationDrivenBirth(self.birth_velocity_std),
-            clutter=ClutterModel.no_knowledge(),
+            clutter=ClutterModel(),
             prune_threshold=self.tau_p,
             merge_threshold=self.tau_m,
         )
@@ -180,16 +181,6 @@ def config_from_dict(data: dict) -> BenchConfig:
     sc_kwargs = {k: data[k] for k in data if k in _SCENARIO_KEYS}
     bench_kwargs = {k: data[k] for k in data if k in _BENCH_KEYS}
     return BenchConfig(scenario=ScenarioConfig(**sc_kwargs), **bench_kwargs)
-
-
-def config_to_dict(cfg: BenchConfig) -> dict:
-    out = {f.name: getattr(cfg.scenario, f.name) for f in fields(ScenarioConfig)}
-    for f in fields(BenchConfig):
-        if f.name == "scenario":
-            continue
-        v = getattr(cfg, f.name)
-        out[f.name] = list(v) if isinstance(v, tuple) else v
-    return out
 
 
 def load_config(path) -> BenchConfig:
@@ -338,9 +329,3 @@ def _format(v):
     if isinstance(v, float):
         return repr(v)
     return v
-
-
-def read_csv_rows(path) -> list[dict]:
-    """Read one of the emitted tables back as a list of dicts (test support)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))

@@ -125,7 +125,7 @@ def update_intensity(fm: IntensityMixture, params: MultiTargetParams, observatio
     floor = fm.floor
     branches = [(ws * params.missed_detection, ms, vs)]
     if n_obs and ws.size:
-        liks, m_post, v_post = batch_kalman_update(ms, vs, ys, params.obs, params.obs_noise)
+        liks, m_post, v_post, _ = batch_kalman_update(ms, vs, ys, params.obs, params.obs_noise)
         w_lik = ws[:, None] * liks  # (k, n)
     if n_obs and floor > 0.0:
         born_m, born_v = _born_terms(params, params.birth_velocity_std, ys)

@@ -100,7 +100,8 @@ class IpdaState:
         v = np.array(self.covs, dtype=float)
         if k and v.shape != (k, m.shape[1], m.shape[1]):
             raise ValueError("covs shape inconsistent with means")
-        delta = _in_range("diffuse_weight", self.diffuse_weight, 0, 1 + 1e-9, "[]")
+        # no upper end: the sum rule below bounds it
+        delta = _in_range("diffuse_weight", self.diffuse_weight, 0, math.inf, "[)")
         if not (w >= 0.0).all():
             raise ValueError("weights must be >= 0")
         total = float(w.sum()) + delta
@@ -169,18 +170,6 @@ def ipda_predict(state: IpdaState, params: IpdaParams) -> IpdaState:
     diffuse = (state.diffuse_weight * surv + born) / r_new
     total = float(ws.sum()) + diffuse
     return IpdaState._trusted(r_new, ws / total, ms, vs, diffuse / total, state.time_index + 1)
-
-
-def _gaussian_densities(state: IpdaState, params: IpdaParams, ys: np.ndarray):
-    """Normalized innovation densities N(y; H m_k, S_k) for all (k, observation)."""
-    liks, m_post, v_post = batch_kalman_update(
-        state.means, state.covs, ys, params.obs, params.obs_noise
-    )
-    s = params.obs @ state.covs @ params.obs.T + params.obs_noise
-    p = params.obs_dim
-    norm = np.sqrt((2.0 * math.pi) ** p * np.linalg.det(s))  # (k,)
-    dens = liks / norm[:, None]
-    return dens, m_post, v_post
 
 
 def _prune_and_merge(ws, ms, vs, diffuse, params):
@@ -288,8 +277,12 @@ def ipda_update(state: IpdaState, params: IpdaParams, observations) -> IpdaState
         m = np.empty((n_obs, k + born, d))
         v = np.empty((n_obs, k + born, d, d))
         if k:
-            dens, m_post, v_post = _gaussian_densities(state, params, ys)
-            w[:, :k] = (pd / rho) * state.weights * dens.T
+            liks, m_post, v_post, s = batch_kalman_update(
+                state.means, state.covs, ys, params.obs, params.obs_noise
+            )
+            # the normalized innovation densities N(y; H m, S), one row per observation
+            norm = np.sqrt((2.0 * math.pi) ** params.obs_dim * np.linalg.det(s))
+            w[:, :k] = (pd / rho) * state.weights * (liks / norm[:, None]).T
             m[:, :k] = m_post.swapaxes(0, 1)
             v[:, :k] = v_post
             det_sums = w[:, :k].sum(axis=1).tolist()

@@ -45,7 +45,7 @@ import logging
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -63,7 +63,6 @@ __all__ = [
     "dominance_reduce",
     "merge",
     "merge_with_report",
-    "grid_sup_oracle",
 ]
 
 
@@ -111,9 +110,10 @@ def _in_range(name: str, value, lo: float, hi: float, closed: str) -> float:
 
     ``closed`` is the interval's brackets: "[]", "[)", "(]" or "()".  NaN lies
     in no interval, and an infinite value only in one whose end at that
-    infinity is closed.  A string is not a number, so it lies in none either.
+    infinity is closed.  A string or a bool is not a number, so it lies in
+    none either.
     """
-    v = math.nan if isinstance(value, str) else float(value)
+    v = math.nan if isinstance(value, (str, bool, np.bool_)) else float(value)
     above = lo <= v if closed[0] == "[" else lo < v
     below = v <= hi if closed[1] == "]" else v < hi
     if not (above and below):
@@ -379,16 +379,16 @@ def batch_predict(ms: np.ndarray, vs: np.ndarray, trans: np.ndarray, noise: np.n
 def batch_kalman_update(ms, vs, ys, obs, obs_noise):
     """Kalman update of k Gaussian terms against n observations at once.
 
-    Returns (likelihoods (k, n), posterior means (k, n, d), posterior covs (k, d, d)).
-    The posterior covariance does not depend on the observation value.
+    Returns (likelihoods (k, n), posterior means (k, n, d), posterior covs
+    (k, d, d), innovation covs (k, p, p)).  Neither covariance depends on
+    the observation value.
     Raises NumericalError if any innovation covariance is singular or any
     posterior covariance is not positive-definite.
     """
     ms = np.asarray(ms, dtype=float)
     vs = np.asarray(vs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    k, d = ms.shape
-    p = ys.shape[1]
+    d = ms.shape[1]
     s = obs @ vs @ obs.T + obs_noise  # (k, p, p)
     s = 0.5 * (s + np.swapaxes(s, 1, 2))
     _require_pd(s, "innovation")
@@ -402,7 +402,7 @@ def batch_kalman_update(ms, vs, ys, obs, obs_noise):
     v_post = (eye[None, :, :] - gain @ obs) @ vs
     v_post = 0.5 * (v_post + np.swapaxes(v_post, 1, 2))
     _require_pd(v_post, "posterior")
-    return liks, m_post, v_post
+    return liks, m_post, v_post, s
 
 
 # ---------------------------------------------------------------------------
@@ -842,29 +842,3 @@ def _merge_impl(mix: MaxMixture, tau_m: float, report: bool):
         w_arr.take(idx), m_arr.take(idx, axis=0), np.stack(covs).take(order, axis=0), mix.flat_weight
     )
     return merged, bounds
-
-
-# ---------------------------------------------------------------------------
-# brute-force oracle
-# ---------------------------------------------------------------------------
-
-
-def grid_sup_oracle(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, step: float) -> float:
-    """Max of a scalar function sampled on the lattice lo, lo+step, ..., hi.
-
-    ``fn`` must accept a 1-d numpy array of sample points and return values
-    of the same shape (a constant return value is also accepted).  Intended
-    as an independent check of the closed-form sup computations, not for use
-    inside the filters.
-    """
-    lo = float(lo)
-    hi = float(hi)
-    step = float(step)
-    if not (lo < hi) or step <= 0.0:
-        raise ValueError("need lo < hi and step > 0")
-    n = int(math.floor((hi - lo) / step + 1e-9)) + 1
-    xs = lo + step * np.arange(n)
-    vals = np.asarray(fn(xs), dtype=float)
-    if vals.ndim == 0:
-        return float(vals)
-    return float(vals.max())

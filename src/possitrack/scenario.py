@@ -28,8 +28,6 @@ __all__ = [
     "simulate_truth",
     "generate_observations",
     "error_at",
-    "record_to_lines",
-    "record_from_lines",
 ]
 
 
@@ -169,37 +167,3 @@ def error_at(t: int, estimate, truth: GroundTruth, c_err: float = 5.0) -> float:
         pos = float(np.atleast_1d(np.asarray(estimate, dtype=float))[0])
         return min(abs(pos - truth.position(t)), c_err)
     return c_err if declared else 0.0
-
-
-# ---------------------------------------------------------------------------
-# line-oriented serialization (golden files)
-# ---------------------------------------------------------------------------
-
-
-def record_to_lines(truth: GroundTruth, obs: ObservationRecord) -> list[str]:
-    """One line per step: ``t|position,velocity|y1;y2;...`` ("absent" when absent)."""
-    if len(truth.states) != len(obs.steps):
-        raise ValueError("truth and observations must cover the same steps")
-    lines = []
-    for t, (state, ys) in enumerate(zip(truth.states, obs.steps)):
-        # repr of builtin floats round-trips exactly (numpy scalars do not)
-        mid = "absent" if state is None else f"{float(state[0])!r},{float(state[1])!r}"
-        lines.append(f"{t}|{mid}|{';'.join(repr(float(y)) for y in ys)}")
-    return lines
-
-
-def record_from_lines(lines) -> tuple[GroundTruth, ObservationRecord]:
-    """Inverse of :func:`record_to_lines` (bit-exact round trip)."""
-    states: list = []
-    steps: list = []
-    for t, line in enumerate(lines):
-        parts = line.strip().split("|")
-        if len(parts) != 3 or int(parts[0]) != t:
-            raise ValueError(f"malformed scenario line {t}: {line!r}")
-        if parts[1] == "absent":
-            states.append(None)
-        else:
-            pos, vel = parts[1].split(",")
-            states.append(np.array([float(pos), float(vel)]))
-        steps.append(tuple(float(y) for y in parts[2].split(";") if y))
-    return GroundTruth(tuple(states)), ObservationRecord(tuple(steps))

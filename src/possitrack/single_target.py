@@ -65,10 +65,6 @@ class ClutterModel:
     card: Callable[[int], float] | None = None
     spatial: Callable[[np.ndarray], float] | None = None
 
-    @staticmethod
-    def no_knowledge() -> "ClutterModel":
-        return ClutterModel()
-
 
 @dataclass(frozen=True)
 class ObservationDrivenBirth:
@@ -321,7 +317,7 @@ def update(state: ExtendedPossibility, params: SingleTargetParams, observations)
     a_df = params.missed_detection
     branches = [(ws * (a_df * f_all), ms, vs)]
     if ws.size and n_obs:
-        liks, m_post, v_post = batch_kalman_update(ms, vs, ys, params.obs, params.obs_noise)
+        liks, m_post, v_post, _ = batch_kalman_update(ms, vs, ys, params.obs, params.obs_noise)
         det_w = ws[:, None] * liks * f_loo[None, :]
         branches.append((
             det_w.T.ravel(),

@@ -36,7 +36,6 @@ from possitrack.intensity import (
 from possitrack.mixtures import (
     MaxMixture,
     dominance_reduce,
-    grid_sup_oracle,
     prune,
 )
 from possitrack.scenario import (
@@ -58,6 +57,8 @@ from possitrack.single_target import (
     step,
     update,
 )
+
+from oracles import grid_sup_oracle
 
 
 def _report(name: str, ok: bool, detail: str) -> None:

@@ -9,9 +9,11 @@ all act.
 """
 
 import concurrent.futures
+import csv
 import json
 import multiprocessing
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +27,11 @@ from possitrack.bench import (
     BenchConfig,
     BenchResult,
     config_from_dict,
-    config_to_dict,
     default_config,
     demo_config,
     emit_results,
     load_config,
     make_run,
-    read_csv_rows,
     run_benchmark,
 )
 from possitrack.cli import main
@@ -39,6 +39,11 @@ from possitrack.mixtures import NumericalError
 from possitrack.scenario import ScenarioConfig
 
 DATA = Path(__file__).parent / "data"
+
+
+def _read_rows(path) -> list[dict]:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 # -------------------------------------------------------------------- config
@@ -51,10 +56,13 @@ def test_default_config_covers_full_study():
     assert cfg.n_runs == 100
 
 
-def test_config_round_trip():
+def test_config_from_every_field_by_name():
+    # every key a config file may hold, with demo_config()'s values, in JSON's types
     cfg = demo_config()
-    out = config_from_dict(config_to_dict(cfg))
-    assert out == cfg
+    data = {f.name: getattr(cfg.scenario, f.name) for f in fields(ScenarioConfig)}
+    data.update({f.name: getattr(cfg, f.name) for f in fields(BenchConfig) if f.name != "scenario"})
+    data = json.loads(json.dumps(data))
+    assert config_from_dict(data) == cfg
 
 
 def test_config_rejects_unknown_keys():
@@ -247,10 +255,10 @@ def test_csv_row_round_trip(tmp_path):
         config=demo_config(),
     )
     per_time, summary = emit_results(res, tmp_path)
-    row = read_csv_rows(per_time)[0]
+    row = _read_rows(per_time)[0]
     assert row["filter"] == PROPOSED
     assert float(row["mean_error"]) == 0.1 + 0.2  # repr floats are exact
-    srow = read_csv_rows(summary)[0]
+    srow = _read_rows(summary)[0]
     assert float(srow["avg_error"]) == 1.0 / 3.0
 
 
@@ -287,7 +295,7 @@ def test_cli_run_with_config_and_overrides(tmp_path):
         ]
     )
     assert code == 0
-    rows = read_csv_rows(tmp_path / "out" / "summary.csv")
+    rows = _read_rows(tmp_path / "out" / "summary.csv")
     assert {r["lambda"] for r in rows} == {"2.0"}
     assert {r["n_runs"] for r in rows} == {"1"}
     assert {r["seed"] for r in rows} == {"5"}
@@ -310,12 +318,15 @@ def test_cli_invalid_config_is_config_error(tmp_path):
         ({"a_df": 0}, [], "missed_detection must be in (0, 1], got 0"),
         ({"c_err": float("nan")}, [], "c_err must be in (0, inf), got nan"),
         ({}, ["--lambda", "nan"], "clutter_rate must be in [0, inf), got nan"),
+        ({"c_err": True}, [], "c_err must be in (0, inf), got True"),
+        ({"lambda_list": [True]}, [], "clutter_rate must be in [0, inf), got True"),
     ],
-    ids=["tau_p", "a_df", "c_err_nan", "lambda_nan"],
+    ids=["tau_p", "a_df", "c_err_nan", "lambda_nan", "c_err_true", "lambda_true"],
 )
 def test_cli_out_of_range_value_is_config_error_before_any_cell_runs(tmp_path, capsys, data, args, message):
-    # these used to escape as a traceback from run_benchmark, or (c_err NaN)
-    # to write NaN tables and exit 0
+    # these used to escape as a traceback from run_benchmark, to write NaN
+    # tables and exit 0 (c_err NaN), or to run with a rate or cost of 1.0
+    # (JSON true)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(data))
     out = tmp_path / "out"

@@ -78,6 +78,13 @@ def test_state_rejects_bad_terms(weights, means, covs, message):
         IpdaState(0.5, weights, means, covs, 0.0)
 
 
+def test_state_diffuse_weight_is_bounded_by_the_sum_rule_alone():
+    assert IpdaState(0.5, [], [], [], 1 + 5e-10).diffuse_weight == 1 + 5e-10
+    for delta in (1 + 1e-9, 1 + 2e-9):
+        with pytest.raises(ValueError, match="weights plus diffuse mass must sum to 1"):
+            IpdaState(0.5, [], [], [], delta)
+
+
 def test_clutter_density_is_rate_over_volume_with_floor():
     assert params().clutter_density == pytest.approx(0.05, rel=1e-15)
     assert params(clutter_rate=0.0).clutter_density > 0.0  # floored, not zero
@@ -165,6 +172,49 @@ def test_update_locates_birth_mass_on_observation():
     assert out.diffuse_weight == pytest.approx(0.2, rel=1e-12)
     np.testing.assert_array_equal(out.means[0], [2.0, 0.0])
     np.testing.assert_array_equal(out.covs[0], [[0.0625, 0.0], [0.0, 1.0]])
+
+
+def _normal_density(e, s):
+    """N(e; 0, S) for a 1x1 or 2x2 S, with the inverse and determinant written out."""
+    if len(e) == 1:
+        det, quad = s[0, 0], e[0] ** 2 / s[0, 0]
+    else:
+        (a, b), (_, c) = s
+        det = a * c - b * b
+        quad = (c * e[0] ** 2 - 2.0 * b * e[0] * e[1] + a * e[1] ** 2) / det
+    return math.exp(-0.5 * quad) / math.sqrt((2.0 * math.pi) ** len(e) * det)
+
+
+def _plane_params():
+    """A 2-d position and velocity model, observed in both positions."""
+    dt = 0.1
+    f = np.eye(4)
+    f[0, 2] = f[1, 3] = dt
+    g = np.array([[dt**2 / 2, 0.0], [0.0, dt**2 / 2], [dt, 0.0], [0.0, dt]])
+    return IpdaParams(trans=f, trans_noise=g @ g.T, obs=np.eye(2, 4), obs_noise=[[0.09, 0.02], [0.02, 0.04]],
+                      clutter_rate=3.0, surveillance_volume=400.0)
+
+
+@pytest.mark.parametrize(
+    "model, mean, cov, y",
+    [
+        (params, [0.3, 1.0], [[0.5, 0.1], [0.1, 0.4]], [0.8]),
+        (_plane_params, [0.3, -0.2, 1.0, 0.5],
+         [[0.5, 0.1, 0.05, 0.0], [0.1, 0.3, 0.0, 0.02], [0.05, 0.0, 1.0, 0.1], [0.0, 0.02, 0.1, 0.8]],
+         [0.1, 0.4]),
+    ],
+    ids=["obs_dim_1", "obs_dim_2"],
+)
+def test_update_existence_with_a_detection_matches_closed_form(model, mean, cov, y):
+    # r' = r L / (1 - r + r L), L = (1 - p_D) + p_D N(y; H m, S) / rho, S = H V H' + R
+    p = model()
+    r = 0.6
+    h, m, v = p.obs, np.asarray(mean), np.asarray(cov)
+    s = h @ v @ h.T + p.obs_noise
+    lik = (1.0 - p.p_detect) + p.p_detect * _normal_density(np.asarray(y) - h @ m, s) / p.clutter_density
+    out = ipda_update(one_comp_state(r, mean, cov), p, [y])
+    assert out.existence == pytest.approx(r * lik / (1.0 - r + r * lik), rel=1e-12)
+    assert lik > 1.0  # the detection raises existence
 
 
 def test_update_mass_always_sums_to_one():

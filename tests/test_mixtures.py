@@ -1,8 +1,8 @@
 """Tests for the Gaussian max-mixture algebra.
 
 Expected numbers marked "frozen" were computed beforehand with independent
-closed-form or brute-force lattice oracles (see grid_sup_oracle for the
-lattice used at runtime).
+closed-form or brute-force lattice oracles (see grid_sup_oracle in
+oracles.py for the lattice used at runtime).
 """
 
 import math
@@ -28,13 +28,14 @@ from possitrack.mixtures import (
     batch_kalman_update,
     batch_quadratic,
     dominance_reduce,
-    grid_sup_oracle,
     merge,
     merge_with_report,
     prune,
 )
 from possitrack.scenario import ScenarioConfig, error_at, simulate_truth
 from possitrack.single_target import ExtendedPossibility, SingleTargetParams, predict, update
+
+from oracles import grid_sup_oracle
 
 # frozen oracle values
 EXP_M1 = 0.36787944117144233  # exp(-1)
@@ -286,7 +287,7 @@ BOUNDARIES = {
     "IpdaParams.prune_threshold": (lambda f, v: replace(_IPDA, **{f: v}), "prune_threshold", 0, 1, "[)"),
     "IpdaParams.merge_threshold": (lambda f, v: replace(_IPDA, **{f: v}), "merge_threshold", 0, math.inf, "[]"),
     "IpdaState.existence": (_ipda_state, "existence", 0, 1, "[]"),
-    "IpdaState.diffuse_weight": (_ipda_state, "diffuse_weight", 0, 1 + 1e-9, "[]"),
+    "IpdaState.diffuse_weight": (_ipda_state, "diffuse_weight", 0, math.inf, "[)"),
     "IpdaState.time_index": (_ipda_state, "time_index", 0, None, "int"),
     "MultiTargetParams.survival": (_model, "survival", 0, 1, "(]"),
     "MultiTargetParams.missed_detection": (_model, "missed_detection", 0, 1, "(]"),
@@ -318,12 +319,13 @@ BOUNDARIES = {
 
 
 def _probes(lo, hi, closed):
-    """(value, accepted) pairs: NaN, both infinities, and each finite end
-    with the nearest float and three more values outside it."""
+    """(value, accepted) pairs: NaN, True, both infinities, and each finite
+    end with the nearest float and three more values outside it."""
     if closed == "int":
         return [(lo, True), (lo - 1, False), (2.5, False), (True, False), (math.nan, False), (math.inf, False)]
     probes = [
         (math.nan, False),
+        (True, False),  # a bool is no number, though float(True) is 1.0
         (-math.inf, lo == -math.inf and closed[0] == "["),
         (math.inf, hi == math.inf and closed[1] == "]"),
     ]
@@ -463,8 +465,8 @@ def test_predict_sup_property_closed_form():
 def updated(term, y, obs, obs_noise):
     """The posterior term (weight kept) and the likelihood of one term and one observation."""
     w, m, v = (np.asarray(a, dtype=float) for a in term)
-    liks, m_post, v_post = batch_kalman_update(m[None], v[None], np.asarray([y], dtype=float),
-                                               np.asarray(obs, dtype=float), np.asarray(obs_noise, dtype=float))
+    liks, m_post, v_post, _ = batch_kalman_update(m[None], v[None], np.asarray([y], dtype=float),
+                                                  np.asarray(obs, dtype=float), np.asarray(obs_noise, dtype=float))
     return (w, m_post[0, 0], v_post[0]), float(liks[0, 0])
 
 
@@ -509,10 +511,11 @@ def test_batch_kalman_update_matches_single():
     ms = rng.normal(size=(4, 2))
     vs = np.stack([np.diag([1.0 + i, 0.5]) for i in range(4)])
     ys = rng.normal(size=(3, 1))
-    liks, m_post, v_post = batch_kalman_update(ms, vs, ys, H, R)
+    liks, m_post, v_post, s = batch_kalman_update(ms, vs, ys, H, R)
     assert liks.shape == (4, 3)
     assert m_post.shape == (4, 3, 2)
     assert v_post.shape == (4, 2, 2)
+    np.testing.assert_array_equal(s, vs[:, :1, :1] + R)  # S = H V H' + R for H = [1, 0]
     for k in range(4):
         for n in range(3):
             (_, mean, cov), lik = updated((1.0, ms[k], vs[k]), ys[n], H, R)

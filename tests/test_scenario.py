@@ -9,8 +9,6 @@ import numpy as np
 import pytest
 
 from possitrack.scenario import (
-    GroundTruth,
-    ObservationRecord,
     ScenarioConfig,
     error_at,
     generate_observations,
@@ -18,8 +16,6 @@ from possitrack.scenario import (
     observation_matrix,
     observation_noise,
     process_noise,
-    record_from_lines,
-    record_to_lines,
     simulate_truth,
     transition_matrix,
 )
@@ -164,27 +160,3 @@ def test_error_metric_cases():
     assert error_at(5, None, truth, c_err=2.0) == 2.0
     with pytest.raises(ValueError):
         error_at(5, None, truth, c_err=0.0)
-
-
-# ------------------------------------------------------------- serialization
-
-
-def test_record_round_trip_is_exact():
-    cfg = ScenarioConfig()
-    truth = simulate_truth(cfg, seed=21)
-    obs = generate_observations(truth, cfg, seed=22)
-    lines = record_to_lines(truth, obs)
-    truth2, obs2 = record_from_lines(lines)
-    assert obs2.steps == obs.steps
-    for a, b in zip(truth.states, truth2.states):
-        if a is None:
-            assert b is None
-        else:
-            np.testing.assert_array_equal(a, b)
-
-
-def test_record_rejects_malformed_lines():
-    with pytest.raises(ValueError):
-        record_from_lines(["0|absent"])
-    with pytest.raises(ValueError):
-        record_from_lines(["1|absent|"])  # wrong step index

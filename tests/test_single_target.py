@@ -189,7 +189,7 @@ def test_signed_zeros_give_the_same_bytes_in_every_filter():
 
 
 def test_clutter_no_knowledge_is_one():
-    model = ClutterModel.no_knowledge()
+    model = ClutterModel()  # no knowledge: every field left at None
     assert clutter_possibility(model, np.zeros((7, 1))) == 1.0
     assert clutter_possibility(model, []) == 1.0
 
