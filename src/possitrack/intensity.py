@@ -25,6 +25,7 @@ import numpy as np
 from .mixtures import (
     LinearGaussianModel,
     MaxMixture,
+    _as_count,
     _check_count,
     _gate_neighbours,
     _greedy_clusters,
@@ -159,9 +160,7 @@ def recover_cardinality_spatial(fm: IntensityMixture):
     s = fm.sup()
 
     def card(n: int) -> float:
-        if n < 0:
-            raise ValueError("count must be >= 0")
-        return float(s**n)
+        return float(s ** _as_count("count", n, 0))
 
     if s <= 0.0:
         return card, IntensityMixture(flat_weight=1.0)
@@ -180,8 +179,8 @@ def extract_targets(
     covariance trace; the accepted ones are the heads of
     :func:`_greedy_clusters`.
     """
-    if math.isnan(tau_x) or math.isnan(merge_radius):
-        raise ValueError(f"thresholds must not be NaN, got tau_x={tau_x!r}, merge_radius={merge_radius!r}")
+    tau_x = _in_range("tau_x", tau_x, -math.inf, math.inf, "[]")
+    merge_radius = _in_range("merge_radius", merge_radius, -math.inf, math.inf, "[]")
     ws = fm.weights
     cands = np.flatnonzero((ws > tau_x) & (ws > fm.floor))
     if not cands.size:

@@ -39,8 +39,8 @@ __all__ = ["IpdaParams", "IpdaState", "ipda_predict", "ipda_update", "ipda_estim
 # detections dominate the association weights
 _DENSITY_FLOOR = 1e-30
 
-# below this many members numpy sums a cluster left to right, so the moments
-# of all such clusters can be accumulated at once with the same bits
+# numpy sums a 1-d slice of fewer terms left to right, as a scatter-add does,
+# and a longer one pairwise
 _SEQUENTIAL_SUM = 8
 
 
@@ -202,49 +202,31 @@ def _prune_and_merge(ws, ms, vs, diffuse, params):
 def _moment_merge(ws, ms, vs, order, label):
     """Weight, mean and covariance of each cluster, in cluster order.
 
-    The members of a cluster are summed in ``order``.  Clusters of fewer
-    than ``_SEQUENTIAL_SUM`` members are summed together, one member slot at
-    a time, which gives the bits of numpy's sum over each cluster alone;
-    numpy sums larger ones in another order, so they are summed one by one.
+    The members of a cluster are summed in ``order``, from +0.0 and left to
+    right (``np.bincount`` and ``np.add.at``), which gives the bits of
+    numpy's sum over each cluster alone while it has fewer than
+    ``_SEQUENTIAL_SUM`` members; larger clusters are summed again by numpy.
     """
-    # the terms grouped by cluster and in ``order`` within each
-    members = order[np.argsort(label[order], kind="stable")]
-    ws, ms, vs = ws.take(members), ms.take(members, axis=0), vs.take(members, axis=0)
-    sizes = np.bincount(label)
-    first = np.cumsum(sizes) - sizes
-    small = sizes < _SEQUENTIAL_SUM
-    large = np.flatnonzero(~small).tolist()
+    label = label.take(order)
+    ws, ms, vs = ws.take(order), ms.take(order, axis=0), vs.take(order, axis=0)
+    large = {c: label == c for c in np.flatnonzero(np.bincount(label) >= _SEQUENTIAL_SUM).tolist()}
     wm = ws[:, None] * ms
-
-    # the slots of the small clusters; an empty slot adds a zero, which changes no sum
-    slots = np.arange(min(int(sizes.max()), _SEQUENTIAL_SUM - 1))
-    filled = slots < sizes[small, None]
-    at = np.where(filled, first[small, None] + slots, 0)
-    out_w = np.empty(sizes.size)
-    out_m = np.empty((sizes.size, ms.shape[1]))
-    out_w[small] = _slot_sum(np.where(filled, ws.take(at), 0.0))
-    out_m[small] = _slot_sum(np.where(filled[:, :, None], wm.take(at, axis=0), 0.0)) / out_w[small, None]
-    for c in large:
-        part = slice(first[c], first[c] + sizes[c])
+    out_w = np.bincount(label, weights=ws)
+    out_m = np.zeros((out_w.size, ms.shape[1]))
+    np.add.at(out_m, label, wm)
+    for c, part in large.items():
         out_w[c] = ws[part].sum()
-        out_m[c] = wm[part].sum(axis=0) / out_w[c]
+        out_m[c] = wm[part].sum(axis=0)
+    out_m /= out_w[:, None]
 
-    dif = ms - np.repeat(out_m, sizes, axis=0)
+    dif = ms - out_m.take(label, axis=0)
     wv = ws[:, None, None] * (vs + dif[:, :, None] * dif[:, None, :])
-    out_v = np.empty((sizes.size, *vs.shape[1:]))
-    out_v[small] = _slot_sum(np.where(filled[:, :, None, None], wv.take(at, axis=0), 0.0))
-    for c in large:
-        out_v[c] = wv[first[c] : first[c] + sizes[c]].sum(axis=0)
+    out_v = np.zeros((out_w.size, *vs.shape[1:]))
+    np.add.at(out_v, label, wv)
+    for c, part in large.items():
+        out_v[c] = wv[part].sum(axis=0)
     out_v /= out_w[:, None, None]
     return out_w, out_m, 0.5 * (out_v + np.swapaxes(out_v, 1, 2))
-
-
-def _slot_sum(a):
-    """Sum over axis 1 from left to right, starting at +0.0 as numpy does."""
-    acc = np.zeros(a.shape[:1] + a.shape[2:])
-    for s in range(a.shape[1]):
-        acc += a[:, s]
-    return acc
 
 
 def ipda_update(state: IpdaState, params: IpdaParams, observations) -> IpdaState:

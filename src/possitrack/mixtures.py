@@ -121,17 +121,21 @@ def _in_range(name: str, value, lo: float, hi: float, closed: str) -> float:
     return v
 
 
-def _check_count(obj, name: str, lo: int) -> None:
-    """Store ``obj.<name>`` as an int, or raise ValueError unless it is an
-    integer (``operator.index``, bools excluded) of at least lo."""
-    value = getattr(obj, name)
+def _as_count(name: str, value, lo: int) -> int:
+    """``operator.index(value)``, or ValueError unless value is an integer
+    (bools excluded) of at least lo."""
     try:
         n = operator.index(value)
     except TypeError:  # 2.5, nan, None, ...
         n = lo - 1
     if n < lo or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
-    object.__setattr__(obj, name, n)
+    return n
+
+
+def _check_count(obj, name: str, lo: int) -> None:
+    """Store ``obj.<name>`` as an int, or raise ValueError as :func:`_as_count`."""
+    object.__setattr__(obj, name, _as_count(name, getattr(obj, name), lo))
 
 
 def _checked_stack(weights, means, covs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

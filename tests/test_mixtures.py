@@ -243,6 +243,7 @@ def test_params_reject_non_finite_matrices(cls, name):
 # lo, hi and its brackets; "int" marks an integer field >= lo.
 
 _MIX = mixture(g1(1.0, 0.0, 1.0), g1(0.9, 0.1, 1.0))
+_FM = IntensityMixture(_MIX.weights, _MIX.means, _MIX.covs, 0.1)
 _PF = default_config().proposed_params()
 _IPDA = default_config().baseline_params(1.0)
 _TRUTH = simulate_truth(ScenarioConfig(), seed=0)
@@ -315,6 +316,10 @@ BOUNDARIES = {
     "BenchConfig.threshold_sweep": (lambda f, v: BenchConfig(threshold_sweep=(v,)), "threshold_sweep", 0, 1, "[)"),
     # each rate is checked as the baseline's clutter rate
     "BenchConfig.lambda_list": (lambda f, v: BenchConfig(lambda_list=(v,)), "clutter_rate", 0, math.inf, "[)"),
+    **{
+        f"extract_targets.{name}": (lambda f, v: extract_targets(_FM, **{f: v}), name, -math.inf, math.inf, "[]")
+        for name in ("tau_x", "merge_radius")
+    },
 }
 
 

@@ -85,12 +85,6 @@ def test_params_require_survival_or_disappearance_at_one():
 
 
 
-@pytest.mark.parametrize("tau", [-1.0, float("nan")])
-def test_params_reject_bad_merge_threshold(tau):
-    with pytest.raises(ValueError):
-        params_1d(merge_threshold=tau)
-
-
 @pytest.mark.parametrize("std", [0.0, -1.0, float("nan"), float("inf"), 1e200, 1e-200, 1e-160])
 def test_observation_driven_birth_rejects_bad_velocity_std(std):
     # an infinite std used to pass here and fail later as a NumericalError
