@@ -252,9 +252,6 @@ def test_extract_one_per_cluster():
     out = extract_targets(fm, tau_x=0.9)
     assert len(out) == 1
     np.testing.assert_array_equal(out[0], [0.0, 0.0])  # heaviest wins
-    # three candidates 0.5 apart form one cluster too
-    chain = intensity(0.1, g2(0.95, 0.0), g2(0.94, 0.5), g2(0.93, 1.0))
-    assert len(extract_targets(chain, tau_x=0.9)) == 1
 
 
 def test_extract_requires_beating_threshold_and_floor():
@@ -262,6 +259,16 @@ def test_extract_requires_beating_threshold_and_floor():
     assert extract_targets(fm, tau_x=0.9) == []
     high_floor = intensity(0.97, g2(0.95, 0.0))
     assert extract_targets(high_floor, tau_x=0.9) == []
+
+
+def test_extract_rejects_nan_thresholds():
+    # three candidates 0.5 apart form one cluster; a NaN radius extracted all
+    # three and a NaN tau_x none
+    fm = intensity(0.1, g2(0.95, 0.0), g2(0.94, 0.5), g2(0.93, 1.0))
+    assert len(extract_targets(fm, tau_x=0.9)) == 1
+    for name in ("merge_radius", "tau_x"):
+        with pytest.raises(ValueError, match=f"{name} must be in"):
+            extract_targets(fm, **{name: float("nan")})
 
 
 # ------------------------------------------------------------- golden scene
