@@ -292,7 +292,11 @@ def ipda_update(state: IpdaState, params: IpdaParams, observations) -> IpdaState
 
 
 def ipda_estimate(state: IpdaState, tau_conf: float) -> np.ndarray | None:
-    """Highest-weight component mean iff existence exceeds the threshold."""
+    """Highest-weight component mean iff existence exceeds the threshold.
+
+    tau_conf may be any float, ±inf included, but not NaN.
+    """
+    tau_conf = _in_range("tau_conf", tau_conf, -math.inf, math.inf, "[]")
     if state.existence > tau_conf and state.n_components:
         return state.means[int(np.argmax(state.weights))].copy()
     return None

@@ -27,7 +27,10 @@ operations (pruning, dominance removal, merging) keep mixtures small;
 dominance removal is exact while merging is an approximation with a
 reportable pointwise error bound.  Both compare only the pairs of terms whose
 means lie close enough in coordinate 0 to interact, which gives the same
-result as comparing every pair.
+result as comparing every pair.  Merging decides its absorptions from the
+gate's quadratics, with a margin that sends every close call to the exact
+sequential rule, and solves only the separations of the inflations it keeps,
+in batches, so its result has the bits of that rule.
 
 Rows of a stack are gathered with ``a.take(idx, axis=0)`` and
 ``a.compress(mask, axis=0)``, not with ``a[idx]`` or ``a[mask]``.  Both copy
@@ -479,13 +482,22 @@ def _gate_neighbours(
     number of pairs in those windows, quadratic only when all means share
     coordinate 0.
     """
+    start, nbrs, _ = _gate_rows(ms, vs, np.linalg.inv(vs), tau, rank)
+    return start, nbrs
+
+
+def _gate_rows(ms, vs, ps, tau, rank=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_gate_neighbours` given the precisions ``ps = inv(vs)``, with
+    the quadratic of each pair it returns beside the pair, in the same order."""
     rows, cols = _window_pairs(ms[:, 0], tau * _WINDOW_SLACK * np.sqrt(vs[:, 0, 0]))
     if rank is not None:
         later = rank.take(cols) > rank.take(rows)
         rows, cols = rows.compress(later), cols.compress(later)
     dd = ms.take(cols, axis=0) - ms.take(rows, axis=0)
-    gated = _quadratic(dd, np.linalg.inv(vs).take(rows, axis=0)) <= tau * tau
-    return np.searchsorted(rows.compress(gated), np.arange(ms.shape[0] + 1)), cols.compress(gated)
+    quads = _quadratic(dd, ps.take(rows, axis=0))
+    gated = quads <= tau * tau
+    start = np.searchsorted(rows.compress(gated), np.arange(ms.shape[0] + 1))
+    return start, cols.compress(gated), quads.compress(gated)
 
 
 def _greedy_clusters(order, start, nbrs) -> tuple[np.ndarray, np.ndarray]:
@@ -642,6 +654,32 @@ _MERGE_COVER_LIMIT = 2.0
 # (_absorb_cluster)
 _SETTLE_MARGIN = 1e-9
 
+# relative margin around beta and 2 beta inside which a screened separation
+# decides no member (_decide_cluster); it doubles with each inflation in the
+# cluster.  The gate quadratic d' inv(V) d and the solved d' V^-1 d each
+# differ from the exact value by at most about d u kappa**2 relative (u =
+# 2**-53, kappa the condition number of V; Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., ch. 13-14), below 4.5e-8 for d <= 4 under
+# the conditioning guard below.  An inflation can at most halve a separation
+# (1 + gamma s = s / beta <= 2), so a Sherman-Morrison update at most doubles
+# the relative error of the quadratics it updates, whence the doubling.  On
+# the calls of the default study, runs 0-5 at rates 1, 5 and 10, runs 0-7
+# at rate 30 and run 0 at rate 100 (2.43M gate pairs), the two differ by at
+# most 6.6e-15 relative.
+_MERGE_MARGIN = 1e-6
+
+# conditioning guard of the screen: a head's cluster is screened only while
+# trace(V) trace(V^-1), at least the condition number of V, stays at most
+# this for its running covariance V.  An inflation adds gamma |d|**2 to
+# trace(V) and can only shrink trace(V^-1), so the head's own trace(V^-1)
+# keeps the product an upper bound.  The calls above reach a condition
+# number of 990.
+_MERGE_COND_LIMIT = 1e4
+
+# a screened separation at or below this can be 0 or not through underflow,
+# so with beta = 0 (s > 0 declines, s = 0 absorbs) it decides no member
+_MERGE_FLOOR = 1e-200
+
 
 def _separations(v: np.ndarray, deltas: np.ndarray) -> np.ndarray:
     """``d' V^-1 d`` for each row d of deltas.
@@ -704,6 +742,132 @@ def _absorb_cluster(w_h: float, m_h: np.ndarray, v_h: np.ndarray, weights, means
                 stale = True
         absorbed.append(j)
     return v_cur, absorbed, declined
+
+
+class _MergeTerms(NamedTuple):
+    """A mixture's terms in the forms that merge's loop reads."""
+
+    weights: list[float]
+    means: np.ndarray  # (k, d)
+    mean_rows: list[list[float]]  # the same, as lists
+    covs: np.ndarray  # (k, d, d)
+    precs: np.ndarray  # their inverses
+    trace_v: list[float]  # traces of covs
+    trace_p: list[float]  # traces of precs
+
+
+def _decide_cluster(w_h: float, h: int, cluster, terms: _MergeTerms, screen: bool):
+    """Absorb or decline each member of a cluster for the head term h, of weight w_h.
+
+    ``cluster`` lists the members in order, each with its gate quadratic
+    ``d' P_h d``, P_h being the head's precision.  Returns the absorbed and
+    declined members, the inflated members with their beta, and the merged
+    covariance.
+
+    With ``screen`` true, the decisions of :func:`_absorb_cluster` are made
+    from screened separations, and the covariance is None, left to
+    :func:`_replay_inflations`.  The gate quadratic stands in for s until
+    the first inflation.  Each inflation ``V + gamma d d'``, gamma taken from
+    the screened s, turns the running precision P into ``P - c x x'``
+    (Sherman-Morrison), with ``x = P d`` and ``c = gamma / (1 + gamma s)``;
+    a later member's screened s is its gate quadratic less ``c (x' d_j)**2``
+    per inflation.  With tol the margin ``_MERGE_MARGIN`` doubled per
+    inflation so far, a member is absorbed as is when its value is at most
+    ``beta (1 - tol)``, inflated when it lies in
+    ``(beta (1 + tol), 2 beta (1 - tol)]`` and declined above
+    ``2 beta (1 + tol)`` (and above ``_MERGE_FLOOR``, for beta = 0).  An
+    inflation only shrinks s, so a member whose gate quadratic is at most
+    ``beta (1 - _MERGE_MARGIN)`` is absorbed as is without an update.
+
+    When a value lies in none of these ranges, or the running covariance
+    fails the guard ``_MERGE_COND_LIMIT``, or ``screen`` is false,
+    _absorb_cluster decides the whole cluster and gives its covariance, and
+    no member is listed as inflated.
+    """
+    trace_v, trace_p = terms.trace_v[h], terms.trace_p[h]
+    if screen and trace_v * trace_p <= _MERGE_COND_LIMIT:
+        weights, rows, m_h = terms.weights, terms.mean_rows, terms.mean_rows[h]
+        log, settled, tol = math.log, 1.0 - _MERGE_MARGIN, _MERGE_MARGIN
+        absorbed, declined, inflated = [], [], []
+        # (c, x) per inflation, in plain lists: d is small, and numpy's per-call cost is not
+        steps: list[tuple[float, list[float]]] = []
+        for j, q in cluster:
+            w_j = weights[j]
+            beta = 2.0 * log(w_h / w_j) if w_j < w_h else 0.0
+            if beta > 0.0 and q <= beta * settled:
+                absorbed.append(j)
+                continue
+            if steps:
+                d = [a - b for a, b in zip(rows[j], m_h)]
+                us = [sum(map(operator.mul, x, d)) for _, x in steps]
+                for (c, _), u in zip(steps, us):
+                    q -= c * u * u
+            cover = _MERGE_COVER_LIMIT * beta
+            if beta > 0.0 and q <= beta * (1.0 - tol):
+                absorbed.append(j)
+            elif q > cover * (1.0 + tol) and q > _MERGE_FLOOR:
+                declined.append(j)
+            elif beta * (1.0 + tol) < q <= cover * (1.0 - tol):
+                gamma = 1.0 / beta - 1.0 / q
+                if not steps:
+                    d, us, p_h = [a - b for a, b in zip(rows[j], m_h)], [], terms.precs[h].tolist()
+                trace_v += gamma * sum(map(operator.mul, d, d))
+                if trace_v * trace_p > _MERGE_COND_LIMIT:
+                    break
+                x = [sum(map(operator.mul, row, d)) for row in p_h]
+                for (c, x_k), u in zip(steps, us):
+                    x = [a - c * u * b for a, b in zip(x, x_k)]
+                steps.append((gamma / (1.0 + gamma * q), x))
+                tol *= 2.0
+                absorbed.append(j)
+                inflated.append((j, beta))
+            else:
+                break
+        else:
+            return absorbed, declined, inflated, None
+    v_cur, absorbed, declined = _absorb_cluster(
+        w_h, terms.means[h], terms.covs[h], terms.weights, terms.means, [j for j, _ in cluster]
+    )
+    return absorbed, declined, [], v_cur
+
+
+def _replay_inflations(m_arr: np.ndarray, v_arr: np.ndarray, chains) -> dict[int, np.ndarray] | None:
+    """The covariances that :func:`_absorb_cluster` gives the screened heads.
+
+    ``chains`` lists ``(key, h, inflated)`` for each screened head h with at
+    least one inflation, ``inflated`` being its inflated members with their
+    beta, in order.  Round r solves the r-th separation of every chain that
+    has one, in one ``np.linalg.solve`` on the stack of their running
+    covariances, and inflates them elementwise as _absorb_cluster does, so
+    each covariance has the bits of absorbing its chain alone.  Returns the
+    covariances by key, or None when a solved separation does not call for
+    the inflation that its screen decided.
+    """
+    chains = sorted(chains, key=lambda chain: -len(chain[2]))
+    heads = [h for _, h, _ in chains]
+    # round r takes the r-th step of the first counts[r] chains in this order
+    steps, counts = [], []
+    for r in range(len(chains[0][2])):
+        steps += [(h, *inflated[r]) for _, h, inflated in chains if len(inflated) > r]
+        counts.append(len(steps) - sum(counts))
+    hs, js, betas = zip(*steps)
+    deltas = m_arr.take(js, axis=0) - m_arr.take(hs, axis=0)
+    rows, cols = deltas[:, None, :], deltas[:, :, None]
+    outers = cols * rows
+    covs = v_arr.take(heads, axis=0)
+    at = 0
+    for n in counts:
+        seps = (rows[at:at + n] @ np.linalg.solve(covs[:n], cols[at:at + n]))[:, 0, 0].tolist()
+        gammas = []
+        for beta, s in zip(betas[at:at + n], seps):
+            gamma = 1.0 / beta - 1.0 / s
+            if not (0.0 < s <= _MERGE_COVER_LIMIT * beta and gamma > 0.0):
+                return None
+            gammas.append(gamma)
+        v_new = covs[:n] + np.array(gammas).reshape(n, 1, 1) * outers[at:at + n]
+        covs[:n] = 0.5 * (v_new + v_new.transpose(0, 2, 1))
+        at += n
+    return {key: cov for (key, _, _), cov in zip(chains, covs)}
 
 
 def _overshoot_bound(w_i: float, v_orig: np.ndarray, v_new: np.ndarray) -> float:
@@ -772,8 +936,16 @@ def merge(mix: MaxMixture, tau_m: float) -> MaxMixture:
     heap, so a stable sort by -w of the whole queue is the order by
     (-w, seq), and an absorption re-sorts it by pushing the tail into the
     heap.  A head's cluster is the queued members of its gate row, in queue
-    order.  A call costs O(log k) per head and per queue move, plus the
-    head's gate row, instead of a pass over the whole queue per head.
+    order.
+
+    Each member is decided from the gate's own quadratic, updated by
+    Sherman-Morrison after an inflation; close calls and ill-conditioned
+    heads go through the exact :func:`_absorb_cluster`
+    (:func:`_decide_cluster`).  The inflations alone are solved, after the
+    loop, with the bits of _absorb_cluster (:func:`_replay_inflations`).  A
+    call costs O(log k) per head and per queue move, the head's gate row, a
+    few float operations per member and O(d**2) per inflation, plus one
+    batched solve per round of inflations.
     """
     out, _ = _merge_impl(mix, tau_m, report=False)
     return out
@@ -784,10 +956,52 @@ def _merge_impl(mix: MaxMixture, tau_m: float, report: bool):
     if mix.weights.size <= 1:
         return mix, []
     w_arr, m_arr, v_arr = mix.weights, mix.means, mix.covs
-    start, gate = _gate_neighbours(m_arr, v_arr, tau_m)
-    start, gate = start.tolist(), gate.tolist()
-    ws, neg_w = w_arr.tolist(), (-w_arr).tolist()
-    order = np.argsort(-w_arr, kind="stable").tolist()
+    ps = np.linalg.inv(v_arr)
+    gate = _gate_rows(m_arr, v_arr, ps, tau_m)
+    if gate[1].size == w_arr.size:  # each term gates only itself: each heads its own cluster
+        return mix.take(np.argsort(-w_arr, kind="stable")), []
+    # a replayed separation that contradicts its screen reruns the call on the exact path
+    heads, absorbs, merged = (
+        _merge_heads(mix, ps, *gate, screen=True) or _merge_heads(mix, ps, *gate, screen=False)
+    )
+    bounds: list[float] = []
+    if report:
+        ws = w_arr.tolist()
+        for i, (h, absorbed) in enumerate(zip(heads, absorbs)):
+            if absorbed:
+                v_cur = merged.get(i, v_arr[h])
+                over = _overshoot_bound(ws[h], v_arr[h], v_cur)
+                deficit = max(
+                    _deficit_bound(ws[h], m_arr[h], v_cur, ws[j], m_arr[j], v_arr[j]) for j in absorbed
+                )
+                bounds.append(max(over, deficit))
+    if bounds:
+        logger.debug("merge: %d events, worst pointwise error bound %.3g", len(bounds), max(bounds))
+    heads = np.asarray(heads)
+    order = np.argsort(-w_arr.take(heads), kind="stable")
+    idx = heads.take(order)
+    covs = v_arr.take(idx, axis=0)
+    if merged:
+        place = np.empty_like(order)  # place[i]: where heads[i] goes
+        place[order] = np.arange(order.size)
+        covs[place.take(list(merged))] = np.stack(list(merged.values()))
+    return mix._trusted(w_arr.take(idx), m_arr.take(idx, axis=0), covs, mix.flat_weight), bounds
+
+
+def _merge_heads(mix: MaxMixture, ps: np.ndarray, start, gate, quads, screen: bool):
+    """The queue loop of :func:`merge` over the gate rows ``(start, gate, quads)`` of :func:`_gate_rows`.
+
+    Returns the heads in the order taken, the members each absorbed, and
+    the merged covariance of each head whose cluster may have changed it,
+    keyed by the head's place in that order; or None when ``screen`` is true
+    and a replayed separation contradicts its screened decision.
+    """
+    w_arr, m_arr, v_arr = mix.weights, mix.means, mix.covs
+    start = start.tolist()
+    neg = -w_arr
+    ws, neg_w, order = w_arr.tolist(), neg.tolist(), neg.argsort(kind="stable").tolist()
+    terms = _MergeTerms(ws, m_arr, m_arr.tolist(), v_arr, ps, v_arr.trace(axis1=1, axis2=2).tolist(),
+                        ps.trace(axis1=1, axis2=2).tolist())
     # seq[j]: term j's queue seq, -1 once it heads or joins a cluster.  An
     # entry (.., s, j) of the heap or the tail is live while seq[j] == s.
     seq = [0] * len(order)
@@ -798,9 +1012,10 @@ def _merge_impl(mix: MaxMixture, tau_m: float, report: bool):
     # the tail holds exactly the live terms with seq >= tail_from
     next_seq = tail_from = left = len(order)
     tail_at = 0
-    bounds: list[float] = []
     heads: list[int] = []
-    covs: list[np.ndarray] = []
+    absorbs: list[list[int]] = []
+    merged: dict[int, np.ndarray] = {}
+    chains: list[tuple[int, int, list]] = []  # (place in heads, h, inflated) of the screened heads
     while left:
         h = -1
         while heap and h < 0:
@@ -812,11 +1027,18 @@ def _merge_impl(mix: MaxMixture, tau_m: float, report: bool):
             h = j if seq[j] == s else -1
         seq[h] = -1
         left -= 1
-        cluster = [j for j in gate[start[h]:start[h + 1]] if seq[j] >= 0]
-        v_cur, absorbed = v_arr[h], []
+        a, b = start[h], start[h + 1]
+        absorbed, cluster = [], []
+        if b - a > 1:  # the row holds more than h itself
+            cluster = [(j, q) for j, q in zip(gate[a:b].tolist(), quads[a:b].tolist()) if seq[j] >= 0]
         if cluster:
-            cluster.sort(key=lambda j: (1.0 if seq[j] >= tail_from else neg_w[j], seq[j]))
-            v_cur, absorbed, declined = _absorb_cluster(ws[h], m_arr[h], v_arr[h], ws, m_arr, cluster)
+            if len(cluster) > 1:
+                cluster.sort(key=lambda jq: (1.0 if seq[jq[0]] >= tail_from else neg_w[jq[0]], seq[jq[0]]))
+            absorbed, declined, inflated, v_cur = _decide_cluster(ws[h], h, cluster, terms, screen)
+            if inflated:
+                chains.append((len(heads), h, inflated))
+            elif v_cur is not None:
+                merged[len(heads)] = v_cur
             for j in absorbed:
                 seq[j] = -1
             left -= len(absorbed)
@@ -829,20 +1051,11 @@ def _merge_impl(mix: MaxMixture, tau_m: float, report: bool):
                 if seq[j] == s:
                     heapq.heappush(heap, (neg_w[j], s, j))
             tail, tail_at, tail_from = [], 0, next_seq
-            if report:
-                over = _overshoot_bound(ws[h], v_arr[h], v_cur)
-                deficit = max(
-                    _deficit_bound(ws[h], m_arr[h], v_cur, ws[j], m_arr[j], v_arr[j]) for j in absorbed
-                )
-                bounds.append(max(over, deficit))
         heads.append(h)
-        covs.append(v_cur)
-    if bounds:
-        logger.debug("merge: %d events, worst pointwise error bound %.3g", len(bounds), max(bounds))
-    heads = np.asarray(heads)
-    order = np.argsort(-w_arr.take(heads), kind="stable")
-    idx = heads.take(order)
-    merged = mix._trusted(
-        w_arr.take(idx), m_arr.take(idx, axis=0), np.stack(covs).take(order, axis=0), mix.flat_weight
-    )
-    return merged, bounds
+        absorbs.append(absorbed)
+    if chains:
+        replayed = _replay_inflations(m_arr, v_arr, chains)
+        if replayed is None:
+            return None
+        merged.update(replayed)
+    return heads, absorbs, merged

@@ -356,7 +356,9 @@ def estimate(state: ExtendedPossibility, tau_c: float) -> np.ndarray | None:
     and beats the runner-up weight by more than tau_c.  With fewer than two
     components the flat term plays runner-up.  Weight ties are broken toward
     the smaller covariance trace; a tie with the absence mass stays absent.
+    tau_c may be any float, ±inf included, but not NaN.
     """
+    tau_c = _in_range("tau_c", tau_c, -math.inf, math.inf, "[]")
     mix = state.on_s
     ws = mix.weights
     if not ws.size:

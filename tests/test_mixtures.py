@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from possitrack import mixtures
 from possitrack.bench import BenchConfig, default_config, make_run
 from possitrack.intensity import IntensityMixture, MultiTargetParams, extract_targets
-from possitrack.ipda import IpdaParams, IpdaState, _prune_and_merge
+from possitrack.ipda import IpdaParams, IpdaState, _prune_and_merge, ipda_estimate
 from possitrack.mixtures import (
     EXP_FLOOR,
     MaxMixture,
@@ -33,7 +33,7 @@ from possitrack.mixtures import (
     prune,
 )
 from possitrack.scenario import ScenarioConfig, error_at, simulate_truth
-from possitrack.single_target import ExtendedPossibility, SingleTargetParams, predict, update
+from possitrack.single_target import ExtendedPossibility, SingleTargetParams, estimate, predict, update
 
 from oracles import grid_sup_oracle
 
@@ -316,6 +316,13 @@ BOUNDARIES = {
     "BenchConfig.threshold_sweep": (lambda f, v: BenchConfig(threshold_sweep=(v,)), "threshold_sweep", 0, 1, "[)"),
     # each rate is checked as the baseline's clutter rate
     "BenchConfig.lambda_list": (lambda f, v: BenchConfig(lambda_list=(v,)), "clutter_rate", 0, math.inf, "[)"),
+    "estimate.tau_c": (
+        lambda f, v: estimate(ExtendedPossibility(psi_mass=0.5, on_s=_MIX), v), "tau_c", -math.inf, math.inf, "[]"
+    ),
+    "ipda_estimate.tau_conf": (
+        lambda f, v: ipda_estimate(IpdaState(0.5, [0.6, 0.4], _MIX.means, _MIX.covs, 0.0), v),
+        "tau_conf", -math.inf, math.inf, "[]",
+    ),
     **{
         f"extract_targets.{name}": (lambda f, v: extract_targets(_FM, **{f: v}), name, -math.inf, math.inf, "[]")
         for name in ("tau_x", "merge_radius")
@@ -926,16 +933,16 @@ def test_reduction_matches_dense_reference(seed, d, k, layout, flat, tau_m):
 
 
 def _count_declines(monkeypatch):
-    """Patch merge's absorb step to record each call's head weight and declined count."""
+    """Patch merge's cluster decision to record each call's head weight and declined count."""
     calls = []
-    absorb = mixtures._absorb_cluster
+    decide = mixtures._decide_cluster
 
     def counted(w_h, *args):
-        v, absorbed, declined = absorb(w_h, *args)
+        absorbed, declined, *rest = decide(w_h, *args)
         calls.append((w_h, len(declined)))
-        return v, absorbed, declined
+        return absorbed, declined, *rest
 
-    monkeypatch.setattr(mixtures, "_absorb_cluster", counted)
+    monkeypatch.setattr(mixtures, "_decide_cluster", counted)
     return calls
 
 
@@ -977,6 +984,183 @@ def test_merge_requeues_a_declined_term_until_an_absorption(monkeypatch):
     assert out.weights.tolist() == [1.0, 0.9, 0.5, 0.3]
     assert out.covs[:, 0, 0].tolist() == [1.0, 1.0, 1.0, 0.5]
     _assert_same_bits(out, _ref_merge_with_report(mix, 3.22)[0])
+
+
+# merge decides most members from the gate quadratic, or its Sherman-Morrison
+# update after an inflation, and solves only the inflations, after its loop.
+# The cases below sit where that screen must leave a cluster to the exact
+# path, or where its replay must refute it; the recorded filter runs reach
+# none of them.  Each is compared bit for bit, bounds included, with the
+# dense reference.
+
+
+def _spy(monkeypatch, name):
+    """Record the arguments and the result of each call of the mixtures function ``name``."""
+    calls = []
+    fn = getattr(mixtures, name)
+
+    def spied(*args):
+        calls.append((args, fn(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(mixtures, name, spied)
+    return calls
+
+
+def _assert_merge_matches_reference(mix, tau_m=3.22):
+    out, bounds = merge_with_report(mix, tau_m)
+    ref, ref_bounds = _ref_merge_with_report(mix, tau_m)
+    _assert_same_bits(out, ref)
+    _assert_same_bits(merge(mix, tau_m), ref)
+    assert bounds == ref_bounds
+
+
+def _offset(v, s, direction):
+    """The offset along direction whose separation d' V^-1 d is s, to rounding."""
+    u = np.asarray(direction, dtype=float)
+    return u * math.sqrt(s / float(u @ np.linalg.solve(v, u)))
+
+
+_V = np.array([[2.0, 0.3], [0.3, 0.5]])
+
+
+@pytest.mark.parametrize("edge", [1.0, 2.0], ids=["beta", "2beta"])
+@pytest.mark.parametrize("rel", [-1e-12, 1e-12])
+def test_merge_leaves_members_at_a_decision_edge_to_the_exact_path(monkeypatch, edge, rel):
+    # s = beta (1 +- 1e-12) and 2 beta (1 +- 1e-12): absorb as is or inflate,
+    # inflate or decline; far inside the screen's margin
+    w_j = 0.6
+    beta = 2.0 * math.log(1.0 / w_j)
+    m_j = _offset(_V, edge * beta * (1.0 + rel), [1.0, 0.4])
+    exact = _spy(monkeypatch, "_absorb_cluster")
+    _assert_merge_matches_reference(MaxMixture([1.0, w_j], [[0.0, 0.0], m_j], [_V, 0.8 * np.eye(2)]))
+    assert exact
+
+
+def _straddlers(count):
+    """Mixtures of a head and one member whose gate quadratic lies above the
+    cover limit 2 beta while its solved separation does not: the screen
+    alone would decline a member that the exact path inflates."""
+    rng = np.random.default_rng(5)
+    found = []
+    for _ in range(5000):
+        a = rng.normal(size=(2, 2))
+        v = a @ a.T + 0.1 * np.eye(2)
+        v = 0.5 * (v + v.T)
+        w_j = rng.uniform(0.3, 0.9)
+        cover = 2.0 * (2.0 * math.log(1.0 / w_j))
+        covs = np.stack([v, 0.5 * np.eye(2)])
+        base = _offset(v, cover, rng.normal(size=2))
+        for k in range(-6, 7):
+            m_j = base * (1.0 + k * 2.0**-52)
+            q = mixtures._quadratic(m_j[None], np.linalg.inv(covs)[:1])[0]
+            s = float(m_j @ np.linalg.solve(v, m_j))
+            if s <= cover < q:
+                found.append(MaxMixture([1.0, w_j], [[0.0, 0.0], m_j], covs))
+                break
+        if len(found) == count:
+            return found
+    raise AssertionError(f"found {len(found)} of {count} straddling members")
+
+
+def test_merge_leaves_a_member_whose_quadratic_and_solve_straddle_the_cover_limit_to_the_exact_path(monkeypatch):
+    exact = _spy(monkeypatch, "_absorb_cluster")
+    for mix in _straddlers(3):
+        _assert_merge_matches_reference(mix)
+        out = merge(mix, 3.22)
+        assert out.weights.size == 1  # absorbed, with an inflation
+    assert exact
+
+
+@pytest.mark.parametrize("w_j", [1.0, 0.7], ids=["equal_weights", "lighter"])
+@pytest.mark.parametrize("offset", [0.0, 1e-160, 0.5])
+def test_merge_matches_reference_at_zero_and_tiny_separations(w_j, offset):
+    # equal weights make beta = 0, where only s = 0 is absorbed; a separation
+    # of 1e-160 squares to a subnormal or to 0
+    mix = MaxMixture([1.0, w_j, w_j], [[0.0, 0.0], [offset, 0.0], [0.0, offset]], [_V, _V, 0.3 * np.eye(2)])
+    _assert_merge_matches_reference(mix)
+
+
+def _ill_conditioned(kappa, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    rot = np.array([[c, -s], [s, c]])
+    v = rot @ np.diag([1.0, 1.0 / kappa]) @ rot.T
+    return 0.5 * (v + v.T), rot
+
+
+def test_merge_leaves_an_ill_conditioned_head_to_the_exact_path(monkeypatch):
+    # condition number 1e10; members at 0.5, 1.5 and 3 beta along both axes
+    v, rot = _ill_conditioned(1e10, 0.3)
+    weights, means = [1.0], [[0.0, 0.0]]
+    for n, (factor, axis) in enumerate((f, a) for a in (0, 1) for f in (0.5, 1.5, 3.0)):
+        w_j = 0.6 - 0.05 * n
+        weights.append(w_j)
+        means.append(_offset(v, factor * 2.0 * math.log(1.0 / w_j), rot[:, axis]))
+    exact = _spy(monkeypatch, "_absorb_cluster")
+    _assert_merge_matches_reference(MaxMixture(weights, means, [v] + [0.5 * np.eye(2)] * 6))
+    assert [args[0] for args, _ in exact].count(1.0) == 2  # the head's cluster, in both calls
+
+
+def test_merge_conditioning_guard_covers_a_quadratic_off_by_more_than_the_margin(monkeypatch):
+    # condition number 1e12: a member at 2 beta (1 - 1e-5) along the long
+    # axis whose gate quadratic lies 1e-5 or more above 2 beta, so the screen
+    # alone would decline the member that the exact path absorbs with an
+    # inflation
+    w_j = 0.6
+    cover = 2.0 * (2.0 * math.log(1.0 / w_j))
+    for n in range(200):
+        v, rot = _ill_conditioned(1e12, 0.1 + 0.01 * n)
+        covs = np.stack([v, 0.5 * np.eye(2)])
+        m_j = _offset(v, cover * (1.0 - 1e-5), rot[:, 0])
+        if mixtures._quadratic(m_j[None], np.linalg.inv(covs)[:1])[0] > cover * (1.0 + 1e-5):
+            break
+    else:
+        raise AssertionError("no such head among the angles tried")
+    mix = MaxMixture([1.0, w_j], [[0.0, 0.0], m_j], covs)
+    exact = _spy(monkeypatch, "_absorb_cluster")
+    _assert_merge_matches_reference(mix)
+    assert len(exact) == 2 and merge(mix, 3.22).weights.size == 1
+
+
+def test_merge_replays_a_long_inflation_chain(monkeypatch):
+    # eight members around the head, each at 1.5 beta from the head's running
+    # covariance, so each inflates it: one chain of eight rounds
+    v_run, weights, means = np.eye(2), [1.0], [[0.0, 0.0]]
+    for n in range(8):
+        w_j = 0.6 - 0.02 * n
+        beta = 2.0 * math.log(1.0 / w_j)
+        u = np.array([math.cos(0.4 * n), math.sin(0.4 * n)])
+        d = _offset(v_run, 1.5 * beta, u)
+        v_run = v_run + (1.0 / beta - 1.0 / (1.5 * beta)) * np.outer(d, d)
+        weights.append(w_j)
+        means.append(d)
+    replays = _spy(monkeypatch, "_replay_inflations")
+    exact = _spy(monkeypatch, "_absorb_cluster")
+    mix = MaxMixture(weights, means, [np.eye(2)] * 9)
+    _assert_merge_matches_reference(mix)
+    assert [len(args[2][0][2]) for args, _ in replays] == [8, 8]  # one chain of 8, in both calls
+    assert not exact
+    assert merge(mix, 3.22).weights.size == 1
+
+
+def test_merge_reruns_on_the_exact_path_when_a_replay_refutes_its_screen(monkeypatch):
+    # gate quadratics scaled up by 1e-3 screen a member at s = beta (1 - 1e-4)
+    # as an inflation; its replayed s calls for none, so the call reruns exactly
+    w_j = 0.6
+    mix = MaxMixture([1.0, w_j], [[0.0, 0.0], _offset(_V, 2.0 * math.log(1.0 / w_j) * (1.0 - 1e-4), [1.0, -1.0])],
+                     [_V, _V])
+    gate_rows = mixtures._gate_rows
+
+    def scaled(*args):
+        start, nbrs, quads = gate_rows(*args)
+        return start, nbrs, quads * (1.0 + 1e-3)
+
+    monkeypatch.setattr(mixtures, "_gate_rows", scaled)
+    replays = _spy(monkeypatch, "_replay_inflations")
+    exact = _spy(monkeypatch, "_absorb_cluster")
+    _assert_merge_matches_reference(mix)
+    assert [covs for _, covs in replays] == [None, None] and len(exact) == 2
+    assert merge(mix, 3.22).covs.tobytes() == _V.tobytes()  # absorbed as is
 
 
 def _ref_extract_targets(fm, tau_x, merge_radius):

@@ -19,14 +19,18 @@ false-alarm rates 1, 10 and 30 (runs 0-2) and 100 (run 0); the intensity
 filter runs on four three-system scenes with lambda = 10 clutter, built by
 ``three_system_scene`` of ``tests/test_intensity.py`` (so pytest must be
 installed).  Two checkouts whose digests agree compute the same bytes on all
-of these.  The whole run takes about a minute on a 2-core machine.
+of these.  On every scan it also checks that ``merge`` returns the bytes of
+``merge_with_report``'s mixture, which it reaches without the bounds, and
+exits with status 2 if not; this check feeds no digest.  The whole run takes
+about a minute on a 2-core machine.
 
     python3 tools/state_hash.py --against HEAD~1
 
 also exports the commit HEAD~1 with ``git archive`` (the export of
 ``tools/bench_pairs.py``), runs this file there on that commit's ``src/``,
 prints the two digest sets side by side and exits with status 1 if any
-section differs.  Both sides run at once, one process each.
+section differs, or 2 if either side fails (a merge mismatch included).
+Both sides run at once, one process each.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from possitrack.intensity import (  # noqa: E402
     update_intensity,
 )
 from possitrack.ipda import IpdaState, ipda_estimate, ipda_step  # noqa: E402
-from possitrack.mixtures import dominance_reduce, merge_with_report, prune  # noqa: E402
+from possitrack.mixtures import dominance_reduce, merge, merge_with_report, prune  # noqa: E402
 from possitrack.single_target import (  # noqa: E402
     ExtendedPossibility,
     canonicalize_observations,
@@ -70,6 +74,17 @@ PF_CASES = tuple((lam, run) for lam in RATES[:3] for run in range(3)) + ((RATES[
 SCENE_SEEDS = (1, 2, 3, 4)
 # (tau_x, merge_radius) of extract_targets
 EXTRACT_SETTINGS = ((0.9, 3.22), (0.5, 1.0), (0.0, 8.0))
+
+
+class MergeMismatch(Exception):
+    """``merge`` and ``merge_with_report`` gave different mixtures on one scan."""
+
+
+def _same_mix(a, b) -> bool:
+    return a.flat_weight == b.flat_weight and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in ((a.weights, b.weights), (a.means, b.means), (a.covs, b.covs))
+    )
 
 
 def _feed(h, *values) -> None:
@@ -93,12 +108,14 @@ def _single_system(cases, pf, ipda) -> None:
         _, obs = make_run(cfg.scenario, lam, cfg.base_seed, RATES.index(lam), run)
         base_params = cfg.baseline_params(lam)
         st, ip = ExtendedPossibility.absent(), IpdaState.initial()
-        for scan in obs.steps:
+        for t, scan in enumerate(obs.steps):
             ys = canonicalize_observations(scan, params.obs_dim)
             # the stages of ``step``, each hashed
             post = update(predict(st, params), params, ys)
             reduced = dominance_reduce(prune(post.on_s, params.prune_threshold))
             merged, bounds = merge_with_report(reduced, params.merge_threshold)
+            if not _same_mix(merge(reduced, params.merge_threshold), merged):
+                raise MergeMismatch(f"merge and merge_with_report differ at lambda {lam}, run {run}, t {t}")
             st = replace(post, on_s=merged)
             for mix in (post.on_s, reduced, merged):
                 _feed_mix(pf, mix)
@@ -166,13 +183,17 @@ def main(argv=None) -> int:
     parser.add_argument("--against", metavar="REV",
                         help="also hash commit REV; print both digest sets and exit 1 if they differ")
     args = parser.parse_args(argv)
-    if args.against is None:
-        for name, digest in digests().items():
-            print(f"{name} {digest}")
-        return 0
-    with tempfile.TemporaryDirectory(prefix="state_hash_") as tmp, _start_at(args.against, Path(tmp)) as proc:
-        mine = digests()
-        out, _ = proc.communicate()
+    try:
+        if args.against is None:
+            for name, digest in digests().items():
+                print(f"{name} {digest}")
+            return 0
+        with tempfile.TemporaryDirectory(prefix="state_hash_") as tmp, _start_at(args.against, Path(tmp)) as proc:
+            mine = digests()
+            out, _ = proc.communicate()
+    except MergeMismatch as err:
+        print(f"state_hash.py: {err}", file=sys.stderr)
+        return 2
     if proc.returncode:
         print(f"state_hash.py failed at {args.against} (exit {proc.returncode})", file=sys.stderr)
         return 2
