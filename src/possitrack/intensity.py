@@ -116,34 +116,56 @@ def update_intensity(fm: IntensityMixture, params: MultiTargetParams, observatio
     observation y adds Kalman-updated components and, when the floor is
     positive, one newborn component located at y; all of them are divided by
     D_y = max(floor, best component likelihood, clutter intensity at y), so
-    no weight exceeds 1.  Exact duplicate observations are a single
-    observation.  The result is dominance-reduced and capped at the
-    max_components heaviest components.
+    no weight exceeds 1.  An observation with D_y = 0 adds nothing.  Exact
+    duplicate observations are a single observation.  The terms are ordered
+    by branch: the k misdetections, then for each observation in
+    canonical order its k detections and its newborn.  The result is
+    dominance-reduced and capped at the max_components heaviest components.
+
+    The branch weights are computed in one pass, as a (n, k + 1) array, and
+    only the terms above the new floor (floor * missed_detection) get their
+    means and covariances gathered: dominance reduction drops every other
+    term first and keeps the order of the rest, so the result is that of
+    building all k + n (k + 1) terms.
     """
     ys = canonicalize_observations(observations, params.obs_dim)
-    n_obs = ys.shape[0]
     ws, ms, vs = fm.weights, fm.means, fm.covs
-    floor = fm.floor
-    branches = [(ws * params.missed_detection, ms, vs)]
-    if n_obs and ws.size:
+    k, n, floor = ws.size, ys.shape[0], fm.floor
+    new_floor = floor * params.missed_detection
+    # the sources of the terms' moments, in branch order: misdetections, the
+    # detections of term c against observation j at row c * n + j, the newborns
+    m_src, v_src = ([ms], [vs]) if k else ([], [])
+    d_y = np.maximum(floor, params.clutter.eval_many(ys))
+    w_lik = np.empty((k, n))
+    if k and n:
         liks, m_post, v_post, _ = batch_kalman_update(ms, vs, ys, params.obs, params.obs_noise)
-        w_lik = ws[:, None] * liks  # (k, n)
-    if n_obs and floor > 0.0:
+        w_lik = ws[:, None] * liks
+        d_y = np.maximum(d_y, w_lik.max(axis=0))
+        m_src.append(m_post.reshape(k * n, -1))
+        v_src.append(v_post)
+    if n and floor > 0.0:
         born_m, born_v = _born_terms(params, params.birth_velocity_std, ys)
-    for j, clutter in enumerate(params.clutter.eval_many(ys)):
-        d_y = max(floor, float(w_lik[:, j].max()) if ws.size else 0.0, clutter)
-        if d_y <= 0.0:
-            continue
-        if ws.size:
-            branches.append((w_lik[:, j] / d_y, m_post[:, j, :], v_post))
-        if floor > 0.0:
-            branches.append((np.array([floor / d_y]), born_m[j : j + 1], born_v[None]))
+        m_src.append(born_m)
+        v_src.append(born_v[None])
+    if not m_src:  # no terms and no newborns
+        return IntensityMixture._trusted(np.empty(0), np.empty((0, 0)), np.empty((0, 0, 0)), new_floor)
 
-    new_w, new_m, new_v = concat_terms(branches)
-    keep = new_w > 0.0
+    seen = np.flatnonzero(d_y > 0.0)
+    d_seen = d_y.take(seen)
+    branch_w = np.empty((seen.size, k + 1))  # per observation: k detections, then the newborn
+    branch_w[:, :k] = (w_lik.take(seen, axis=1) / d_seen).T
+    branch_w[:, k] = floor / d_seen
+    new_w = np.concatenate([ws * params.missed_detection, branch_w.ravel()])
+    sel = np.flatnonzero(new_w > new_floor)
+    n_mis = np.searchsorted(sel, k)
+    obs_j, c = np.divmod(sel[n_mis:] - k, k + 1)
+    m_rows = np.concatenate([sel[:n_mis], k + c * n + seen.take(obs_j)])
+    v_rows = np.concatenate([sel[:n_mis], k + c])
     out = dominance_reduce(IntensityMixture._trusted(
-        new_w.compress(keep), new_m.compress(keep, axis=0), new_v.compress(keep, axis=0),
-        floor * params.missed_detection,
+        new_w.take(sel),
+        np.concatenate(m_src).take(m_rows, axis=0),
+        np.concatenate(v_src).take(v_rows, axis=0),
+        new_floor,
     ))
     if out.weights.size > params.max_components:
         out = out.take(np.argsort(-out.weights, kind="stable")[: params.max_components])

@@ -599,7 +599,8 @@ def dominance_reduce(mix: MaxMixture) -> MaxMixture:
     the components from the heaviest down, so the mixture value is unchanged
     everywhere: the kept components are the heads of :func:`_greedy_clusters`
     over the certified pairs.  Pairwise certificates only: a component
-    dominated jointly by several others but by none alone is kept.
+    dominated jointly by several others but by none alone is kept.  The
+    mixture itself is returned when nothing is removed.
 
     Component j can dominate i only if j's term at m_i reaches w_i, which
     needs ``(m_i - m_j)' V_j^-1 (m_i - m_j) <= 2 log(w_j / w_i)``.  By
@@ -610,15 +611,32 @@ def dominance_reduce(mix: MaxMixture) -> MaxMixture:
     of comparing every pair.  The certificates of the pairs left are computed
     in one batch by :func:`_dominance_certificates`, which rules most of them
     out with the 2x2 principal minors of their matrices and runs eigvalsh only
-    on the rest.  Time and memory grow with the number of pairs in the
-    windows: quadratic in the worst case, when all means share coordinate 0.
+    on the rest.
+
+    The work stops as soon as nothing is left to decide: at most one term
+    above the flat term, no window pair with the heavier-ranked term first,
+    no pair past the test at m_i, or no certified pair.  Each exit skips the
+    steps after it (the inverse covariances, the certificates, the greedy
+    rule), so a call that removes only terms at or below the flat term costs
+    a comparison and a gather, and one that removes nothing costs the
+    windows.  Time and memory grow with the number of pairs in the windows:
+    quadratic in the worst case, when all means share coordinate 0.
     """
-    if not mix.weights.size:
-        return mix
     survivors = np.flatnonzero(mix.weights > mix.flat_weight)
-    if not survivors.size:
-        return mix.take(survivors)
-    ws, ms, vs = mix.weights.take(survivors), mix.means.take(survivors, axis=0), mix.covs.take(survivors, axis=0)
+    if survivors.size > 1:
+        heads = _dominance_heads(
+            mix.weights.take(survivors), mix.means.take(survivors, axis=0), mix.covs.take(survivors, axis=0)
+        )
+        if heads is not None:
+            survivors = survivors.take(heads)
+    if survivors.size == mix.weights.size:
+        return mix
+    return mix.take(survivors)
+
+
+def _dominance_heads(ws: np.ndarray, ms: np.ndarray, vs: np.ndarray) -> np.ndarray | None:
+    """The terms that :func:`dominance_reduce` keeps of at least two terms above
+    the flat term, in index order, or None when it keeps them all."""
     order = np.argsort(-ws, kind="stable")
     rank = np.empty(ws.size, dtype=np.intp)
     rank[order] = np.arange(ws.size)
@@ -628,6 +646,8 @@ def dominance_reduce(mix: MaxMixture) -> MaxMixture:
     reach[reach >= -2.0 * EXP_FLOOR] = np.inf
     js, iis = _window_pairs(ms[:, 0], np.sqrt(reach * vs[:, 0, 0]))
     ahead = rank.take(js) < rank.take(iis)
+    if not ahead.any():
+        return None
     js, iis = js.compress(ahead), iis.compress(ahead)
     ps = np.linalg.inv(vs)
     # cheap necessary condition: j can only dominate i if j's term at i's mean
@@ -635,14 +655,16 @@ def dominance_reduce(mix: MaxMixture) -> MaxMixture:
     dd = ms.take(iis, axis=0) - ms.take(js, axis=0)
     vals = ws.take(js) * _floored_exp(-0.5 * _quadratic(dd, ps.take(js, axis=0)))
     reaches = vals >= ws.take(iis) * (1.0 - 1e-9)
+    if not reaches.any():
+        return None
     js, iis = js.compress(reaches), iis.compress(reaches)
     certified = _dominance_certificates(ws, ms, ps, js, iis)
+    if not certified.any():
+        return None
     # js is still grouped by row, so the certified pairs are in the form of _gate_neighbours
     js, iis = js.compress(certified), iis.compress(certified)
     _, heads = _greedy_clusters(order, np.searchsorted(js, np.arange(ws.size + 1)), iis)
-    if heads.size == mix.weights.size:
-        return mix
-    return mix.take(survivors.take(np.sort(heads)))
+    return np.sort(heads)
 
 
 # absorption is declined when covering the absorbed peak would more than
@@ -879,25 +901,51 @@ def _overshoot_bound(w_i: float, v_orig: np.ndarray, v_new: np.ndarray) -> float
     return float(w_i * (rho ** (rho / (1.0 - rho)) - rho ** (1.0 / (1.0 - rho))))
 
 
+# the grid on which _deficit_bound maximizes its envelope, and the envelope's
+# first term without its weight; built once, read-only.  Past the first
+# _DEFICIT_HEAD points that term is at most _DEFICIT_TAIL_MAX (about exp(-32)).
+_DEFICIT_U = np.linspace(0.0, 42.0, 21001)
+_DEFICIT_PEAK = _floored_exp(-0.5 * _DEFICIT_U**2)
+_DEFICIT_U.setflags(write=False)
+_DEFICIT_PEAK.setflags(write=False)
+_DEFICIT_HEAD = 4001
+_DEFICIT_TAIL_MAX = float(_DEFICIT_PEAK[_DEFICIT_HEAD:].max())
+
+
 def _deficit_bound(
-    w_i: float, m_i: np.ndarray, v_new: np.ndarray, w_j: float, m_j: np.ndarray, v_j: np.ndarray
+    w_i: float, m_i: np.ndarray, v_new: np.ndarray, w_js: np.ndarray, m_js: np.ndarray, v_js: np.ndarray
 ) -> float:
-    """Upper bound on sup of (absorbed term - merged term).
+    """Upper bound on sup of (absorbed term - merged term), the largest over
+    the terms (w_js, m_js, v_js) absorbed into the term at m_i of weight w_i.
 
     Uses the norm inequality |x - m_i|_{V_new} <= sqrt(kappa) |x - m_j|_{V_j} + delta
-    and maximizes the resulting one-dimensional envelope numerically.
+    and maximizes the resulting one-dimensional envelope
+    ``w_j exp(-u**2 / 2) - w_i exp(-(sqrt(kappa) u + delta)**2 / 2)``
+    numerically on a grid of 21001 points, all absorbed terms at once.  The
+    envelope is at most its first term, so when its maximum over the first
+    _DEFICIT_HEAD points is positive and w_j * _DEFICIT_TAIL_MAX does not
+    exceed it, no later point can, and the rest of the grid is skipped with
+    the maximum of evaluating it.
     """
-    dm = m_j - m_i
-    delta = math.sqrt(max(float(dm @ np.linalg.solve(v_new, dm)), 0.0))
-    kappa = max(float(np.linalg.eigvals(np.linalg.solve(v_new, v_j)).real.max()), 0.0)
-    sk = math.sqrt(kappa)
-    u = np.linspace(0.0, 42.0, 21001)
-    envelope = w_j * _floored_exp(-0.5 * u**2) - w_i * _floored_exp(
-        -0.5 * (sk * u + delta) ** 2
-    )
-    du = u[1] - u[0]
-    slack = 1.5 * max(w_j, w_i) * du
-    return float(max(0.0, envelope.max()) + slack)
+    deltas, sks = [], []
+    for m_j, v_j in zip(m_js, v_js):
+        dm = m_j - m_i
+        deltas.append(math.sqrt(max(float(dm @ np.linalg.solve(v_new, dm)), 0.0)))
+        sks.append(math.sqrt(max(float(np.linalg.eigvals(np.linalg.solve(v_new, v_j)).real.max()), 0.0)))
+    deltas, sks = np.array(deltas)[:, None], np.array(sks)[:, None]
+
+    def envelope_max(rows, cols: slice) -> np.ndarray:
+        return (w_js[rows, None] * _DEFICIT_PEAK[cols] - w_i * _floored_exp(
+            -0.5 * (sks[rows] * _DEFICIT_U[cols] + deltas[rows]) ** 2
+        )).max(axis=1)
+
+    top = envelope_max(slice(None), slice(_DEFICIT_HEAD))
+    open_rows = np.flatnonzero(~((top > 0.0) & (w_js * _DEFICIT_TAIL_MAX <= top)))
+    if open_rows.size:
+        tail = envelope_max(open_rows, slice(_DEFICIT_HEAD, None))
+        top[open_rows] = np.maximum(top.take(open_rows), tail)
+    slack = 1.5 * np.maximum(w_js, w_i) * (_DEFICIT_U[1] - _DEFICIT_U[0])
+    return float((np.maximum(0.0, top) + slack).max())
 
 
 def merge_with_report(mix: MaxMixture, tau_m: float) -> tuple[MaxMixture, list[float]]:
@@ -971,8 +1019,9 @@ def _merge_impl(mix: MaxMixture, tau_m: float, report: bool):
             if absorbed:
                 v_cur = merged.get(i, v_arr[h])
                 over = _overshoot_bound(ws[h], v_arr[h], v_cur)
-                deficit = max(
-                    _deficit_bound(ws[h], m_arr[h], v_cur, ws[j], m_arr[j], v_arr[j]) for j in absorbed
+                deficit = _deficit_bound(
+                    ws[h], m_arr[h], v_cur, w_arr.take(absorbed), m_arr.take(absorbed, axis=0),
+                    v_arr.take(absorbed, axis=0),
                 )
                 bounds.append(max(over, deficit))
     if bounds:

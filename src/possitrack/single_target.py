@@ -165,6 +165,21 @@ class ExtendedPossibility:
         return ExtendedPossibility(1.0, MaxMixture(), time_index)
 
 
+def _observation_rows(observations, obs_dim: int) -> np.ndarray:
+    """An observation set as a float array with one row per observation.
+
+    ``observations`` is an iterable of observations, or of scalars (a 1-d
+    input holds that many scalar observations), or an array of either.  An
+    empty set gives a (0, obs_dim) array.  The array is not checked.
+    """
+    if not isinstance(observations, (np.ndarray, list, tuple)):
+        observations = list(observations)  # a set or another iterable
+    if not len(observations):
+        return np.empty((0, obs_dim))
+    arr = np.asarray(observations, dtype=float)
+    return arr[:, None] if arr.ndim == 1 else arr
+
+
 def canonicalize_observations(observations, obs_dim: int) -> np.ndarray:
     """Sort an observation set lexicographically and drop exact duplicates.
 
@@ -176,13 +191,7 @@ def canonicalize_observations(observations, obs_dim: int) -> np.ndarray:
     ``observations`` is an iterable of observations, or of scalars when
     obs_dim is 1, or an array of either.
     """
-    if not isinstance(observations, (np.ndarray, list, tuple)):
-        observations = list(observations)  # a set or another iterable
-    if not len(observations):
-        return np.empty((0, obs_dim))
-    arr = np.asarray(observations, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
+    arr = _observation_rows(observations, obs_dim)
     if arr.ndim != 2 or arr.shape[1] != obs_dim:
         raise ValueError(f"observations must have dimension {obs_dim}")
     if not np.isfinite(arr).all():
@@ -194,8 +203,12 @@ def canonicalize_observations(observations, obs_dim: int) -> np.ndarray:
 
 
 def clutter_possibility(model: ClutterModel, observations) -> float:
-    """Possibility of a finite set of false positives under the model."""
-    ys = np.atleast_2d(np.asarray(observations, dtype=float)) if len(observations) else np.empty((0, 1))
+    """Possibility of a finite set of false positives under the model.
+
+    ``observations`` is read as by :func:`canonicalize_observations`: any
+    iterable of observations, or of scalars, each scalar one observation.
+    """
+    ys = _observation_rows(observations, 1)
     n = ys.shape[0]
     val = 1.0
     if model.card is not None:

@@ -6,6 +6,7 @@ the extracted means as exact float reprs.
 """
 
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from possitrack.intensity import (
     sum_intensities,
     update_intensity,
 )
+from possitrack.mixtures import batch_kalman_update, concat_terms, dominance_reduce
 from possitrack.scenario import (
     ScenarioConfig,
     generate_observations,
@@ -29,6 +31,7 @@ from possitrack.scenario import (
     simulate_truth,
     transition_matrix,
 )
+from possitrack.single_target import _born_terms, canonicalize_observations
 
 DATA = Path(__file__).parent / "data"
 
@@ -180,6 +183,108 @@ def test_update_component_cap():
     out = update_intensity(fm, p, ys)
     assert len(out.components) <= 5
     assert max(c.weight for c in out.components) == 1.0  # cap keeps the heaviest
+
+
+# The update builds its branch weights in one pass and gathers only the terms
+# above the new floor.  The loop below is the plain form it must reproduce bit
+# for bit: one branch stack per observation, every term built, then the
+# dominance reduction drops those at or below the floor.
+
+
+def _ref_update_intensity(fm, params, observations):
+    ys = canonicalize_observations(observations, params.obs_dim)
+    n_obs = ys.shape[0]
+    ws, ms, vs = fm.weights, fm.means, fm.covs
+    floor = fm.floor
+    branches = [(ws * params.missed_detection, ms, vs)]
+    if n_obs and ws.size:
+        liks, m_post, v_post, _ = batch_kalman_update(ms, vs, ys, params.obs, params.obs_noise)
+        w_lik = ws[:, None] * liks  # (k, n)
+    if n_obs and floor > 0.0:
+        born_m, born_v = _born_terms(params, params.birth_velocity_std, ys)
+    for j, clutter in enumerate(params.clutter.eval_many(ys)):
+        d_y = max(floor, float(w_lik[:, j].max()) if ws.size else 0.0, clutter)
+        if d_y <= 0.0:
+            continue
+        if ws.size:
+            branches.append((w_lik[:, j] / d_y, m_post[:, j, :], v_post))
+        if floor > 0.0:
+            branches.append((np.array([floor / d_y]), born_m[j : j + 1], born_v[None]))
+    new_w, new_m, new_v = concat_terms(branches)
+    keep = new_w > 0.0
+    out = dominance_reduce(IntensityMixture._trusted(
+        new_w[keep], new_m[keep], new_v[keep], floor * params.missed_detection
+    ))
+    if out.weights.size > params.max_components:
+        out = out.take(np.argsort(-out.weights, kind="stable")[: params.max_components])
+    return out
+
+
+def _assert_same_intensity(out, ref):
+    assert repr(out.floor) == repr(ref.floor)
+    for a, b in ((out.weights, ref.weights), (out.means, ref.means), (out.covs, ref.covs)):
+        assert a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def _update_matches_reference(fm, p, ys):
+    # no branch weight may be divided by a zero D_y
+    with np.errstate(divide="raise", invalid="raise"):
+        out = update_intensity(fm, p, ys)
+    _assert_same_intensity(out, _ref_update_intensity(fm, p, ys))
+    return out
+
+
+def _random_intensity(rng, floor, k, light):
+    ws = rng.uniform(0.05, 0.45 if light else 1.0, k).round(2)  # ties
+    ms = np.column_stack([rng.uniform(-10.0, 10.0, k), rng.normal(size=k)])
+    a = rng.normal(size=(k, 2, 2)) * rng.uniform(0.1, 1.5)
+    vs = a @ np.swapaxes(a, 1, 2) + 0.05 * np.eye(2)
+    if k > 2:  # a repeated term, and one on the same position as another
+        ms[1], vs[1] = ms[0], vs[0]
+        ms[2, 0] = ms[0, 0]
+    return IntensityMixture(ws, ms, 0.5 * (vs + np.swapaxes(vs, 1, 2)), floor)
+
+
+CLUTTER = {
+    "flat": IntensityMixture(flat_weight=0.5),
+    "zero": IntensityMixture(flat_weight=0.0),
+    "gaussian": IntensityMixture([0.45, 0.3], [[-3.0], [6.0]], [[[2.0]], [[0.5]]], 0.0),
+    "gaussian_floor": IntensityMixture([0.9], [[2.0]], [[[1.0]]], 0.1),
+}
+
+
+@pytest.mark.parametrize("floor, k, clutter", product([0.0, 0.5, 1.0], [0, 1, 9], sorted(CLUTTER)))
+def test_update_matches_per_observation_reference(floor, k, clutter):
+    # each case also has duplicate observations, one far from every term
+    # (D_y = 0 when the floor, the clutter there and every likelihood are 0)
+    # and a cap that binds
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        fm = _random_intensity(rng, floor, k, light=seed % 2 == 0)
+        ys = rng.uniform(-12.0, 12.0, rng.integers(0, 7)).round(1).tolist()
+        ys = ys + ys[:2] + [1e3]
+        for md, cap in product([0.2, 1.0], [200, 3, 1]):
+            p = params(missed_detection=md, clutter=CLUTTER[clutter], max_components=cap)
+            _update_matches_reference(fm, p, ys)
+            _update_matches_reference(fm, p, [])
+
+
+def test_update_skips_an_observation_whose_normalizer_is_zero():
+    # far from every term and with no floor or clutter, D_y is 0: the
+    # observation adds nothing, and no weight is divided by it
+    fm = intensity(0.0, g2(0.4, 0.0), g2(0.3, 2.0))
+    p = params(clutter=IntensityMixture(flat_weight=0.0))
+    out = _update_matches_reference(fm, p, [[0.5], [1e3]])
+    alone = _update_matches_reference(fm, p, [[0.5]])
+    _assert_same_intensity(out, alone)
+    assert out.floor == 0.0 and out.weights.size == 4  # 2 misdetections, 2 detections
+
+
+def test_update_of_an_empty_intensity_matches_reference():
+    for floor, ys in product([0.0, 0.5], [[], [[1.0], [1.0], [-2.0]]]):
+        out = _update_matches_reference(IntensityMixture(flat_weight=floor), params(), ys)
+        assert out.weights.size == (2 if floor and ys else 0)
 
 
 def test_clutter_intensity_lookup():

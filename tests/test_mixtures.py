@@ -8,6 +8,7 @@ oracles.py for the lattice used at runtime).
 import math
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from possitrack.mixtures import (
     EXP_FLOOR,
     MaxMixture,
     NumericalError,
-    _deficit_bound,
     _dominance_certificates,
     _floored_exp,
     _overshoot_bound,
@@ -855,6 +855,19 @@ def _ref_absorb(w_i, m_i, v_cur, w_j, m_j):
     return 0.5 * (v_new + v_new.T)
 
 
+def _ref_deficit_bound(w_i, m_i, v_new, w_j, m_j, v_j):
+    # one absorbed term at a time, on a grid built per call
+    dm = m_j - m_i
+    delta = math.sqrt(max(float(dm @ np.linalg.solve(v_new, dm)), 0.0))
+    kappa = max(float(np.linalg.eigvals(np.linalg.solve(v_new, v_j)).real.max()), 0.0)
+    sk = math.sqrt(kappa)
+    u = np.linspace(0.0, 42.0, 21001)
+    envelope = w_j * _floored_exp(-0.5 * u**2) - w_i * _floored_exp(-0.5 * (sk * u + delta) ** 2)
+    du = u[1] - u[0]
+    slack = 1.5 * max(w_j, w_i) * du
+    return float(max(0.0, envelope.max()) + slack)
+
+
 def _ref_merge_with_report(mix, tau_m):
     if mix.weights.size <= 1:
         return mix, []
@@ -877,7 +890,7 @@ def _ref_merge_with_report(mix, tau_m):
                 absorbed.append(j)
         if absorbed:
             over = _overshoot_bound(ws[h], vs[h], v_cur)
-            deficit = max(_deficit_bound(ws[h], ms[h], v_cur, ws[j], ms[j], vs[j]) for j in absorbed)
+            deficit = max(_ref_deficit_bound(ws[h], ms[h], v_cur, ws[j], ms[j], vs[j]) for j in absorbed)
             bounds.append(max(over, deficit))
         heads.append(h)
         covs.append(v_cur)
@@ -895,6 +908,75 @@ def _assert_same_bits(out, ref):
     for a, b in ((out.weights, ref.weights), (out.means, ref.means), (out.covs, ref.covs)):
         assert a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+def g2(w, m, v):
+    """A 2-d term (weight, mean, cov) with a diagonal cov."""
+    return w, m, np.diag(v)
+
+
+# each case of dominance_reduce and the last stage it runs: "" when at most one
+# term is above the flat term, "windows" when no window pair has the heavier
+# term first, "inv" when no pair passes the test at the lighter mean,
+# "certificates" when no pair is certified, "greedy" when one is
+DOMINANCE_EXITS = {
+    "empty": ((), 0.0, ""),
+    "one term": ((g1(0.5, 0.0, 1.0),), 0.0, ""),
+    "one above the flat term": ((g1(0.2, 0.0, 1.0), g1(0.5, 0.1, 1.0), g1(0.3, 0.0, 2.0)), 0.3, ""),
+    "all at or below the flat term": ((g1(0.5, 0.0, 1.0), g1(0.2, 0.0, 1.0)), 0.5, ""),
+    "no window pair": ((g1(0.9, 0.0, 1.0), g1(0.8, 100.0, 1.0), g1(0.7, -50.0, 4.0)), 0.0, "windows"),
+    # the light broad term's window holds the heavy narrow one, not the reverse
+    "window pairs the wrong way round": ((g1(0.9, 0.0, 1e-4), g1(0.5, 1.0, 1e12)), 0.0, "windows"),
+    "window pairs, none near": ((g2(0.9, [0.0, 0.0], [1.0, 1.0]), g2(0.8, [0.0, 9.0], [1.0, 1.0])), 0.0, "inv"),
+    # the lighter broad term reaches past the heavier narrow one's tails
+    "near pairs, none certified": ((g1(0.9, 0.0, 1.0), g1(0.85, 0.0, 4.0), g1(0.2, 30.0, 1.0)), 0.1, "certificates"),
+    "a certified pair": ((g1(0.9, 0.0, 4.0), g1(0.85, 0.0, 1.0), g1(0.2, 30.0, 1.0)), 0.1, "greedy"),
+    "a certified pair at the flat term": ((g1(0.9, 0.0, 4.0), g1(0.85, 0.0, 1.0), g1(0.1, 30.0, 1.0)), 0.1, "greedy"),
+}
+STAGES = ("windows", "inv", "certificates", "greedy")
+
+
+@pytest.mark.parametrize("case", sorted(DOMINANCE_EXITS))
+def test_dominance_reduce_exits_match_dense_reference(monkeypatch, case):
+    terms, flat, last = DOMINANCE_EXITS[case]
+    mix = mixture(*terms, flat_weight=flat) if terms else MaxMixture()
+    ran = []
+
+    def spy(stage, fn):
+        def wrapped(*args, **kwargs):
+            ran.append(stage)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    with monkeypatch.context() as m:
+        m.setattr(mixtures, "_window_pairs", spy("windows", mixtures._window_pairs))
+        m.setattr(np.linalg, "inv", spy("inv", np.linalg.inv))
+        m.setattr(mixtures, "_dominance_certificates", spy("certificates", mixtures._dominance_certificates))
+        m.setattr(mixtures, "_greedy_clusters", spy("greedy", mixtures._greedy_clusters))
+        out = dominance_reduce(mix)
+    assert ran == list(STAGES[: STAGES.index(last) + 1] if last else ())
+    _assert_same_bits(out, _ref_dominance_reduce(mix))
+    if out.weights.size == mix.weights.size:
+        assert out is mix
+
+
+def test_deficit_bound_matches_per_term_reference():
+    # the absorbed terms of one head at once.  Term 1 sits on the head's mean
+    # and is lighter and narrower than the merged term, and the solo case is
+    # the head itself: both envelopes are never positive, so they take the
+    # whole grid
+    rng = np.random.default_rng(5)
+    for d, m in product([1, 2, 4], [1, 3, 8]):
+        a = rng.normal(size=(m + 1, d, d))
+        vs = a @ np.swapaxes(a, 1, 2) + 0.1 * np.eye(d)
+        ms = rng.normal(size=(m + 1, d)) * rng.uniform(0.0, 2.0)
+        ws = rng.uniform(0.1, 1.0, m + 1)
+        ws[0], ms[1], vs[1] = 1.0, ms[0], vs[0]
+        v_new = vs[0] * 1.5
+        ref = max(_ref_deficit_bound(ws[0], ms[0], v_new, ws[j], ms[j], vs[j]) for j in range(1, m + 1))
+        assert mixtures._deficit_bound(ws[0], ms[0], v_new, ws[1:], ms[1:], vs[1:]) == ref
+        solo = _ref_deficit_bound(1.0, ms[0], vs[0], 1.0, ms[0], vs[0])
+        assert mixtures._deficit_bound(1.0, ms[0], vs[0], np.ones(1), ms[:1], vs[:1]) == solo
 
 
 @settings(max_examples=150, deadline=None)

@@ -194,6 +194,16 @@ def test_clutter_cardinality_only():
     assert clutter_possibility(model, []) == 1.0
 
 
+def test_clutter_counts_scalar_observations_one_each():
+    # [1.0, 2.0] was read as one 2-d observation (0.5) and a set raised TypeError
+    model = ClutterModel(card=lambda n: 0.5**n)
+    for ys in ([1.0, 2.0], np.array([1.0, 2.0]), {1.0, 2.0}, (y for y in (1.0, 2.0)), [[1.0], [2.0]]):
+        assert clutter_possibility(model, ys) == 0.25
+    spatial = ClutterModel(spatial=lambda y: 0.5 if y.shape == (1,) else 0.0)
+    assert clutter_possibility(spatial, {1.0, 2.0}) == 0.25
+    assert clutter_possibility(model, set()) == 1.0
+
+
 def test_clutter_spatial_product():
     # frozen: 0.9^2 * N(0;0,1) * N(1;0,1) = 0.81 * exp(-0.5)
     model = ClutterModel(

@@ -22,7 +22,7 @@ installed).  Two checkouts whose digests agree compute the same bytes on all
 of these.  On every scan it also checks that ``merge`` returns the bytes of
 ``merge_with_report``'s mixture, which it reaches without the bounds, and
 exits with status 2 if not; this check feeds no digest.  The whole run takes
-about a minute on a 2-core machine.
+about 12 s on a 2-core machine.
 
     python3 tools/state_hash.py --against HEAD~1
 
