@@ -196,10 +196,17 @@ def extract_targets(
 
     At most one extraction per spatial cluster: a candidate within
     merge_radius (Mahalanobis, in an accepted component's covariance) of an
-    already accepted component is skipped.  The candidates are dominance
-    reduced first and taken heaviest first, ties toward the smaller
-    covariance trace; the accepted ones are the heads of
-    :func:`_greedy_clusters`.
+    already accepted component is skipped.  The candidates are taken
+    heaviest first, ties toward the smaller covariance trace; the accepted
+    ones are the heads of :func:`_greedy_clusters`.
+
+    ``fm`` must be dominance reduced, as the results of
+    :func:`propagate_intensity` and :func:`update_intensity` are.  Then any
+    subset that keeps the terms' relative order, like the candidates, is
+    reduced too: no certified pair joins two kept terms (the heavier-ranked
+    one claims the other), and a certificate has the same bits in any batch.
+    An unreduced ``fm`` can yield a dominated candidate that lies outside
+    merge_radius of its dominator as a target of its own.
     """
     tau_x = _in_range("tau_x", tau_x, -math.inf, math.inf, "[]")
     merge_radius = _in_range("merge_radius", merge_radius, -math.inf, math.inf, "[]")
@@ -207,12 +214,9 @@ def extract_targets(
     cands = np.flatnonzero((ws > tau_x) & (ws > fm.floor))
     if not cands.size:
         return []
-    # reducing the candidates alone keeps the same ones: only a heavier-ranked
-    # term can dominate a candidate, and such a term is a candidate too
-    reduced = dominance_reduce(fm.take(cands))
-    order = np.lexsort((np.trace(reduced.covs, axis1=1, axis2=2), -reduced.weights))
-    ms, vs = reduced.means.take(order, axis=0), reduced.covs.take(order, axis=0)
+    cands = cands.take(np.lexsort((np.trace(fm.covs.take(cands, axis=0), axis1=1, axis2=2), -ws.take(cands))))
+    ms, vs = fm.means.take(cands, axis=0), fm.covs.take(cands, axis=0)
     # near[start[a]:start[a + 1]]: the later candidates within merge_radius of a in a's covariance
-    start, near = _gate_neighbours(ms, vs, abs(merge_radius), np.arange(order.size))
-    _, heads = _greedy_clusters(np.arange(order.size), start, near)
+    start, near = _gate_neighbours(ms, vs, abs(merge_radius), np.arange(cands.size))
+    _, heads = _greedy_clusters(np.arange(cands.size), start, near)
     return list(ms.take(heads, axis=0))

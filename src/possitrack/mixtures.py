@@ -558,8 +558,8 @@ def _dominance_certificates(
     screen rejects only pairs that eigvalsh would reject too.  The pairs it
     leaves get the exact matrices and one batched eigvalsh call, and the
     certified set is bit for bit that of running eigvalsh on every pair.  A
-    NaN or -inf screen value (non-finite entries, or squares past the float
-    range) leaves its pair to eigvalsh.
+    NaN or -inf screen value (non-finite entries, such as the log of a w_j /
+    w_i past the float range, or squares past it) leaves its pair to eigvalsh.
     """
     if not js.size:
         return np.zeros(0, dtype=bool)
@@ -572,9 +572,10 @@ def _dominance_certificates(
     mats[:, :d, :d] = 0.5 * (ps.take(iis, axis=0) - ps.take(js, axis=0))
     mats[:, :d, d] = half_b
     mats[:, d, :d] = half_b
-    mats[:, d, d] = np.log(ws.take(js) / ws.take(iis)) + corner
-    a, c, b = mats.reshape(js.size, (d + 1) ** 2).T[_minor_positions(d + 1)]
+    w_j, w_i = ws.take(js), ws.take(iis)
     with np.errstate(over="ignore", invalid="ignore"):  # left to eigvalsh below
+        mats[:, d, d] = np.log(w_j / w_i) + corner
+        a, c, b = mats.reshape(js.size, (d + 1) ** 2).T[_minor_positions(d + 1)]
         minor_min = (0.5 * (a + c) - np.sqrt((0.5 * (a - c)) ** 2 + b * b)).min(axis=0)
     scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
     ruled_out = (-np.inf < minor_min) & (minor_min < -_SCREEN_MARGIN * scale)
@@ -582,9 +583,10 @@ def _dominance_certificates(
     certified = np.zeros(js.size, dtype=bool)
     if undecided.size:
         mats = mats.take(undecided, axis=0)
-        ju, iu = js.take(undecided), iis.take(undecided)
-        # math.log, not np.log: the two differ in the last bit on some inputs
-        log_ratio = [math.log(wj / wi) for wj, wi in zip(ws.take(ju).tolist(), ws.take(iu).tolist())]
+        # math.log, not np.log: the two differ in the last bit on some inputs.
+        # A subnormal w_i makes w_j / w_i inf; only there are the logs subtracted
+        log_ratio = [math.log(r) if (r := wj / wi) < math.inf else math.log(wj) - math.log(wi)
+                     for wj, wi in zip(w_j.take(undecided).tolist(), w_i.take(undecided).tolist())]
         mats[:, d, d] = np.asarray(log_ratio) + corner.take(undecided)
         tol = _DOMINANCE_TOL * np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
         certified[undecided] = np.linalg.eigvalsh(mats)[:, 0] >= -tol
@@ -671,11 +673,6 @@ def _dominance_heads(ws: np.ndarray, ms: np.ndarray, vs: np.ndarray) -> np.ndarr
 # double the variance along the separation direction (s > 2 * beta)
 _MERGE_COVER_LIMIT = 2.0
 
-# relative margin below beta at which an absorbed member's separation is
-# settled: inflating the head's covariance cannot lift it past beta
-# (_absorb_cluster)
-_SETTLE_MARGIN = 1e-9
-
 # relative margin around beta and 2 beta inside which a screened separation
 # decides no member (_decide_cluster); it doubles with each inflation in the
 # cluster.  The gate quadratic d' inv(V) d and the solved d' V^-1 d each
@@ -727,31 +724,19 @@ def _absorb_cluster(w_h: float, m_h: np.ndarray, v_h: np.ndarray, weights, means
     ``_MERGE_COVER_LIMIT``; such components are genuinely distinct hypotheses
     and keeping them costs less than destabilizing the covariance.
 
-    s is solved for the whole cluster at once.  An inflation only grows the
-    covariance, so it only shrinks each s that follows.  A member whose last
-    s is at most ``beta * (1 - _SETTLE_MARGIN)``, with beta > 0, is
-    therefore absorbed with gamma = 0 after an inflation too, and is not
-    solved again; the margin covers the rounding of the solve.  The first
-    member after an inflation that is not so settled solves s again, for
-    itself and the rest of the cluster.  Each s that decides a member thus
-    has the bits of solving it alone with the running covariance.  Returns
-    the merged covariance and the absorbed and declined indices, in order.
+    s is solved for the whole cluster at once, and again for the members
+    left after each inflation, so each s has the bits of solving it alone
+    with the running covariance.  Returns the merged covariance and the
+    absorbed and declined indices, in order.
     """
     deltas = means.take(cluster, axis=0) - m_h
     v_cur = v_h
     seps = _separations(v_cur, deltas).tolist()
-    stale = False  # seps were solved before the last inflation
     absorbed: list[int] = []
     declined: list[int] = []
     for n, j in enumerate(cluster):
         w_j = weights[j]
         beta = 2.0 * math.log(w_h / w_j) if w_j < w_h else 0.0
-        if stale:
-            if beta > 0.0 and seps[n] <= beta * (1.0 - _SETTLE_MARGIN):
-                absorbed.append(j)
-                continue
-            seps[n:] = _separations(v_cur, deltas[n:]).tolist()
-            stale = False
         s = seps[n]
         if s > 0.0:
             if s > _MERGE_COVER_LIMIT * beta:
@@ -761,7 +746,7 @@ def _absorb_cluster(w_h: float, m_h: np.ndarray, v_h: np.ndarray, weights, means
             if gamma > 0.0:
                 v_new = v_cur + gamma * np.outer(deltas[n], deltas[n])
                 v_cur = 0.5 * (v_new + v_new.T)
-                stale = True
+                seps[n + 1:] = _separations(v_cur, deltas[n + 1:]).tolist()
         absorbed.append(j)
     return v_cur, absorbed, declined
 

@@ -366,6 +366,17 @@ def test_extract_requires_beating_threshold_and_floor():
     assert extract_targets(high_floor, tau_x=0.9) == []
 
 
+def test_extract_reads_its_input_as_reduced():
+    # the 0.1 term at 3 is dominated by the wide 0.95 term and lies 1.5
+    # Mahalanobis from it: extract_targets does not reduce, so an unreduced
+    # intensity yields it as a second target and its reduction does not
+    fm = IntensityMixture([0.95, 0.1], [[0.0], [3.0]], [[[4.0]], [[1.0]]], flat_weight=0.05)
+    reduced = dominance_reduce(fm)
+    assert reduced.weights.tolist() == [0.95]
+    assert [x.tolist() for x in extract_targets(fm, 0.0, 1.0)] == [[0.0], [3.0]]
+    assert [x.tolist() for x in extract_targets(reduced, 0.0, 1.0)] == [[0.0]]
+
+
 def test_extract_rejects_nan_thresholds():
     # three candidates 0.5 apart form one cluster; a NaN radius extracted all
     # three and a NaN tau_x none

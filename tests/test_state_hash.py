@@ -3,6 +3,7 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "state_hash.py"
@@ -41,3 +42,16 @@ def test_a_merge_that_differs_from_merge_with_report_exits_2(monkeypatch, capsys
     monkeypatch.setattr(state_hash, "digests", lambda: small(((10.0, 0),), ()))
     assert state_hash.main([]) == 2
     assert "merge and merge_with_report differ at lambda 10.0, run 0, t " in capsys.readouterr().err
+
+
+def test_an_intensity_that_dominance_reduce_reduces_exits_2(monkeypatch, capsys):
+    # extract_targets reads the filter's intensities as reduced: every scan
+    # checks that dominance_reduce returns them as themselves; here it
+    # returns a copy
+    small = state_hash.digests
+    monkeypatch.setattr(state_hash, "dominance_reduce", lambda mix: mix.take(np.arange(mix.weights.size)))
+    with pytest.raises(state_hash.NotReduced):
+        small((), (2,))
+    monkeypatch.setattr(state_hash, "digests", lambda: small((), (2,)))
+    assert state_hash.main([]) == 2
+    assert "dominance_reduce reduces propagate_intensity's output in scene 2, t 0" in capsys.readouterr().err

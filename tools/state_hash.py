@@ -19,17 +19,20 @@ false-alarm rates 1, 10 and 30 (runs 0-2) and 100 (run 0); the intensity
 filter runs on four three-system scenes with lambda = 10 clutter, built by
 ``three_system_scene`` of ``tests/test_intensity.py`` (so pytest must be
 installed).  Two checkouts whose digests agree compute the same bytes on all
-of these.  On every scan it also checks that ``merge`` returns the bytes of
-``merge_with_report``'s mixture, which it reaches without the bounds, and
-exits with status 2 if not; this check feeds no digest.  The whole run takes
-about 12 s on a 2-core machine.
+of these.  Two checks feed no digest, and a failed one exits with status 2.
+On every single-system scan, ``merge`` must return the bytes of
+``merge_with_report``'s mixture, which it reaches without the bounds.  On
+every intensity scan, ``dominance_reduce`` must return the outputs of
+``propagate_intensity`` and ``update_intensity`` as themselves, since
+``extract_targets`` reads its input as reduced.  The whole run takes about
+12 s on a 2-core machine.
 
     python3 tools/state_hash.py --against HEAD~1
 
 also exports the commit HEAD~1 with ``git archive`` (the export of
 ``tools/bench_pairs.py``), runs this file there on that commit's ``src/``,
 prints the two digest sets side by side and exits with status 1 if any
-section differs, or 2 if either side fails (a merge mismatch included).
+section differs, or 2 if either side fails (a failed check included).
 Both sides run at once, one process each.
 """
 
@@ -78,6 +81,10 @@ EXTRACT_SETTINGS = ((0.9, 3.22), (0.5, 1.0), (0.0, 8.0))
 
 class MergeMismatch(Exception):
     """``merge`` and ``merge_with_report`` gave different mixtures on one scan."""
+
+
+class NotReduced(Exception):
+    """``dominance_reduce`` reduced an intensity that the filter returned."""
 
 
 def _same_mix(a, b) -> bool:
@@ -134,9 +141,12 @@ def _intensity(scene_seeds, h) -> None:
     params = scenes.params()
     for seed in scene_seeds:
         fm = IntensityMixture()
-        for ys in scenes.three_system_scene(seed):
+        for t, ys in enumerate(scenes.three_system_scene(seed)):
             moved = propagate_intensity(fm, params)
             fm = update_intensity(moved, params, ys)
+            for stage, mix in (("propagate_intensity", moved), ("update_intensity", fm)):
+                if dominance_reduce(mix) is not mix:
+                    raise NotReduced(f"dominance_reduce reduces {stage}'s output in scene {seed}, t {t}")
             _feed_mix(h, moved)
             _feed_mix(h, fm)
             for tau_x, radius in EXTRACT_SETTINGS:
@@ -191,7 +201,7 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory(prefix="state_hash_") as tmp, _start_at(args.against, Path(tmp)) as proc:
             mine = digests()
             out, _ = proc.communicate()
-    except MergeMismatch as err:
+    except (MergeMismatch, NotReduced) as err:
         print(f"state_hash.py: {err}", file=sys.stderr)
         return 2
     if proc.returncode:
