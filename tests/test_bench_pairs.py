@@ -1,6 +1,8 @@
-"""Tests for the summary of tools/bench_pairs.py, on fixed numbers."""
+"""Tests for tools/bench_pairs.py: the summary, on fixed numbers, and --verify."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -118,3 +120,28 @@ def test_summarize_runs_gives_medians_and_wins_of_traced_per_layer_metrics():
     # a layer the workload does not run reads 0 on both sides: no ratio, all ties
     idle = entry["intensity.update_ms"]
     assert idle["change_over_parent"] is None and idle["ties"] == 3
+
+
+def test_verify_compares_the_working_tree_src_with_the_recorded_one(tmp_path, monkeypatch, capsys):
+    # a repository of its own: its src/ is recorded, then changed
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "m.py").write_text("x = 1\n")
+    (repo / "notes.md").write_text("a\n")
+    subprocess.run(["git", "init", "-q", str(repo)], check=True)
+    monkeypatch.setattr(bench_pairs, "ROOT", repo)
+    record = tmp_path / "BENCH_x.json"
+    record.write_text(json.dumps({"change_tree": bench_pairs._worktree_tree()}))
+    assert bench_pairs.main(["--verify", str(record)]) == 0
+    # a change outside src/ is not measured by the runs
+    (repo / "notes.md").write_text("b\n")
+    assert bench_pairs.main(["--verify", str(record)]) == 0
+    (repo / "src" / "m.py").write_text("x = 2\n")
+    assert bench_pairs.main(["--verify", str(record)]) == 1
+    (repo / "src" / "m.py").write_text("x = 1\n")
+    (repo / "src" / "new.py").write_text("")  # untracked files count
+    assert bench_pairs.main(["--verify", str(record)]) == 1
+    assert "DIFFERENT" in capsys.readouterr().out
+    record.write_text(json.dumps({"change_tree": "0" * 40}))
+    assert bench_pairs.main(["--verify", str(record)]) == 2
+    assert "not in this repository" in capsys.readouterr().out

@@ -21,7 +21,7 @@ from possitrack.intensity import (
     sum_intensities,
     update_intensity,
 )
-from possitrack.mixtures import batch_kalman_update, concat_terms, dominance_reduce
+from possitrack.mixtures import batch_kalman_update, batch_predict, concat_terms, dominance_reduce
 from possitrack.scenario import (
     ScenarioConfig,
     generate_observations,
@@ -121,6 +121,82 @@ def test_propagate_moves_components():
     c = out.components[0]
     np.testing.assert_allclose(c.mean, [0.1, 1.0], atol=1e-15)
     np.testing.assert_allclose(c.cov, F @ np.eye(2) @ F.T + Q, atol=1e-15)
+
+
+def _ref_propagate_intensity(fm, params):
+    """The propagation that reduces the moved terms and the birth together."""
+    ms, vs = batch_predict(fm.means, fm.covs, params.trans, params.trans_noise)
+    moved = IntensityMixture._trusted(fm.weights * params.survival, ms, vs, fm.floor * params.survival)
+    return sum_intensities(moved, params.birth)
+
+
+def _params_1d(**kw) -> MultiTargetParams:
+    base = dict(trans=[[1.0]], trans_noise=[[0.0]], obs=[[1.0]], obs_noise=[[1.0]],
+                birth=IntensityMixture(flat_weight=0.0))
+    base.update(kw)
+    return MultiTargetParams(**base)
+
+
+_W_TIE = 0.834268198709379
+_W_SUB = 1e-319  # subnormal; halving it is exact
+NO_BIRTH = IntensityMixture(flat_weight=0.0)
+
+# (reduced intensity, parameters) on which the moved terms are not reduced
+# in floating point, or not alone: propagate_intensity must reduce them as
+# the full path does
+PROPAGATE_EDGES = {
+    # F = diag(1, 0) maps both means onto the origin, where 0.8 is dominated
+    "singular_trans": (
+        intensity(0.0, g2(0.9, 0.0, 1.0), g2(0.8, 0.0, -1.0)),
+        params(trans=np.diag([1.0, 0.0]), trans_noise=0.1 * np.eye(2), birth=NO_BIRTH),
+    ),
+    # the survival rounds the weights into a tie: the wide term, lighter by
+    # an ulp and listed first, then ranks first and dominates the narrow one
+    "survival_tie": (
+        intensity(0.0, g2(np.nextafter(_W_TIE, 0.0), 0.0, cov=4.0 * np.eye(2)), g2(_W_TIE, 0.0)),
+        params(survival=0.30191695011910363, birth=NO_BIRTH),
+    ),
+    # the wide birth term lies 0.1 from the moved term and dominates it
+    "gaussian_birth": (
+        intensity(0.05, g2(0.6, 0.0)),
+        params(birth=IntensityMixture([0.9], [[0.1, 0.0]], [4.0 * np.eye(2)], flat_weight=0.05)),
+    ),
+    # 2 log(w_j / w_i) falls short of d' (V_j - V_i)^-1 d by 1e-4; the
+    # survival rounds the subnormal weights to 7489 and 3744 times 2**-1074,
+    # whose ratio exceeds 2 by 2.7e-4
+    "subnormal_weights": (
+        IntensityMixture([_W_SUB, _W_SUB / 2], [[0.0], [np.sqrt(2 * np.log(2) + 1e-4)]], [[[2.0]], [[1.0]]]),
+        _params_1d(survival=0.37),
+    ),
+    # short by 1e-6: Q = 1e4 shrinks the certificate's margin into its tolerance
+    "large_noise": (
+        IntensityMixture([0.9, 0.5], [[0.0], [np.sqrt(2 * np.log(1.8) + 1e-6)]], [[[2.0]], [[1.0]]]),
+        _params_1d(trans_noise=[[1e4]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", PROPAGATE_EDGES)
+def test_propagate_reduces_where_prediction_does_not_keep_dominance(case):
+    fm, p = PROPAGATE_EDGES[case]
+    assert dominance_reduce(fm) is fm
+    ref = _ref_propagate_intensity(fm, p)
+    # the full path removes a term above the new floor
+    above = (fm.weights * p.survival > ref.floor).sum() + p.birth.weights.size
+    assert ref.weights.size < above
+    _assert_same_intensity(propagate_intensity(fm, p), ref)
+
+
+def test_propagate_reads_its_input_as_reduced():
+    # the 0.6 term is dominated by the wide 0.95 term: propagation does not
+    # reduce, so an unreduced intensity keeps it and its reduction does not
+    fm = intensity(0.05, g2(0.95, 0.0, cov=4.0 * np.eye(2)), g2(0.6, 1.0))
+    p = params()
+    out = propagate_intensity(fm, p)
+    assert out.weights.tolist() == [0.95, 0.6]
+    ref = _ref_propagate_intensity(fm, p)
+    assert ref.weights.tolist() == [0.95]
+    _assert_same_intensity(dominance_reduce(out), ref)
 
 
 # -------------------------------------------------------------------- update

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from possitrack import mixtures
 from possitrack.bench import BenchConfig, default_config, make_run
-from possitrack.intensity import IntensityMixture, MultiTargetParams, extract_targets
+from possitrack.intensity import IntensityMixture, MultiTargetParams, extract_targets, propagate_intensity
 from possitrack.ipda import IpdaParams, IpdaState, _prune_and_merge, ipda_estimate
 from possitrack.mixtures import (
     EXP_FLOOR,
@@ -37,6 +37,7 @@ from possitrack.scenario import ScenarioConfig, error_at, simulate_truth
 from possitrack.single_target import ExtendedPossibility, SingleTargetParams, estimate, predict, update
 
 from oracles import grid_sup_oracle
+from test_intensity import _assert_same_intensity, _ref_propagate_intensity
 
 # frozen oracle values
 EXP_M1 = 0.36787944117144233  # exp(-1)
@@ -1335,6 +1336,38 @@ def test_dominance_reduce_keeps_order_keeping_subsets_of_its_output(seed, d, k, 
     subsets = [mix.take(np.flatnonzero(rng.uniform(size=n) < p)) for mix in (reduced, capped[0]) for p in (0.3, 0.7)]
     for sub in (reduced, *capped, *subsets):
         assert dominance_reduce(sub) is sub
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([1, 2, 4]),
+    k=st.integers(0, 40),
+    layout=LAYOUTS,
+    survival=st.sampled_from([1.0, 0.9, 0.37]),
+    floor=st.sampled_from([0.0, 0.05, 0.3]),
+    birth_floor=st.sampled_from([0.0, 0.05, 0.3]),
+    noise_scale=st.sampled_from([0.0, 0.01, 1.0, 100.0, 1e4]),
+)
+def test_propagate_gives_the_bytes_of_reducing_the_moved_terms(
+    seed, d, k, layout, survival, floor, birth_floor, noise_scale
+):
+    # propagate_intensity's contract: on a reduced intensity it returns the
+    # bytes of the full path, for any invertible F and PSD Q (possibly
+    # singular or zero); an ill-conditioned F or a large Q takes that path
+    rng = np.random.default_rng(seed)
+    raw = _dense_reference_intensity(rng, d, k, layout)
+    fm = dominance_reduce(IntensityMixture._trusted(raw.weights, raw.means, raw.covs, floor))
+    b = rng.normal(size=(d, int(rng.integers(1, d + 1))))
+    p = MultiTargetParams(
+        trans=rng.normal(size=(d, d)) * rng.uniform(0.2, 2.0),
+        trans_noise=noise_scale * (b @ b.T + (b @ b.T).T) / 2,
+        obs=np.eye(d)[:1],
+        obs_noise=np.eye(1),
+        survival=survival,
+        birth=IntensityMixture(flat_weight=birth_floor),
+    )
+    _assert_same_intensity(propagate_intensity(fm, p), _ref_propagate_intensity(fm, p))
 
 
 def test_reduction_memory_is_subquadratic():

@@ -13,13 +13,25 @@ _SPEC.loader.exec_module(state_hash)
 
 
 def test_reruns_give_equal_digests():
-    cases, scenes = ((1.0, 0), (10.0, 1)), (2,)
-    first = state_hash.digests(cases, scenes)
-    assert list(first) == ["pf", "ipda", "intensity"]
-    assert state_hash.digests(cases, scenes) == first
+    cases, scenes, edges = ((1.0, 0), (10.0, 1)), (2,), ("survival",)
+    first = state_hash.digests(cases, scenes, edges)
+    assert list(first) == ["pf", "ipda", "intensity", "intensity_edge"]
+    assert state_hash.digests(cases, scenes, edges) == first
     # the digests see the states: another run gives other ones
-    other = state_hash.digests(((1.0, 1),), ())
+    other = state_hash.digests(((1.0, 1),), (), ("singular_trans",))
     assert other["pf"] != first["pf"] and other["ipda"] != first["ipda"]
+    assert other["intensity_edge"] != first["intensity_edge"]
+
+
+def test_each_edge_scene_changes_the_parameters_of_one_path():
+    scenes = state_hash._scenes()
+    base = scenes.params()
+    assert state_hash.EDGE_CASES == ("gaussian_birth", "singular_trans", "survival", "large_noise")
+    birth, singular, survival, noise = (state_hash._edge_params(scenes, c) for c in state_hash.EDGE_CASES)
+    assert birth.birth.weights.size == 1 and base.birth.weights.size == 0
+    assert np.linalg.matrix_rank(singular.trans) == 1
+    assert survival.survival == 0.9 and base.survival == 1.0
+    assert noise.trans_noise.tobytes() == (1e4 * base.trans_noise).tobytes()
 
 
 def test_compare_marks_each_section_and_any_difference():
@@ -45,9 +57,9 @@ def test_a_merge_that_differs_from_merge_with_report_exits_2(monkeypatch, capsys
 
 
 def test_an_intensity_that_dominance_reduce_reduces_exits_2(monkeypatch, capsys):
-    # extract_targets reads the filter's intensities as reduced: every scan
-    # checks that dominance_reduce returns them as themselves; here it
-    # returns a copy
+    # propagate_intensity and extract_targets read the filter's intensities
+    # as reduced: every scan checks that dominance_reduce returns them as
+    # themselves; here it returns a copy
     small = state_hash.digests
     monkeypatch.setattr(state_hash, "dominance_reduce", lambda mix: mix.take(np.arange(mix.weights.size)))
     with pytest.raises(state_hash.NotReduced):
@@ -55,3 +67,5 @@ def test_an_intensity_that_dominance_reduce_reduces_exits_2(monkeypatch, capsys)
     monkeypatch.setattr(state_hash, "digests", lambda: small((), (2,)))
     assert state_hash.main([]) == 2
     assert "dominance_reduce reduces propagate_intensity's output in scene 2, t 0" in capsys.readouterr().err
+    with pytest.raises(state_hash.NotReduced, match=r"output in scene 1 \(large_noise\), t 0"):
+        small((), (), ("large_noise",))

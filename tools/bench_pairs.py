@@ -24,6 +24,13 @@ gain in the normalized metrics can be told from a shift of the kernel.
 ``summary_traced`` gives the same for each per-layer metric over the traced
 pairs.  The file is rewritten after every run, so an interrupted session
 keeps the runs it made.
+
+    python3 tools/bench_pairs.py --verify BENCH_pr8.json
+
+checks that the working tree's ``src/`` (untracked files included) is the
+``src/`` that the file's runs measured, that of its ``change_tree``: it
+prints both tree ids and exits with status 0 when they are equal, 1 when
+they differ and 2 when the recorded tree is not in the repository.
 """
 
 from __future__ import annotations
@@ -137,6 +144,27 @@ def _worktree_tree() -> str:
         return _git("write-tree", env=env).decode().strip()
 
 
+def _src_tree(tree: str) -> str | None:
+    """The id of the ``src`` subtree of a tree, or None when git cannot read it."""
+    proc = subprocess.run(["git", "rev-parse", "--verify", "--quiet", f"{tree}:src"],
+                          cwd=ROOT, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
+def verify(path: Path) -> int:
+    """Exit status of ``--verify``: whether the working tree's src/ is that of the record's change_tree."""
+    record = json.loads(path.read_text())
+    recorded = _src_tree(record["change_tree"])
+    current = _src_tree(_worktree_tree())
+    print(f"src/ of change_tree {record['change_tree']}: {recorded or 'not in this repository'}")
+    print(f"src/ of the working tree: {current}")
+    if recorded is None:
+        return 2
+    same = recorded == current
+    print("equal" if same else "DIFFERENT: the runs measured another src/")
+    return 0 if same else 1
+
+
 def run_perfbench(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
     """One perfbench run in ``tree``: exit code, wall time and its last two output lines."""
     t0 = time.perf_counter()
@@ -157,8 +185,10 @@ def run_perfbench(tree: Path, workload: str, seed: int, seconds: int, trace: int
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True)
-    parser.add_argument("--change", required=True, help="one line saying what the change does")
+    parser.add_argument("--label")
+    parser.add_argument("--change", help="one line saying what the change does")
+    parser.add_argument("--verify", metavar="BENCH_JSON", type=Path,
+                        help="only check that the working tree's src/ is the one the file measured")
     parser.add_argument("--parent", default="HEAD")
     parser.add_argument("--workloads", nargs="+", default=["study", "clutter", "multi"])
     parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"))
@@ -166,6 +196,10 @@ def main(argv=None) -> int:
     parser.add_argument("--traced", type=int, nargs="?", const=3, default=0, metavar="N",
                         help="add N traced pairs per workload (3 when N is not given)")
     args = parser.parse_args(argv)
+    if args.verify:
+        return verify(args.verify)
+    if not (args.label and args.change):
+        parser.error("--label and --change are required unless --verify is given")
     if not 0 <= args.traced <= len(args.seeds):
         parser.error(f"--traced takes 0 to {len(args.seeds)} pairs, one per seed")
 

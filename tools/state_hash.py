@@ -12,7 +12,11 @@ per section:
   thresholds of the default study and the ``merge_with_report`` bounds;
 - ``ipda``: the IPDA baseline's states and its estimates at those thresholds;
 - ``intensity``: the intensity filter's states after propagation and after
-  update, and ``extract_targets`` at three settings.
+  update, and ``extract_targets`` at three settings;
+- ``intensity_edge``: the same on scene 1 under four changes of the
+  parameters, one per path on which ``propagate_intensity`` still reduces
+  the moved terms: a Gaussian birth term, a singular F, survival 0.9 (the
+  tie check) and Q scaled by 1e4.
 
 The single-system runs are those of the default study (``make_run``) at
 false-alarm rates 1, 10 and 30 (runs 0-2) and 100 (run 0); the intensity
@@ -23,9 +27,11 @@ of these.  Two checks feed no digest, and a failed one exits with status 2.
 On every single-system scan, ``merge`` must return the bytes of
 ``merge_with_report``'s mixture, which it reaches without the bounds.  On
 every intensity scan, ``dominance_reduce`` must return the outputs of
-``propagate_intensity`` and ``update_intensity`` as themselves, since
-``extract_targets`` reads its input as reduced.  The whole run takes about
-12 s on a 2-core machine.
+``propagate_intensity`` and ``update_intensity`` as themselves: this guards
+the contract of ``propagate_intensity``, which reads its input as reduced
+and returns the moved terms without certifying their pairs, and that of
+``extract_targets``, which reads its input as reduced.  The whole run takes
+about 15 s on a 2-core machine.
 
     python3 tools/state_hash.py --against HEAD~1
 
@@ -75,6 +81,9 @@ from possitrack.single_target import (  # noqa: E402
 RATES = (1.0, 10.0, 30.0, 100.0)
 PF_CASES = tuple((lam, run) for lam in RATES[:3] for run in range(3)) + ((RATES[3], 0),)
 SCENE_SEEDS = (1, 2, 3, 4)
+# the intensity_edge scenes: scene EDGE_SEED under each change of _edge_params
+EDGE_SEED = 1
+EDGE_CASES = ("gaussian_birth", "singular_trans", "survival", "large_noise")
 # (tau_x, merge_radius) of extract_targets
 EXTRACT_SETTINGS = ((0.9, 3.22), (0.5, 1.0), (0.0, 8.0))
 
@@ -133,12 +142,27 @@ def _single_system(cases, pf, ipda) -> None:
             _feed(ipda, *(ipda_estimate(ip, tau) for tau in cfg.threshold_sweep))
 
 
-def _intensity(scene_seeds, h) -> None:
-    # the scenes and parameters of the intensity golden test
+def _scenes():
+    """``tests/test_intensity.py``: the scenes and parameters of the intensity golden test."""
     spec = importlib.util.spec_from_file_location("test_intensity", ROOT / "tests" / "test_intensity.py")
     scenes = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(scenes)
-    params = scenes.params()
+    return scenes
+
+
+def _edge_params(scenes, case: str):
+    """The parameters of an ``intensity_edge`` scene."""
+    base = scenes.params()
+    changes = {
+        "gaussian_birth": {"birth": IntensityMixture([0.6], [[0.0, 0.0]], [np.diag([4.0, 1.0])], flat_weight=0.5)},
+        "singular_trans": {"trans": np.array([[1.0, 0.1], [0.0, 0.0]])},
+        "survival": {"survival": 0.9},
+        "large_noise": {"trans_noise": 1e4 * base.trans_noise},
+    }[case]
+    return replace(base, **changes)
+
+
+def _intensity(scenes, params, scene_seeds, h, what="") -> None:
     for seed in scene_seeds:
         fm = IntensityMixture()
         for t, ys in enumerate(scenes.three_system_scene(seed)):
@@ -146,19 +170,23 @@ def _intensity(scene_seeds, h) -> None:
             fm = update_intensity(moved, params, ys)
             for stage, mix in (("propagate_intensity", moved), ("update_intensity", fm)):
                 if dominance_reduce(mix) is not mix:
-                    raise NotReduced(f"dominance_reduce reduces {stage}'s output in scene {seed}, t {t}")
+                    raise NotReduced(f"dominance_reduce reduces {stage}'s output in scene {seed}{what}, t {t}")
             _feed_mix(h, moved)
             _feed_mix(h, fm)
             for tau_x, radius in EXTRACT_SETTINGS:
                 _feed(h, *extract_targets(fm, tau_x, radius), None)
 
 
-def digests(pf_cases=PF_CASES, scene_seeds=SCENE_SEEDS) -> dict[str, str]:
+def digests(pf_cases=PF_CASES, scene_seeds=SCENE_SEEDS, edge_cases=EDGE_CASES) -> dict[str, str]:
     """The hex digest of each section over the given runs and scenes."""
-    pf, ipda, intensity = (hashlib.sha256() for _ in range(3))
+    pf, ipda, intensity, edge = (hashlib.sha256() for _ in range(4))
     _single_system(pf_cases, pf, ipda)
-    _intensity(scene_seeds, intensity)
-    return {"pf": pf.hexdigest(), "ipda": ipda.hexdigest(), "intensity": intensity.hexdigest()}
+    scenes = _scenes()
+    _intensity(scenes, scenes.params(), scene_seeds, intensity)
+    for case in edge_cases:
+        _intensity(scenes, _edge_params(scenes, case), (EDGE_SEED,), edge, f" ({case})")
+    return {"pf": pf.hexdigest(), "ipda": ipda.hexdigest(), "intensity": intensity.hexdigest(),
+            "intensity_edge": edge.hexdigest()}
 
 
 def compare(mine: dict[str, str], theirs: dict[str, str]) -> tuple[list[str], bool]:
