@@ -25,7 +25,8 @@ from typing import Callable
 
 import numpy as np
 
-from .ipda import IpdaParams, IpdaState, ipda_estimate, ipda_step
+from .ipda import IpdaParams, IpdaState, ipda_step
+from .ipda import _declaration as _ipda_declaration
 from .scenario import (
     GroundTruth,
     ObservationRecord,
@@ -43,9 +44,9 @@ from .single_target import (
     ExtendedPossibility,
     ObservationDrivenBirth,
     SingleTargetParams,
-    estimate,
     step,
 )
+from .single_target import _declaration as _pf_declaration
 from .mixtures import NumericalError, _check_count, _in_range
 
 logger = logging.getLogger(__name__)
@@ -284,7 +285,9 @@ def _run_cell(
 ) -> np.ndarray:
     """Errors of one (rate, run) cell, as a (2, n_thresholds, n_t) array.
 
-    Row 0 is the possibility filter, row 1 the baseline.
+    Row 0 is the possibility filter, row 1 the baseline.  Each filter's
+    state is ranked once per step; every threshold is then a comparison with
+    its margin, as in ``estimate`` and ``ipda_estimate``.
     """
     lam = cfg.lambda_list[li]
     n_t = cfg.scenario.t_end + 1
@@ -300,10 +303,22 @@ def _run_cell(
             raise NumericalError(
                 f"lambda={lam:g} run={run} t={t} seed={cfg.base_seed}: {exc}"
             ) from exc
-        for ti, tau in enumerate(cfg.threshold_sweep):
-            errors[0, ti, t] = error_at(t, estimate(st, tau), truth, cfg.c_err)
-            errors[1, ti, t] = error_at(t, ipda_estimate(ip, tau), truth, cfg.c_err)
+        silent = error_at(t, None, truth, cfg.c_err)
+        mean, margin, beats_absence = _pf_declaration(st)
+        errors[0, :, t] = _sweep_errors(cfg, truth, t, mean if beats_absence else None, margin, silent)
+        errors[1, :, t] = _sweep_errors(cfg, truth, t, *_ipda_declaration(ip), silent)
     return errors
+
+
+def _sweep_errors(cfg: BenchConfig, truth: GroundTruth, t: int, mean, margin: float, silent: float):
+    """Step t's error at each threshold of the sweep: that of declaring
+    ``mean`` where ``margin`` exceeds the threshold, ``silent`` elsewhere.
+    A mean of None is declared nowhere."""
+    taus = cfg.threshold_sweep
+    if mean is None or not any(margin > tau for tau in taus):
+        return silent
+    declared = error_at(t, mean, truth, cfg.c_err)
+    return [declared if margin > tau else silent for tau in taus]
 
 
 def emit_results(result: BenchResult, out_dir) -> tuple[Path, Path]:

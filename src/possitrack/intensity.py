@@ -54,6 +54,8 @@ __all__ = [
 _TRANS_COND_LIMIT = 100.0
 _NOISE_RATIO_LIMIT = 100.0
 _TINY = np.finfo(float).tiny
+# _eigenvalue_floor's allowance for rounding, relative to trace(V)
+_FLOOR_SLACK = 1e-12
 
 
 class IntensityMixture(MaxMixture):
@@ -149,9 +151,33 @@ def _moves_stay_reduced(fm: IntensityMixture, ws: np.ndarray, keep: np.ndarray, 
     ):
         return False
     min_var = params._stay_reduced_min_var
-    return min_var == 0.0 or (
-        min_var < math.inf and np.linalg.eigvalsh(fm.covs.take(keep, axis=0))[:, 0].min() >= min_var
-    )
+    if min_var == 0.0 or min_var == math.inf:
+        return min_var == 0.0
+    covs = fm.covs.take(keep, axis=0)
+    # eigvalsh decides only what the cheaper lower bound leaves open
+    return _eigenvalue_floor(covs).min() >= min_var or np.linalg.eigvalsh(covs)[:, 0].min() >= min_var
+
+
+def _eigenvalue_floor(covs: np.ndarray) -> np.ndarray:
+    """A lower bound on the smallest eigenvalue of each covariance (k, d, d).
+
+    For a positive-definite V with eigenvalues l_1 <= ... <= l_d, the
+    arithmetic-geometric mean inequality on l_2 ... l_d gives
+    l_1 >= det(V) / (tr(V) / (d - 1))**(d - 1), which is det / tr for
+    d = 2 and V itself for d = 1.  ``_FLOOR_SLACK * tr(V)`` is taken off for
+    the rounding of det and of ``eigvalsh``'s own result, both of which
+    are of order eps * tr(V), so the bound stays below what ``eigvalsh``
+    returns, near-singular V included.
+    """
+    d = covs.shape[-1]
+    tr = np.trace(covs, axis1=1, axis2=2)
+    if d == 1:
+        floor = tr
+    elif d == 2:  # from the lower triangle, the one eigvalsh reads
+        floor = (covs[:, 0, 0] * covs[:, 1, 1] - covs[:, 1, 0] ** 2) / tr
+    else:
+        floor = np.linalg.det(covs) / (tr / (d - 1)) ** (d - 1)
+    return floor - _FLOOR_SLACK * tr
 
 
 def propagate_intensity(fm: IntensityMixture, params: MultiTargetParams) -> IntensityMixture:

@@ -291,14 +291,27 @@ def ipda_update(state: IpdaState, params: IpdaParams, observations) -> IpdaState
     return IpdaState._trusted(existence, ws, ms, vs, diffuse, state.time_index)
 
 
+def _declaration(state: IpdaState) -> tuple[np.ndarray | None, float]:
+    """The heaviest component's mean (None without components) and the existence.
+
+    :func:`ipda_estimate` declares the mean at tau_conf iff the existence
+    exceeds tau_conf.  Weight ties go to the lower index.  The mean is a
+    read-only view into the state.
+    """
+    if not state.n_components:
+        return None, state.existence
+    return state.means[int(np.argmax(state.weights))], state.existence
+
+
 def ipda_estimate(state: IpdaState, tau_conf: float) -> np.ndarray | None:
     """Highest-weight component mean iff existence exceeds the threshold.
 
     tau_conf may be any float, ±inf included, but not NaN.
     """
     tau_conf = _in_range("tau_conf", tau_conf, -math.inf, math.inf, "[]")
-    if state.existence > tau_conf and state.n_components:
-        return state.means[int(np.argmax(state.weights))].copy()
+    mean, existence = _declaration(state)
+    if mean is not None and existence > tau_conf:
+        return mean.copy()
     return None
 
 

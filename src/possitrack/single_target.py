@@ -362,6 +362,28 @@ def update(state: ExtendedPossibility, params: SingleTargetParams, observations)
     return ExtendedPossibility(psi_un / c_t, on_s, state.time_index)
 
 
+def _declaration(state: ExtendedPossibility) -> tuple[np.ndarray | None, float, bool]:
+    """The top term's mean, the margin w1 - w2 and whether w1 > the absence mass.
+
+    The terms are ranked once: by weight, weight ties toward the smaller
+    covariance trace, then toward the lower index.  With fewer than two
+    terms the flat weight is w2.  :func:`estimate` declares the mean at
+    tau_c iff w1 > psi and the margin exceeds tau_c.  An empty mixture gives
+    (None, -inf, False).  The mean is a read-only view into the state.
+    """
+    mix = state.on_s
+    ws = mix.weights
+    if not ws.size:
+        return None, -math.inf, False
+    if ws.size == 1:
+        top, w2 = 0, mix.flat_weight
+    else:
+        ranked = np.lexsort((np.trace(mix.covs, axis1=1, axis2=2), -ws))
+        top, w2 = ranked[0], ws[ranked[1]]
+    w1 = ws[top]
+    return mix.means[top], float(w1 - w2), bool(w1 > state.psi_mass)
+
+
 def estimate(state: ExtendedPossibility, tau_c: float) -> np.ndarray | None:
     """Declared state estimate, or None when no system is confirmed.
 
@@ -372,15 +394,9 @@ def estimate(state: ExtendedPossibility, tau_c: float) -> np.ndarray | None:
     tau_c may be any float, ±inf included, but not NaN.
     """
     tau_c = _in_range("tau_c", tau_c, -math.inf, math.inf, "[]")
-    mix = state.on_s
-    ws = mix.weights
-    if not ws.size:
-        return None
-    ranked = np.lexsort((np.trace(mix.covs, axis1=1, axis2=2), -ws))
-    w1 = ws[ranked[0]]
-    w2 = ws[ranked[1]] if ws.size > 1 else mix.flat_weight
-    if w1 > state.psi_mass and (w1 - w2) > tau_c:
-        return mix.means[ranked[0]].copy()
+    mean, margin, beats_absence = _declaration(state)
+    if mean is not None and beats_absence and margin > tau_c:
+        return mean.copy()
     return None
 
 

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from possitrack import bench
 from possitrack.bench import (
     BASELINE,
     PER_TIME_HEADER,
@@ -35,8 +36,10 @@ from possitrack.bench import (
     run_benchmark,
 )
 from possitrack.cli import main
-from possitrack.mixtures import NumericalError
-from possitrack.scenario import ScenarioConfig
+from possitrack.ipda import IpdaState, ipda_estimate
+from possitrack.mixtures import MaxMixture, NumericalError
+from possitrack.scenario import ScenarioConfig, error_at
+from possitrack.single_target import ExtendedPossibility, estimate
 
 DATA = Path(__file__).parent / "data"
 
@@ -236,6 +239,144 @@ def test_a_worker_cell_error_names_its_cell(monkeypatch, cpus):
     assert str(info.value).startswith(f"lambda=1 run=0 t={t} seed={cfg.base_seed}: birth covariance")
     assert messages == ["lambda=0 run=1/1"]
     assert multiprocessing.active_children() == []
+
+
+# ----------------------------------------------------------- threshold sweep
+
+
+def _loop_estimate(state, tau_c):
+    """``estimate`` as it ranked the state for each threshold on its own."""
+    mix = state.on_s
+    ws = mix.weights
+    if not ws.size:
+        return None
+    ranked = np.lexsort((np.trace(mix.covs, axis1=1, axis2=2), -ws))
+    w1 = ws[ranked[0]]
+    w2 = ws[ranked[1]] if ws.size > 1 else mix.flat_weight
+    if w1 > state.psi_mass and (w1 - w2) > tau_c:
+        return mix.means[ranked[0]].copy()
+    return None
+
+
+def _loop_ipda_estimate(state, tau_conf):
+    """``ipda_estimate`` as it ranked the state for each threshold on its own."""
+    if state.existence > tau_conf and state.n_components:
+        return state.means[int(np.argmax(state.weights))].copy()
+    return None
+
+
+def _loop_cell(cfg, truth, states):
+    """The errors of a cell by the per-threshold loop: every threshold ranks
+    each state again and calls error_at."""
+    errors = np.zeros((2, len(cfg.threshold_sweep), len(states)))
+    for t, (st, ip) in enumerate(states):
+        for ti, tau in enumerate(cfg.threshold_sweep):
+            errors[0, ti, t] = error_at(t, _loop_estimate(st, tau), truth, cfg.c_err)
+            errors[1, ti, t] = error_at(t, _loop_ipda_estimate(ip, tau), truth, cfg.c_err)
+    return errors
+
+
+def _pf_state(psi, weights, positions, traces=None, flat=0.0):
+    """A possibility state whose terms sit at ``positions`` with covariance
+    traces ``traces`` (2 each by default)."""
+    if not weights:
+        return ExtendedPossibility(psi, MaxMixture(flat_weight=flat))
+    traces = [2.0] * len(weights) if traces is None else traces
+    covs = [np.eye(2) * (tr / 2) for tr in traces]
+    return ExtendedPossibility(psi, MaxMixture(weights, [[x, 0.0] for x in positions], covs, flat))
+
+
+def _ipda_state(existence, weights=(), positions=()):
+    if not weights:
+        return IpdaState(existence, [], [], [], diffuse_weight=1.0)
+    return IpdaState(existence, weights, [[x, 0.0] for x in positions], [np.eye(2)] * len(weights))
+
+
+# thresholds met exactly by the margins below: 0 (w1 = w2), 0.25 (0.75
+# against a flat weight of 0.5), 0.5 (1.0 against 0.5; an existence of 0.5)
+TIE_SWEEP = (0.0, 0.1, 0.25, 0.4, 0.5, 0.6, 0.9)
+# (possibility state, IPDA state) of one step; each pair puts at least one
+# filter exactly on a threshold of TIE_SWEEP or on its absence mass
+TIE_STEPS = {
+    # equal top weights, the second with the smaller trace: margin 0 = tau
+    "top_weights_tie": (_pf_state(0.1, [0.8, 0.8, 0.3], [4.0, 1.0, 2.0], [3.0, 2.0, 2.0]),
+                        _ipda_state(0.9, [0.5, 0.5], [3.0, 1.0])),
+    # the top weight equals the absence mass: silent at every threshold
+    "top_weight_equals_absence": (_pf_state(0.6, [0.6, 0.2], [1.0, 3.0]),
+                                  _ipda_state(0.6, [1.0], [2.0])),
+    # one term against the flat weight: margin 0.75 - 0.5 = 0.25 = tau
+    "lone_term_against_flat": (_pf_state(0.2, [0.75], [1.5], flat=0.5), _ipda_state(0.3, [1.0], [2.0])),
+    # no term at all, beside an existence of 0.5 = tau
+    "empty_mixture": (_pf_state(0.0, [], []), _ipda_state(0.5, [0.7, 0.3], [2.5, 0.5])),
+    # margin 1.0 - 0.5 = 0.5 = tau
+    "margin_equals_threshold": (_pf_state(0.0, [0.5, 1.0], [3.0, 0.5]), _ipda_state(0.0, [1.0], [1.0])),
+    # an existence of 0.5 = tau, beside a possibility state silent at its absence mass
+    "existence_equals_threshold": (_pf_state(1.0, [1.0], [0.5]), _ipda_state(0.5, [0.2, 0.8], [4.0, 1.0])),
+    # an existence above every threshold with no component, beside w1 = psi
+    "existence_without_components": (_pf_state(0.9, [0.9], [1.0], flat=0.1), _ipda_state(1.0)),
+}
+
+
+def _cell_of_states(monkeypatch, cfg, states):
+    """``_run_cell`` of cell (0, 0) with each filter step returning the next
+    state of ``states``; also the cell's truth."""
+    it = iter(states)
+    pending = []
+
+    def pf_step(st, params, ys):
+        pending[:] = next(it)
+        return pending[0]
+
+    monkeypatch.setattr(bench, "step", pf_step)
+    monkeypatch.setattr(bench, "ipda_step", lambda ip, params, ys: pending[1])
+    truth, _ = make_run(cfg.scenario, cfg.lambda_list[0], cfg.base_seed, 0, 0)
+    return bench._run_cell(cfg, cfg.proposed_params(), cfg.baseline_params(cfg.lambda_list[0]), 0, 0), truth
+
+
+@pytest.mark.parametrize("case", TIE_STEPS)
+def test_the_sweep_decides_ties_as_the_per_threshold_loop(monkeypatch, case):
+    # every step of the cell is the tie pair, so present and absent steps both see it
+    cfg = BenchConfig(lambda_list=(1.0,), threshold_sweep=TIE_SWEEP, n_runs=1)
+    states = [TIE_STEPS[case]] * (cfg.scenario.t_end + 1)
+    errors, truth = _cell_of_states(monkeypatch, cfg, states)
+    assert errors.tobytes() == _loop_cell(cfg, truth, states).tobytes()
+    st, ip = TIE_STEPS[case]
+    for tau in (-np.inf, -0.5, -0.0, *TIE_SWEEP, np.inf):
+        for mine, loop in ((estimate(st, tau), _loop_estimate(st, tau)),
+                           (ipda_estimate(ip, tau), _loop_ipda_estimate(ip, tau))):
+            assert (mine is None) == (loop is None)
+            assert mine is None or mine.tobytes() == loop.tobytes()
+
+
+def test_the_sweep_calls_error_at_at_most_twice_per_filter_and_step(monkeypatch):
+    calls = []
+
+    def spy(t, est, truth, c_err=5.0):
+        calls.append((t, est is not None))
+        return error_at(t, est, truth, c_err)
+
+    def declared_per_step(n_t):
+        # one silent error per step, which both filters share, and at most
+        # one declared error per filter
+        counts = []
+        for t in range(n_t):
+            kinds = [declared for s, declared in calls if s == t]
+            assert kinds.count(False) == 1 and kinds.count(True) <= 2
+            counts.append(kinds.count(True))
+        calls.clear()
+        return counts
+
+    monkeypatch.setattr(bench, "error_at", spy)
+    cfg = BenchConfig(lambda_list=(10.0,), n_runs=1)
+    bench._run_cell(cfg, cfg.proposed_params(), cfg.baseline_params(10.0), 0, 0)
+    assert 2 in declared_per_step(cfg.scenario.t_end + 1)  # both filters declare on some step
+    # a cell that cycles through the tie steps, against the per-threshold loop
+    cfg = BenchConfig(lambda_list=(1.0,), threshold_sweep=TIE_SWEEP, n_runs=1)
+    ties = list(TIE_STEPS.values())
+    states = [ties[t % len(ties)] for t in range(cfg.scenario.t_end + 1)]
+    errors, truth = _cell_of_states(monkeypatch, cfg, states)
+    declared_per_step(len(states))
+    assert errors.tobytes() == _loop_cell(cfg, truth, states).tobytes()
 
 
 # ----------------------------------------------------------------------- csv

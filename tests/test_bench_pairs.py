@@ -36,6 +36,36 @@ def test_summarize_interpolates_quartiles_and_takes_one_pair():
         bench_pairs.summarize([1.0], [], "lower")
 
 
+# ten parent values with quartiles 102.25 and 106.75: a spread of 4.5
+PARENT = [100.0 + i for i in range(10)]
+
+
+def test_claim_needs_nine_of_ten_wins_ties_counting_for_neither():
+    nine = [p + 10.0 for p in PARENT[:9]] + [PARENT[9] - 1.0]
+    assert bench_pairs.summarize(PARENT, nine, "higher")["claim_met"]
+    nine_and_a_tie = [p + 10.0 for p in PARENT[:9]] + [PARENT[9]]
+    s = bench_pairs.summarize(PARENT, nine_and_a_tie, "higher")
+    assert (s["change_wins"], s["ties"], s["claim_met"]) == (9, 1, True)
+    eight = [p + 10.0 for p in PARENT[:8]] + [PARENT[8], PARENT[9] - 1.0]
+    s = bench_pairs.summarize(PARENT, eight, "higher")
+    assert (s["change_wins"], s["claim_met"]) == (8, False)
+
+
+def test_claim_needs_a_median_gap_beyond_the_parent_quartile_spread():
+    s = bench_pairs.summarize(PARENT, [p + 4.5 for p in PARENT], "higher")
+    assert s["parent_q3"] - s["parent_q1"] == 4.5 == s["change_median"] - s["parent_median"]
+    assert s["change_wins"] == 10 and not s["claim_met"]
+    assert bench_pairs.summarize(PARENT, [p + 4.75 for p in PARENT], "higher")["claim_met"]
+
+
+def test_claim_reads_lower_is_better():
+    faster = [p - 10.0 for p in PARENT]
+    assert bench_pairs.summarize(PARENT, faster, "lower")["claim_met"]
+    assert not bench_pairs.summarize(PARENT, faster, "higher")["claim_met"]
+    s = bench_pairs.summarize(PARENT, [p - 4.5 for p in PARENT], "lower")
+    assert s["change_wins"] == 10 and not s["claim_met"]
+
+
 def _run(side, workload, seed, value, exit_code=0):
     result = {"metrics": {"scans_per_s": {"value": value}}} if exit_code == 0 else None
     return {"side": side, "workload": workload, "seed": seed, "exit": exit_code, "result": result}

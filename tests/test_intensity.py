@@ -11,10 +11,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from possitrack.intensity import (
     IntensityMixture,
     MultiTargetParams,
+    _eigenvalue_floor,
+    _moves_stay_reduced,
     extract_targets,
     propagate_intensity,
     recover_cardinality_spatial,
@@ -197,6 +200,45 @@ def test_propagate_reads_its_input_as_reduced():
     ref = _ref_propagate_intensity(fm, p)
     assert ref.weights.tolist() == [0.95]
     _assert_same_intensity(dominance_reduce(out), ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-8.0, 8.0),
+    # log10 of each eigenvalue over the largest; -inf is a singular V
+    log_ratios=st.lists(st.floats(-20.0, 0.0) | st.just(-np.inf), min_size=4, max_size=4),
+)
+def test_eigenvalue_floor_never_exceeds_eigvalsh(d, seed, log_scale, log_ratios):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    eig = 10.0 ** log_scale * 10.0 ** np.array([0.0, *log_ratios[: d - 1]])
+    v = (q * eig) @ q.T  # symmetric only up to rounding, as eigvalsh reads the lower triangle
+    covs = np.stack([v, (v + v.T) / 2])
+    assert (_eigenvalue_floor(covs) <= np.linalg.eigvalsh(covs)[:, 0]).all()
+
+
+def test_eigenvalue_floor_is_det_over_trace_in_2d():
+    v = np.array([[[4.0, 1.0], [1.0, 2.0]]])
+    np.testing.assert_allclose(_eigenvalue_floor(v), [7.0 / 6.0], rtol=1e-11)
+    assert _eigenvalue_floor(v)[0] <= np.linalg.eigvalsh(v)[0, 0]
+
+
+def test_the_guard_asks_eigvalsh_only_where_the_floor_falls_short(monkeypatch):
+    # diag(1, 100): the floor is 100 / 101 less the slack, lambda_min is 1
+    cov = np.diag([1.0, 100.0])
+    fm = intensity(0.0, g2(0.9, 0.0, cov=cov), g2(0.5, 50.0, cov=cov))
+    p = params(birth=NO_BIRTH)
+    keep = np.arange(2)
+
+    def decide(min_var):
+        object.__setattr__(p, "_stay_reduced_min_var", min_var)
+        return bool(_moves_stay_reduced(fm, fm.weights, keep, p))
+
+    assert decide(0.995) and not decide(1.001)  # eigvalsh decides between the floor and lambda_min
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)  # the floor alone decides below it
+    assert decide(0.98)
 
 
 # -------------------------------------------------------------------- update

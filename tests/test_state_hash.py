@@ -13,14 +13,19 @@ _SPEC.loader.exec_module(state_hash)
 
 
 def test_reruns_give_equal_digests():
-    cases, scenes, edges = ((1.0, 0), (10.0, 1)), (2,), ("survival",)
-    first = state_hash.digests(cases, scenes, edges)
-    assert list(first) == ["pf", "ipda", "intensity", "intensity_edge"]
-    assert state_hash.digests(cases, scenes, edges) == first
+    cases, scenes, edges, cells = ((1.0, 0), (10.0, 1)), (2,), ("survival",), ((0, 0), (2, 1))
+    first = state_hash.digests(cases, scenes, edges, cells)
+    assert list(first) == ["pf", "ipda", "intensity", "intensity_edge", "study"]
+    assert state_hash.digests(cases, scenes, edges, cells) == first
     # the digests see the states: another run gives other ones
-    other = state_hash.digests(((1.0, 1),), (), ("singular_trans",))
+    other = state_hash.digests(((1.0, 1),), (), ("singular_trans",), ((2, 2),))
     assert other["pf"] != first["pf"] and other["ipda"] != first["ipda"]
-    assert other["intensity_edge"] != first["intensity_edge"]
+    assert other["intensity_edge"] != first["intensity_edge"] and other["study"] != first["study"]
+
+
+def test_the_study_section_covers_the_default_rates_three_runs_each():
+    assert state_hash.STUDY_CELLS == tuple((li, run) for li in range(3) for run in range(3))
+    assert state_hash.default_config().lambda_list == (1.0, 5.0, 10.0)
 
 
 def test_each_edge_scene_changes_the_parameters_of_one_path():

@@ -17,9 +17,10 @@ the same way.
 
 ``BENCH_<label>.json`` records every run's result and info lines and, per
 workload and end-to-end metric of BENCHMARK.json, each side's median and
-quartiles, the change's median over the parent's, and the pairs the change
-wins and ties.  ``summary_info`` gives the same for the wall-clock figures
-and the calibration kernel's time of the info lines (``INFO_METRICS``), so a
+quartiles, the change's median over the parent's, the pairs the change
+wins and ties, and ``claim_met``: whether the pairs would carry a claim of a
+gain on that metric (``summarize``).  ``summary_info`` gives the same for
+the wall-clock figures and the calibration kernel's time of the info lines (``INFO_METRICS``), so a
 gain in the normalized metrics can be told from a shift of the kernel.
 ``summary_traced`` gives the same for each per-layer metric over the traced
 pairs.  The file is rewritten after every run, so an interrupted session
@@ -68,11 +69,15 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def summarize(parent: list[float], change: list[float], better: str) -> dict:
-    """Medians, quartiles, ratio of medians, wins and ties of paired values.
+    """Medians, quartiles, ratio of medians, wins, ties and claim verdict of paired values.
 
     ``parent[i]`` and ``change[i]`` are one pair; ``better`` is "higher" or
     "lower".  Quartiles are those of ``statistics.quantiles(method="inclusive")``.
     The ratio of medians is None when the parent's median is 0.
+    ``claim_met`` says whether the values would carry a claim of a gain: the
+    change wins at least nine tenths of the pairs (a tie counts for neither
+    side), and its median is better than the parent's by more than the
+    distance between the parent's quartiles.
     """
     if len(parent) != len(change) or not parent:
         raise ValueError("need the same positive number of parent and change values")
@@ -84,6 +89,8 @@ def summarize(parent: list[float], change: list[float], better: str) -> dict:
     sign = 1.0 if better == "higher" else -1.0
     out["change_wins"] = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
     out["ties"] = sum(c == p for p, c in zip(parent, change))
+    gap = sign * (out["change_median"] - out["parent_median"])
+    out["claim_met"] = 10 * out["change_wins"] >= 9 * len(parent) and gap > out["parent_q3"] - out["parent_q1"]
     out["parent"], out["change"] = list(parent), list(change)
     return out
 

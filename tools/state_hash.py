@@ -16,7 +16,9 @@ per section:
 - ``intensity_edge``: the same on scene 1 under four changes of the
   parameters, one per path on which ``propagate_intensity`` still reduces
   the moved terms: a Gaussian birth term, a singular F, survival 0.9 (the
-  tie check) and Q scaled by 1e4.
+  tie check) and Q scaled by 1e4;
+- ``study``: the error arrays of ``bench._run_cell``, the threshold sweep of
+  the default study, over its cells at rates 1, 5 and 10 (runs 0-2).
 
 The single-system runs are those of the default study (``make_run``) at
 false-alarm rates 1, 10 and 30 (runs 0-2) and 100 (run 0); the intensity
@@ -59,7 +61,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from possitrack.bench import default_config, make_run  # noqa: E402
+from possitrack.bench import _run_cell, default_config, make_run  # noqa: E402
 from possitrack.intensity import (  # noqa: E402
     IntensityMixture,
     extract_targets,
@@ -84,6 +86,8 @@ SCENE_SEEDS = (1, 2, 3, 4)
 # the intensity_edge scenes: scene EDGE_SEED under each change of _edge_params
 EDGE_SEED = 1
 EDGE_CASES = ("gaussian_birth", "singular_trans", "survival", "large_noise")
+# (index into the default lambda_list 1, 5, 10; run) of the study cells
+STUDY_CELLS = tuple((li, run) for li in range(3) for run in range(3))
 # (tau_x, merge_radius) of extract_targets
 EXTRACT_SETTINGS = ((0.9, 3.22), (0.5, 1.0), (0.0, 8.0))
 
@@ -177,16 +181,25 @@ def _intensity(scenes, params, scene_seeds, h, what="") -> None:
                 _feed(h, *extract_targets(fm, tau_x, radius), None)
 
 
-def digests(pf_cases=PF_CASES, scene_seeds=SCENE_SEEDS, edge_cases=EDGE_CASES) -> dict[str, str]:
-    """The hex digest of each section over the given runs and scenes."""
-    pf, ipda, intensity, edge = (hashlib.sha256() for _ in range(4))
+def _study(cells, h) -> None:
+    cfg = default_config()
+    params = cfg.proposed_params()
+    for li, run in cells:
+        _feed(h, _run_cell(cfg, params, cfg.baseline_params(cfg.lambda_list[li]), li, run))
+
+
+def digests(pf_cases=PF_CASES, scene_seeds=SCENE_SEEDS, edge_cases=EDGE_CASES,
+            study_cells=STUDY_CELLS) -> dict[str, str]:
+    """The hex digest of each section over the given runs, scenes and cells."""
+    pf, ipda, intensity, edge, study = (hashlib.sha256() for _ in range(5))
     _single_system(pf_cases, pf, ipda)
     scenes = _scenes()
     _intensity(scenes, scenes.params(), scene_seeds, intensity)
     for case in edge_cases:
         _intensity(scenes, _edge_params(scenes, case), (EDGE_SEED,), edge, f" ({case})")
+    _study(study_cells, study)
     return {"pf": pf.hexdigest(), "ipda": ipda.hexdigest(), "intensity": intensity.hexdigest(),
-            "intensity_edge": edge.hexdigest()}
+            "intensity_edge": edge.hexdigest(), "study": study.hexdigest()}
 
 
 def compare(mine: dict[str, str], theirs: dict[str, str]) -> tuple[list[str], bool]:
