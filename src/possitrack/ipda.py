@@ -16,13 +16,14 @@ candidate per observation.  Mixture weights plus the diffuse weight sum to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .mixtures import (
     LinearGaussianModel,
-    _check_count,
+    _Record,
+    _as_count,
     _check_terms,
     _gate_neighbours,
     _greedy_clusters,
@@ -73,15 +74,15 @@ class IpdaParams(LinearGaussianModel):
 
 
 @dataclass(frozen=True, eq=False)
-class IpdaState:
+class IpdaState(_Record):
     """Existence probability plus the state mixture given existence.
 
     ``weights`` (Gaussian components) and ``diffuse_weight`` (not-yet-located
     birth mass: uniform position, Gaussian velocity) sum to 1 whenever
     existence is positive.  The constructor copies and checks its arrays:
     finite means and finite, symmetric, positive-definite covariances.  The
-    recursions build their states with the private ``_trusted``, which does
-    not check them again.
+    recursions build their states with the private ``_trusted``
+    (:class:`_Record`), which does not check them again.
     """
 
     existence: float
@@ -93,7 +94,7 @@ class IpdaState:
 
     def __post_init__(self):
         r = _in_range("existence", self.existence, 0, 1, "[]")
-        _check_count(self, "time_index", 0)
+        n = _as_count("time_index", self.time_index, 0)
         w = np.array(self.weights, dtype=float, ndmin=1)
         k = w.size
         m = np.array(self.means, dtype=float).reshape(k, -1) if k else np.empty((0, 0))
@@ -109,29 +110,7 @@ class IpdaState:
             raise ValueError(f"weights plus diffuse mass must sum to 1, got {total!r}")
         if k:
             _check_terms(m, v)
-        self._set(r, w, m, v, delta)
-
-    @classmethod
-    def _trusted(cls, existence: float, weights, means, covs, diffuse_weight: float, time_index: int):
-        """A state that a recursion derived from checked states.
-
-        The arrays are frozen and kept, not copied or checked: they must be
-        float arrays that nothing else writes to and that the constructor
-        would accept, and existence and diffuse_weight must be floats.
-        """
-        state = object.__new__(cls)
-        object.__setattr__(state, "time_index", time_index)
-        state._set(existence, weights, means, covs, diffuse_weight)
-        return state
-
-    def _set(self, existence, weights, means, covs, diffuse_weight):
-        for arr in (weights, means, covs):
-            arr.setflags(write=False)
-        object.__setattr__(self, "existence", existence)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "covs", covs)
-        object.__setattr__(self, "diffuse_weight", diffuse_weight)
+        self._fill((r, w, m, v, delta, n))
 
     @property
     def n_components(self) -> int:
@@ -279,10 +258,10 @@ def ipda_update(state: IpdaState, params: IpdaParams, observations) -> IpdaState
                 lam_total += w_birth
         stacks.append((w.ravel(), m.reshape(-1, d), v.reshape(-1, d, d)))
 
+    if lam_total <= 0.0:  # no branch is possible: existence 0, only the diffuse prior is left
+        return IpdaState.initial(state.time_index)
     denom = 1.0 - r + r * lam_total
     existence = r * lam_total / denom if denom > 0.0 else 0.0
-    if lam_total <= 0.0:
-        return replace(IpdaState.initial(state.time_index), existence=existence)
 
     ws, ms, vs = concat_terms(stacks)
     ws, ms, vs, diffuse = _prune_and_merge(ws / lam_total, ms, vs, miss * delta / lam_total, params)

@@ -142,7 +142,7 @@ def _check_count(obj, name: str, lo: int) -> None:
 
 
 def _checked_stack(weights, means, covs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only copies of a stack of k terms, after checking every term.
+    """Copies of a stack of k terms, after checking every term.
 
     Each weight must lie in (0, 1], each mean must be finite and each
     covariance must be finite and symmetric positive-definite; shapes must be
@@ -162,8 +162,6 @@ def _checked_stack(weights, means, covs) -> tuple[np.ndarray, np.ndarray, np.nda
     if bad.any():
         raise ValueError(f"weights must be in (0, 1], got {w[bad][0]!r}")
     _check_terms(m, v)
-    for a in (w, m, v):
-        a.setflags(write=False)
     return w, m, v
 
 
@@ -182,6 +180,38 @@ def _check_terms(means: np.ndarray, covs: np.ndarray) -> None:
         raise ValueError("cov must be positive-definite") from err
 
 
+class _Record:
+    """Base of the frozen records that the recursions derive: mixtures,
+    filter states and model matrices.
+
+    A public constructor checks what it is given and stores it with
+    :meth:`_fill`.  A recursion stores what it derived from checked records
+    with :meth:`_trusted`, which checks nothing.  Either way an array is
+    kept, not copied, and made read-only.
+    """
+
+    @classmethod
+    def _trusted(cls, *values):
+        """A record of ``values``, the constructor's arguments in field order, stored without checks.
+
+        Each value must be one the public constructor would store: a float
+        array that nothing else writes to, with the shape and the values it
+        checks for, or a float or an int where it stores one.
+        """
+        rec = object.__new__(cls)
+        rec._fill(values)
+        return rec
+
+    def _fill(self, values) -> None:
+        """Store ``values`` as the leading fields, in field order, and make the arrays among them read-only."""
+        # a local name and an exact type test: every recursion builds a few records per scan
+        fields, array = self.__dict__, np.ndarray
+        for name, value in zip(self.__match_args__, values):  # the dataclass's fields, in order
+            if type(value) is array:
+                value.setflags(write=False)
+            fields[name] = value
+
+
 class GaussianPossibility(NamedTuple):
     """One term ``weight * N(x; mean, cov)`` of a mixture, as
     :attr:`MaxMixture.components` gives it: a plain record, not checked."""
@@ -192,7 +222,7 @@ class GaussianPossibility(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class MaxMixture:
+class MaxMixture(_Record):
     """Pointwise max of weighted Gaussian terms plus an optional flat term.
 
     The terms are one stack: ``weights`` (k,), ``means`` (k, d) and ``covs``
@@ -200,7 +230,8 @@ class MaxMixture:
     ``flat_weight`` is the value of a constant term over the whole space; 0
     means no flat term.  eval(x) = max(flat_weight, max_i w_i N(x; m_i, V_i)).
     ``MaxMixture()`` is the empty mixture.  The recursions build their
-    results with the private ``_trusted``, which does not check them again.
+    results with the private ``_trusted`` (:class:`_Record`), which does not
+    check them again.
     """
 
     weights: np.ndarray
@@ -210,29 +241,7 @@ class MaxMixture:
 
     def __init__(self, weights=(), means=(), covs=(), flat_weight: float = 0.0):
         w, m, v = _checked_stack(weights, means, covs)
-        b = _in_range("flat_weight", flat_weight, 0, 1, "[]")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "means", m)
-        object.__setattr__(self, "covs", v)
-        object.__setattr__(self, "flat_weight", b)
-
-    @classmethod
-    def _trusted(cls, weights, means, covs, flat_weight: float):
-        """A mixture of a stack that a recursion derived from checked stacks.
-
-        The arrays are frozen and kept, not copied or checked: they must be
-        float arrays that nothing else writes to, with the shapes, weights in
-        (0, 1], finite means and positive-definite covariances that
-        :func:`_checked_stack` requires, and flat_weight must lie in [0, 1].
-        """
-        for a in (weights, means, covs):
-            a.setflags(write=False)
-        mix = object.__new__(cls)
-        object.__setattr__(mix, "weights", weights)
-        object.__setattr__(mix, "means", means)
-        object.__setattr__(mix, "covs", covs)
-        object.__setattr__(mix, "flat_weight", float(flat_weight))
-        return mix
+        self._fill((w, m, v, _in_range("flat_weight", flat_weight, 0, 1, "[]")))
 
     @property
     def components(self) -> tuple[GaussianPossibility, ...]:
@@ -313,7 +322,7 @@ def _quadratic(dd: np.ndarray, prec: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LinearGaussianModel:
+class LinearGaussianModel(_Record):
     """Linear motion ``x' = F x`` with noise Q and observation ``y = H x`` with noise R.
 
     The base of the filters' parameter classes.  The four matrices are
@@ -337,12 +346,10 @@ class LinearGaussianModel:
             raise ValueError("trans and trans_noise must be square with equal size")
         if obs.shape[1] != d or obs_noise.shape != (obs.shape[0], obs.shape[0]):
             raise ValueError("obs/obs_noise shapes inconsistent with state dim")
-        for arr, name in ((trans, "trans"), (noise, "trans_noise"), (obs, "obs"), (obs_noise, "obs_noise")):
+        for arr, name in ((trans, "trans"), (obs, "obs")):  # _require_psd checked the noises
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        self._fill((trans.copy(), noise.copy(), obs.copy(), obs_noise.copy()))
 
     @property
     def state_dim(self) -> int:
@@ -700,16 +707,6 @@ _MERGE_COND_LIMIT = 1e4
 _MERGE_FLOOR = 1e-200
 
 
-def _separations(v: np.ndarray, deltas: np.ndarray) -> np.ndarray:
-    """``d' V^-1 d`` for each row d of deltas.
-
-    One batched solve of ``v`` broadcast against one right-hand side per
-    row, so each value has the bits of its own ``d @ np.linalg.solve(v, d)``.
-    """
-    x = np.linalg.solve(v[None], deltas[:, :, None])
-    return (deltas[:, None, :] @ x)[:, 0, 0]
-
-
 def _absorb_cluster(w_h: float, m_h: np.ndarray, v_h: np.ndarray, weights, means, cluster):
     """Absorb the terms ``cluster``, in order, into the head term (w_h, m_h, v_h).
 
@@ -724,29 +721,25 @@ def _absorb_cluster(w_h: float, m_h: np.ndarray, v_h: np.ndarray, weights, means
     ``_MERGE_COVER_LIMIT``; such components are genuinely distinct hypotheses
     and keeping them costs less than destabilizing the covariance.
 
-    s is solved for the whole cluster at once, and again for the members
-    left after each inflation, so each s has the bits of solving it alone
-    with the running covariance.  Returns the merged covariance and the
-    absorbed and declined indices, in order.
+    Each s is solved on its own, with the running covariance.  Returns the
+    merged covariance and the absorbed and declined indices, in order.
     """
-    deltas = means.take(cluster, axis=0) - m_h
     v_cur = v_h
-    seps = _separations(v_cur, deltas).tolist()
     absorbed: list[int] = []
     declined: list[int] = []
-    for n, j in enumerate(cluster):
+    for j in cluster:
         w_j = weights[j]
         beta = 2.0 * math.log(w_h / w_j) if w_j < w_h else 0.0
-        s = seps[n]
+        d = means[j] - m_h
+        s = d @ np.linalg.solve(v_cur, d)
         if s > 0.0:
             if s > _MERGE_COVER_LIMIT * beta:
                 declined.append(j)
                 continue
             gamma = max(0.0, 1.0 / beta - 1.0 / s)
             if gamma > 0.0:
-                v_new = v_cur + gamma * np.outer(deltas[n], deltas[n])
+                v_new = v_cur + gamma * np.outer(d, d)
                 v_cur = 0.5 * (v_new + v_new.T)
-                seps[n + 1:] = _separations(v_cur, deltas[n + 1:]).tolist()
         absorbed.append(j)
     return v_cur, absorbed, declined
 

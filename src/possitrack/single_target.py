@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -26,7 +26,8 @@ from .mixtures import (
     LinearGaussianModel,
     MaxMixture,
     NumericalError,
-    _check_count,
+    _Record,
+    _as_count,
     _in_range,
     _require_pd,
     batch_kalman_update,
@@ -146,18 +147,22 @@ class SingleTargetParams(LinearGaussianModel):
 
 
 @dataclass(frozen=True)
-class ExtendedPossibility:
-    """Filter state: absence mass plus a max-mixture on the state space."""
+class ExtendedPossibility(_Record):
+    """Filter state: absence mass plus a max-mixture on the state space.
+
+    The recursions build their states with the private ``_trusted``
+    (:class:`_Record`), which does not check them again.
+    """
 
     psi_mass: float
     on_s: MaxMixture
     time_index: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "psi_mass", _in_range("psi_mass", self.psi_mass, 0, 1, "[]"))
+        psi = _in_range("psi_mass", self.psi_mass, 0, 1, "[]")
         if not isinstance(self.on_s, MaxMixture):
             raise ValueError(f"on_s must be a MaxMixture, got {type(self.on_s).__name__}")
-        _check_count(self, "time_index", 0)
+        self._fill((psi, self.on_s, _as_count("time_index", self.time_index, 0)))
 
     @staticmethod
     def absent(time_index: int = 0) -> "ExtendedPossibility":
@@ -298,7 +303,7 @@ def predict(state: ExtendedPossibility, params: SingleTargetParams) -> ExtendedP
         keep = new_w > 0.0
         new_w, new_m, new_v = new_w.compress(keep), new_m.compress(keep, axis=0), new_v.compress(keep, axis=0)
     on_s = MaxMixture._trusted(new_w, new_m, new_v, flat_new)
-    return ExtendedPossibility(psi_new, on_s, state.time_index + 1)
+    return ExtendedPossibility._trusted(psi_new, on_s, state.time_index + 1)
 
 
 def update(state: ExtendedPossibility, params: SingleTargetParams, observations) -> ExtendedPossibility:
@@ -359,7 +364,7 @@ def update(state: ExtendedPossibility, params: SingleTargetParams, observations)
     on_s = MaxMixture._trusted(
         new_w.compress(keep) / c_t, new_m.compress(keep, axis=0), new_v.compress(keep, axis=0), flat_mis / c_t
     )
-    return ExtendedPossibility(psi_un / c_t, on_s, state.time_index)
+    return ExtendedPossibility._trusted(psi_un / c_t, on_s, state.time_index)
 
 
 def _declaration(state: ExtendedPossibility) -> tuple[np.ndarray | None, float, bool]:
@@ -405,5 +410,4 @@ def step(state: ExtendedPossibility, params: SingleTargetParams, observations) -
     post = update(predict(state, params), params, observations)
     mix = prune(post.on_s, params.prune_threshold)
     mix = dominance_reduce(mix)
-    mix = merge(mix, params.merge_threshold)
-    return replace(post, on_s=mix)
+    return ExtendedPossibility._trusted(post.psi_mass, merge(mix, params.merge_threshold), post.time_index)

@@ -144,6 +144,17 @@ def test_update_empty_set_shrinks_existence():
     assert out.n_components == 0
 
 
+@pytest.mark.parametrize("existence", [0.0, 0.7, 1.0])
+def test_update_with_no_possible_branch_leaves_only_the_diffuse_prior(existence):
+    # p_detect = 1 and no observation: every branch has likelihood 0
+    st = one_comp_state(existence, [1.0, 0.0], np.eye(2), time_index=4)
+    out = ipda_update(st, params(p_detect=1.0), [])
+    assert (out.existence, out.diffuse_weight, out.time_index, out.n_components) == (0.0, 1.0, 4, 0)
+    assert type(out.existence) is float and math.copysign(1.0, out.existence) == 1.0
+    assert out.means.shape == (0, 0) and out.covs.shape == (0, 0, 0)
+    assert not (out.weights.flags.writeable or out.means.flags.writeable or out.covs.flags.writeable)
+
+
 def test_update_locates_birth_mass_on_observation():
     st = ipda_predict(IpdaState.initial(), params())
     out = ipda_update(st, params(), [[2.0]])

@@ -1228,6 +1228,44 @@ def test_merge_conditioning_guard_covers_a_quadratic_off_by_more_than_the_margin
     assert len(exact) == 2 and merge(mix, 3.22).weights.size == 1
 
 
+def test_close_calls_and_ill_conditioned_heads_reach_the_plain_exact_rule(monkeypatch):
+    # the mixtures of the close-call and ill-conditioned tests above: each
+    # reaches _absorb_cluster, each of its calls decides as the reference
+    # solves member by member, and some call solves a member against a
+    # covariance that an earlier member of its cluster inflated
+    w_j = 0.6
+    beta = 2.0 * math.log(1.0 / w_j)
+    mixes = [MaxMixture([1.0, w_j], [[0.0, 0.0], _offset(_V, edge * beta * (1.0 + rel), [1.0, 0.4])],
+                        [_V, 0.8 * np.eye(2)]) for edge in (1.0, 2.0) for rel in (-1e-12, 1e-12)]
+    mixes += _straddlers(3)
+    mixes += [MaxMixture([1.0, 1.0, 1.0], [[0.0, 0.0], [x, 0.0], [0.0, x]], [_V, _V, 0.3 * np.eye(2)])
+              for x in (0.0, 1e-160)]
+    v, rot = _ill_conditioned(1e10, 0.3)
+    weights, means = [1.0], [[0.0, 0.0]]
+    for n, (factor, axis) in enumerate((f, a) for a in (0, 1) for f in (0.5, 1.5, 3.0)):
+        weights.append(0.6 - 0.05 * n)
+        means.append(_offset(v, factor * 2.0 * math.log(1.0 / weights[-1]), rot[:, axis]))
+    mixes.append(MaxMixture(weights, means, [v] + [0.5 * np.eye(2)] * 6))
+    inflated_before_a_member, reached = False, []
+    for mix in mixes:
+        exact = _spy(monkeypatch, "_absorb_cluster")
+        merge(mix, 3.22)
+        monkeypatch.undo()
+        reached.append(bool(exact))
+        for (w_h, m_h, v_h, ws, ms, cluster), (v_out, absorbed, declined) in exact:
+            v_cur, ref_absorbed, ref_declined = v_h, [], []
+            for n, j in enumerate(cluster):
+                v_next = _ref_absorb(w_h, m_h, v_cur, ws[j], ms[j])
+                (ref_declined if v_next is None else ref_absorbed).append(j)
+                if v_next is not None and v_next is not v_cur:
+                    inflated_before_a_member |= n + 1 < len(cluster)
+                    v_cur = v_next
+            assert (absorbed, declined) == (ref_absorbed, ref_declined)
+            assert v_out.tobytes() == v_cur.tobytes()
+    assert inflated_before_a_member
+    assert all(reached)
+
+
 def test_merge_replays_a_long_inflation_chain(monkeypatch):
     # eight members around the head, each at 1.5 beta from the head's running
     # covariance, so each inflates it: one chain of eight rounds

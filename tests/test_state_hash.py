@@ -1,4 +1,4 @@
-"""Smoke test of tools/state_hash.py: a rerun gives the same digests."""
+"""Tests of tools/state_hash.py: a rerun gives the same digests, and a small set keeps its pinned values."""
 
 import importlib.util
 from pathlib import Path
@@ -21,6 +21,19 @@ def test_reruns_give_equal_digests():
     other = state_hash.digests(((1.0, 1),), (), ("singular_trans",), ((2, 2),))
     assert other["pf"] != first["pf"] and other["ipda"] != first["ipda"]
     assert other["intensity_edge"] != first["intensity_edge"] and other["study"] != first["study"]
+
+
+def test_digests_keep_their_pinned_values():
+    # a change of any value here is a change of output: it lands in its own
+    # commit, with the before and after values in CHANGES.md
+    got = state_hash.digests(((1.0, 0), (10.0, 1), (30.0, 0)), (2,), state_hash.EDGE_CASES, ((0, 0), (2, 1)))
+    assert got == {
+        "pf": "0d54b6f18ad5e3265756db8c43799f7a82a88c9a66cd0e44fc1dc1c11287ec1b",
+        "ipda": "aa5f3b97297204c808e24f061037396801fcc228a8ebe382308afd7db51ce3e8",
+        "intensity": "75cf6a45bb5a83e8bf2b45c8a7a253886e74e197e7b26542574cfc2e0244ede4",
+        "intensity_edge": "fb1fa4d249ee29ce8420966b7819cb33b9cec5fe9017472ecdfc5cdeff359ea0",
+        "study": "93866a421bf893602b84419d4fac9f856e5964a30e173e63c1231af8360b94ee",
+    }
 
 
 def test_the_study_section_covers_the_default_rates_three_runs_each():

@@ -1,14 +1,15 @@
-"""The recursions build their stacks without the full boundary check.
+"""The recursions build their stacks and states without the full boundary check.
 
-The property test runs that check, ``_checked_stack`` or the ``IpdaState``
-constructor, on the output of every stage over random scans and model
-parameters, so a recursion that produced a stack or a state a caller could
-not build would fail here.  The other tests force a
-numerical breakdown in each recursion and expect NumericalError, never a
-ValueError or a LinAlgError.
+The property test runs that check, ``_checked_stack`` or the
+``ExtendedPossibility`` or ``IpdaState`` constructor, on the output of every
+stage over random scans and model parameters, so a recursion that produced a
+stack or a state a caller could not build would fail here.  Another test
+pins what the shared ``_trusted`` stores.  The other tests force a numerical
+breakdown in each recursion and expect NumericalError, never a ValueError or
+a LinAlgError.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from possitrack.intensity import (
 )
 from possitrack.ipda import IpdaParams, IpdaState, ipda_predict, ipda_update
 from possitrack.mixtures import (
+    LinearGaussianModel,
     MaxMixture,
     NumericalError,
     _checked_stack,
@@ -36,6 +38,7 @@ from possitrack.single_target import (
     ExtendedPossibility,
     SingleTargetParams,
     predict,
+    step,
     update,
 )
 
@@ -47,6 +50,15 @@ def assert_checked(mix: MaxMixture) -> None:
         assert np.array_equal(a, b)
         assert not b.flags.writeable
     assert 0.0 <= mix.flat_weight <= 1.0
+    assert type(mix.flat_weight) is float
+
+
+def assert_checked_state(state: ExtendedPossibility) -> None:
+    """The state passes the constructor's full check, and its mixture the stack's."""
+    again = ExtendedPossibility(state.psi_mass, state.on_s, state.time_index)
+    assert again.psi_mass == state.psi_mass and again.time_index == state.time_index
+    assert type(state.psi_mass) is float and type(state.time_index) is int
+    assert_checked(state.on_s)
 
 
 def assert_checked_ipda(state: IpdaState) -> None:
@@ -92,20 +104,53 @@ def test_trusted_path_admits_no_bad_stack(
         ip = ipda_update(ip, b, ys)
         assert_checked_ipda(ip)
         pred = predict(state, p)
-        assert_checked(pred.on_s)
+        assert_checked_state(pred)
         post = update(pred, p, ys)
-        assert_checked(post.on_s)
+        assert_checked_state(post)
         mix = prune(post.on_s, p.prune_threshold)
         assert_checked(mix)
         mix = dominance_reduce(mix)
         assert_checked(mix)
         mix = merge(mix, p.merge_threshold)
         assert_checked(mix)
-        state = replace(post, on_s=mix)
+        stepped = step(state, p, ys)
+        assert_checked_state(stepped)
+        assert stepped.psi_mass == post.psi_mass and stepped.time_index == post.time_index
+        for got, want in ((stepped.on_s.weights, mix.weights), (stepped.on_s.means, mix.means),
+                          (stepped.on_s.covs, mix.covs)):
+            assert got.tobytes() == want.tobytes()
+        state = stepped
         fm = propagate_intensity(fm, mt)
         assert_checked(fm)
         fm = update_intensity(fm, mt, ys)
         assert_checked(fm)
+
+
+def _field_values(cls):
+    """Arguments of one instance of cls, in field order, with new writable arrays."""
+    w, m, v = np.array([1.0]), np.zeros((1, 2)), np.eye(2)[None].copy()
+    return {
+        MaxMixture: (w, m, v, 0.5),
+        IntensityMixture: (w, m, v, 0.5),
+        IpdaState: (0.5, w, m, v, 0.0, 3),
+        ExtendedPossibility: (0.5, MaxMixture(), 3),
+        LinearGaussianModel: (np.eye(2), np.eye(2), np.array([[1.0, 0.0]]), np.eye(1)),
+    }[cls]
+
+
+@pytest.mark.parametrize("cls", [MaxMixture, IntensityMixture, IpdaState, ExtendedPossibility, LinearGaussianModel],
+                         ids=lambda cls: cls.__name__)
+def test_trusted_stores_the_values_in_field_order_and_freezes_the_arrays(cls):
+    values = _field_values(cls)
+    arrays = [value for value in values if isinstance(value, np.ndarray)]
+    assert all(a.flags.writeable for a in arrays)
+    rec = cls._trusted(*values)
+    assert type(rec) is cls
+    names = [f.name for f in fields(cls)]
+    assert len(names) == len(values)
+    for name, value in zip(names, values):
+        assert getattr(rec, name) is value  # kept, not copied
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def model(**kw):
