@@ -304,8 +304,7 @@ def _run_cell(
                 f"lambda={lam:g} run={run} t={t} seed={cfg.base_seed}: {exc}"
             ) from exc
         silent = error_at(t, None, truth, cfg.c_err)
-        mean, margin, beats_absence = _pf_declaration(st)
-        errors[0, :, t] = _sweep_errors(cfg, truth, t, mean if beats_absence else None, margin, silent)
+        errors[0, :, t] = _sweep_errors(cfg, truth, t, *_pf_declaration(st), silent)
         errors[1, :, t] = _sweep_errors(cfg, truth, t, *_ipda_declaration(ip), silent)
     return errors
 

@@ -35,7 +35,7 @@ from .mixtures import (
     concat_terms,
     dominance_reduce,
 )
-from .single_target import _born_terms, _check_birth_std, canonicalize_observations
+from .single_target import _BIRTH_STD, _born_terms, canonicalize_observations
 
 __all__ = [
     "IntensityMixture",
@@ -91,7 +91,8 @@ class MultiTargetParams(LinearGaussianModel):
         super().__post_init__()
         for name in ("survival", "missed_detection"):
             object.__setattr__(self, name, _in_range(name, getattr(self, name), 0, 1, "(]"))
-        _check_birth_std("birth_velocity_std", self.birth_velocity_std)
+        std = _in_range("birth_velocity_std", self.birth_velocity_std, *_BIRTH_STD)
+        object.__setattr__(self, "birth_velocity_std", std)
         _check_count(self, "max_components", 1)
         if not isinstance(self.birth, IntensityMixture):
             raise ValueError(f"birth must be an IntensityMixture, got {type(self.birth).__name__}")

@@ -32,7 +32,7 @@ from .mixtures import (
     batch_kalman_update,
     concat_terms,
 )
-from .single_target import _born_terms, _check_birth_std, canonicalize_observations
+from .single_target import _BIRTH_STD, _born_terms, canonicalize_observations
 
 __all__ = ["IpdaParams", "IpdaState", "ipda_predict", "ipda_update", "ipda_estimate", "ipda_step"]
 
@@ -64,7 +64,8 @@ class IpdaParams(LinearGaussianModel):
             object.__setattr__(self, name, _in_range(name, getattr(self, name), 0, 1, "[]"))
         _in_range("clutter_rate", self.clutter_rate, 0, math.inf, "[)")
         _in_range("surveillance_volume", self.surveillance_volume, 0, math.inf, "()")
-        _check_birth_std("birth_velocity_std", self.birth_velocity_std)
+        std = _in_range("birth_velocity_std", self.birth_velocity_std, *_BIRTH_STD)
+        object.__setattr__(self, "birth_velocity_std", std)
         _in_range("prune_threshold", self.prune_threshold, 0, 1, "[)")
         _in_range("merge_threshold", self.merge_threshold, 0, math.inf, "[]")
 
@@ -119,7 +120,8 @@ class IpdaState(_Record):
     @staticmethod
     def initial(time_index: int = 0) -> "IpdaState":
         """Start not existing; the state prior is pure birth mass."""
-        return IpdaState._trusted(0.0, np.empty(0), np.empty((0, 0)), np.empty((0, 0, 0)), 1.0, time_index)
+        n = _as_count("time_index", time_index, 0)
+        return IpdaState._trusted(0.0, np.empty(0), np.empty((0, 0)), np.empty((0, 0, 0)), 1.0, n)
 
 
 def ipda_predict(state: IpdaState, params: IpdaParams) -> IpdaState:

@@ -114,9 +114,12 @@ def _in_range(name: str, value, lo: float, hi: float, closed: str) -> float:
     ``closed`` is the interval's brackets: "[]", "[)", "(]" or "()".  NaN lies
     in no interval, and an infinite value only in one whose end at that
     infinity is closed.  A string or a bool is not a number, so it lies in
-    none either.
+    none either.  An int past the float range counts as ±inf.
     """
-    v = math.nan if isinstance(value, (str, bool, np.bool_)) else float(value)
+    try:
+        v = math.nan if isinstance(value, (str, bool, np.bool_)) else float(value)
+    except OverflowError:  # copysign would convert the int again
+        v = math.inf if value > 0 else -math.inf
     above = lo <= v if closed[0] == "[" else lo < v
     below = v <= hi if closed[1] == "]" else v < hi
     if not (above and below):

@@ -67,6 +67,11 @@ class ClutterModel:
     spatial: Callable[[np.ndarray], float] | None = None
 
 
+# the birth velocity stds whose square, a born term's variance on each
+# unobserved coordinate, is a finite normal float
+_BIRTH_STD = (math.sqrt(sys.float_info.min), math.sqrt(sys.float_info.max), "[]")
+
+
 @dataclass(frozen=True)
 class ObservationDrivenBirth:
     """Appearance anywhere on the state space, located only once observed.
@@ -78,19 +83,7 @@ class ObservationDrivenBirth:
     velocity_std: float = 1.0
 
     def __post_init__(self):
-        _check_birth_std("velocity_std", self.velocity_std)
-
-
-def _check_birth_std(name: str, value) -> None:
-    """Raise ValueError unless value > 0 and value**2, the variance a born
-    term gets on each unobserved coordinate, is a finite normal float.
-
-    1e200 squares to inf and 1e-200 to 0; either would break the birth
-    covariance only at the first scan that builds it.
-    """
-    v = float(value)
-    if not (v > 0.0 and sys.float_info.min <= v * v < math.inf):
-        raise ValueError(f"{name} must be > 0 with a finite, normal square, got {value!r}")
+        object.__setattr__(self, "velocity_std", _in_range("velocity_std", self.velocity_std, *_BIRTH_STD))
 
 
 @dataclass(frozen=True)
@@ -367,26 +360,26 @@ def update(state: ExtendedPossibility, params: SingleTargetParams, observations)
     return ExtendedPossibility._trusted(psi_un / c_t, on_s, state.time_index)
 
 
-def _declaration(state: ExtendedPossibility) -> tuple[np.ndarray | None, float, bool]:
-    """The top term's mean, the margin w1 - w2 and whether w1 > the absence mass.
+def _declaration(state: ExtendedPossibility) -> tuple[np.ndarray | None, float]:
+    """The top term's mean, None unless w1 > the absence mass, and the margin w1 - w2.
 
     The terms are ranked once: by weight, weight ties toward the smaller
     covariance trace, then toward the lower index.  With fewer than two
     terms the flat weight is w2.  :func:`estimate` declares the mean at
-    tau_c iff w1 > psi and the margin exceeds tau_c.  An empty mixture gives
-    (None, -inf, False).  The mean is a read-only view into the state.
+    tau_c iff it is not None and the margin exceeds tau_c.  An empty mixture
+    gives (None, -inf).  The mean is a read-only view into the state.
     """
     mix = state.on_s
     ws = mix.weights
     if not ws.size:
-        return None, -math.inf, False
+        return None, -math.inf
     if ws.size == 1:
         top, w2 = 0, mix.flat_weight
     else:
         ranked = np.lexsort((np.trace(mix.covs, axis1=1, axis2=2), -ws))
         top, w2 = ranked[0], ws[ranked[1]]
     w1 = ws[top]
-    return mix.means[top], float(w1 - w2), bool(w1 > state.psi_mass)
+    return (mix.means[top] if w1 > state.psi_mass else None), float(w1 - w2)
 
 
 def estimate(state: ExtendedPossibility, tau_c: float) -> np.ndarray | None:
@@ -399,8 +392,8 @@ def estimate(state: ExtendedPossibility, tau_c: float) -> np.ndarray | None:
     tau_c may be any float, ±inf included, but not NaN.
     """
     tau_c = _in_range("tau_c", tau_c, -math.inf, math.inf, "[]")
-    mean, margin, beats_absence = _declaration(state)
-    if mean is not None and beats_absence and margin > tau_c:
+    mean, margin = _declaration(state)
+    if mean is not None and margin > tau_c:
         return mean.copy()
     return None
 

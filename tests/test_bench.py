@@ -452,6 +452,10 @@ def test_cli_invalid_config_is_config_error(tmp_path):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 1
 
 
+# the birth velocity stds: their squares are finite normal floats
+_STD = "[1.4916681462400413e-154, 1.3407807929942596e+154]"
+
+
 @pytest.mark.parametrize(
     "data, args, message",
     [
@@ -461,13 +465,18 @@ def test_cli_invalid_config_is_config_error(tmp_path):
         ({}, ["--lambda", "nan"], "clutter_rate must be in [0, inf), got nan"),
         ({"c_err": True}, [], "c_err must be in (0, inf), got True"),
         ({"lambda_list": [True]}, [], "clutter_rate must be in [0, inf), got True"),
+        ({"birth_velocity_std": "2"}, [], f"velocity_std must be in {_STD}, got '2'"),
+        ({"birth_velocity_std": True}, [], f"velocity_std must be in {_STD}, got True"),
+        ({"c_err": 10**400}, [], f"c_err must be in (0, inf), got {10**400}"),
     ],
-    ids=["tau_p", "a_df", "c_err_nan", "lambda_nan", "c_err_true", "lambda_true"],
+    ids=["tau_p", "a_df", "c_err_nan", "lambda_nan", "c_err_true", "lambda_true", "std_string", "std_true",
+         "c_err_huge_int"],
 )
 def test_cli_out_of_range_value_is_config_error_before_any_cell_runs(tmp_path, capsys, data, args, message):
-    # these used to escape as a traceback from run_benchmark, to write NaN
-    # tables and exit 0 (c_err NaN), or to run with a rate or cost of 1.0
-    # (JSON true)
+    # these used to escape as a traceback from run_benchmark (a string std
+    # at the first scan, an int past the float range as OverflowError), to
+    # write NaN tables and exit 0 (c_err NaN), or to run with a rate, cost or
+    # std of 1.0 (JSON true)
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(data))
     out = tmp_path / "out"

@@ -34,7 +34,14 @@ from possitrack.mixtures import (
     prune,
 )
 from possitrack.scenario import ScenarioConfig, error_at, simulate_truth
-from possitrack.single_target import ExtendedPossibility, SingleTargetParams, estimate, predict, update
+from possitrack.single_target import (
+    ExtendedPossibility,
+    ObservationDrivenBirth,
+    SingleTargetParams,
+    estimate,
+    predict,
+    update,
+)
 
 from oracles import grid_sup_oracle
 from test_intensity import _assert_same_intensity, _ref_propagate_intensity
@@ -249,6 +256,9 @@ _FM = IntensityMixture(_MIX.weights, _MIX.means, _MIX.covs, 0.1)
 _PF = default_config().proposed_params()
 _IPDA = default_config().baseline_params(1.0)
 _TRUTH = simulate_truth(ScenarioConfig(), seed=0)
+# birth velocity stds: from the square root of the smallest normal float to
+# the largest float whose square is finite
+_STD = (1.4916681462400413e-154, 1.3407807929942596e154, "[]")
 
 
 def _model(field, value):
@@ -277,6 +287,7 @@ BOUNDARIES = {
     "SingleTargetParams.merge_threshold": (
         lambda f, v: replace(_PF, **{f: v}), "merge_threshold", 0, math.inf, "[]"
     ),
+    "ObservationDrivenBirth.velocity_std": (lambda f, v: ObservationDrivenBirth(v), "velocity_std", *_STD),
     "ExtendedPossibility.psi_mass": (_pf_state, "psi_mass", 0, 1, "[]"),
     "ExtendedPossibility.time_index": (_pf_state, "time_index", 0, None, "int"),
     **{
@@ -289,12 +300,15 @@ BOUNDARIES = {
     ),
     "IpdaParams.prune_threshold": (lambda f, v: replace(_IPDA, **{f: v}), "prune_threshold", 0, 1, "[)"),
     "IpdaParams.merge_threshold": (lambda f, v: replace(_IPDA, **{f: v}), "merge_threshold", 0, math.inf, "[]"),
+    "IpdaParams.birth_velocity_std": (lambda f, v: replace(_IPDA, **{f: v}), "birth_velocity_std", *_STD),
     "IpdaState.existence": (_ipda_state, "existence", 0, 1, "[]"),
     "IpdaState.diffuse_weight": (_ipda_state, "diffuse_weight", 0, math.inf, "[)"),
     "IpdaState.time_index": (_ipda_state, "time_index", 0, None, "int"),
+    "IpdaState.initial.time_index": (lambda f, v: IpdaState.initial(v), "time_index", 0, None, "int"),
     "MultiTargetParams.survival": (_model, "survival", 0, 1, "(]"),
     "MultiTargetParams.missed_detection": (_model, "missed_detection", 0, 1, "(]"),
     "MultiTargetParams.max_components": (_model, "max_components", 1, None, "int"),
+    "MultiTargetParams.birth_velocity_std": (_model, "birth_velocity_std", *_STD),
     **{
         f"ScenarioConfig.{name}": (lambda f, v: ScenarioConfig(**{f: v}), name, lo, hi, closed)
         for name, lo, hi, closed in (
@@ -315,6 +329,8 @@ BOUNDARIES = {
     "BenchConfig.n_runs": (lambda f, v: BenchConfig(**{f: v}), "n_runs", 1, None, "int"),
     "BenchConfig.base_seed": (lambda f, v: BenchConfig(**{f: v}), "base_seed", 0, None, "int"),
     "BenchConfig.c_err": (lambda f, v: BenchConfig(**{f: v}), "c_err", 0, math.inf, "()"),
+    # the std is checked as the birth model's
+    "BenchConfig.birth_velocity_std": (lambda f, v: BenchConfig(birth_velocity_std=v), "velocity_std", *_STD),
     "BenchConfig.threshold_sweep": (lambda f, v: BenchConfig(threshold_sweep=(v,)), "threshold_sweep", 0, 1, "[)"),
     # each rate is checked as the baseline's clutter rate
     "BenchConfig.lambda_list": (lambda f, v: BenchConfig(lambda_list=(v,)), "clutter_rate", 0, math.inf, "[)"),
@@ -333,21 +349,26 @@ BOUNDARIES = {
 
 
 def _probes(lo, hi, closed):
-    """(value, accepted) pairs: NaN, True, both infinities, and each finite
-    end with the nearest float and three more values outside it."""
+    """(value, accepted) pairs: NaN, True, a numeric string, both infinities,
+    an int past the float range, and each finite end with the nearest float
+    and up to three more values outside it."""
     if closed == "int":
-        return [(lo, True), (lo - 1, False), (2.5, False), (True, False), (math.nan, False), (math.inf, False)]
+        return [(lo, True), (lo - 1, False), (2.5, False), (True, False), (str(lo), False), (math.nan, False),
+                (math.inf, False)]
     probes = [
         (math.nan, False),
         (True, False),  # a bool is no number, though float(True) is 1.0
+        ("0.5", False),  # nor is a string, though float("0.5") is 0.5
         (-math.inf, lo == -math.inf and closed[0] == "["),
         (math.inf, hi == math.inf and closed[1] == "]"),
+        (10**400, hi == math.inf and closed[1] == "]"),  # float() overflows on it; it counts as inf
     ]
     for end, bracket, outward in ((lo, closed[0], -1.0), (hi, closed[1], 1.0)):
         if math.isfinite(end):
             probes.append((end, bracket in "[]"))
             probes.append((float(np.nextafter(end, outward * math.inf)), False))
-            probes += [(end + outward * d, False) for d in (0.1, 0.5, 1.0)]
+            # at 1.34e154, end + 1.0 rounds back to the end
+            probes += [(end + outward * d, False) for d in (0.1, 0.5, 1.0) if end + outward * d != end]
     return probes
 
 
