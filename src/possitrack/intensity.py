@@ -27,7 +27,7 @@ from .mixtures import (
     MaxMixture,
     _as_count,
     _check_count,
-    _gate_neighbours,
+    _gate_rows,
     _greedy_clusters,
     _in_range,
     batch_kalman_update,
@@ -241,20 +241,23 @@ def update_intensity(fm: IntensityMixture, params: MultiTargetParams, observatio
     k, n, floor = ws.size, ys.shape[0], fm.floor
     new_floor = floor * params.missed_detection
     # the sources of the terms' moments, in branch order: misdetections, the
-    # detections of term c against observation j at row c * n + j, the newborns
-    m_src, v_src = ([ms], [vs]) if k else ([], [])
+    # detections of term c against observation j at row c * n + j, the
+    # newborns; the precisions beside the covariances, one inverse per source
+    m_src, v_src, p_src = ([ms], [vs], [fm._precisions()]) if k else ([], [], [])
     d_y = np.maximum(floor, params.clutter.eval_many(ys))
     w_lik = np.empty((k, n))
     if k and n:
-        liks, m_post, v_post, _ = batch_kalman_update(ms, vs, ys, params.obs, params.obs_noise)
+        liks, m_post, v_post, _ = batch_kalman_update(ms, vs, ys, params)
         w_lik = ws[:, None] * liks
         d_y = np.maximum(d_y, w_lik.max(axis=0))
         m_src.append(m_post.reshape(k * n, -1))
         v_src.append(v_post)
+        p_src.append(np.linalg.inv(v_post))
     if n and floor > 0.0:
-        born_m, born_v = _born_terms(params, params.birth_velocity_std, ys)
+        born_m, born_v, born_p = _born_terms(params, params.birth_velocity_std, ys)
         m_src.append(born_m)
         v_src.append(born_v[None])
+        p_src.append(born_p[None])
     if not m_src:  # no terms and no newborns
         return IntensityMixture._trusted(np.empty(0), np.empty((0, 0)), np.empty((0, 0, 0)), new_floor)
 
@@ -269,12 +272,14 @@ def update_intensity(fm: IntensityMixture, params: MultiTargetParams, observatio
     obs_j, c = np.divmod(sel[n_mis:] - k, k + 1)
     m_rows = np.concatenate([sel[:n_mis], k + c * n + seen.take(obs_j)])
     v_rows = np.concatenate([sel[:n_mis], k + c])
-    out = dominance_reduce(IntensityMixture._trusted(
+    terms = IntensityMixture._trusted(
         new_w.take(sel),
         np.concatenate(m_src).take(m_rows, axis=0),
         np.concatenate(v_src).take(v_rows, axis=0),
         new_floor,
-    ))
+    )
+    terms._keep_precisions(np.concatenate(p_src), v_rows)
+    out = dominance_reduce(terms)
     if out.weights.size > params.max_components:
         out = out.take(np.argsort(-out.weights, kind="stable")[: params.max_components])
     return out
@@ -323,8 +328,8 @@ def extract_targets(
     if not cands.size:
         return []
     cands = cands.take(np.lexsort((np.trace(fm.covs.take(cands, axis=0), axis1=1, axis2=2), -ws.take(cands))))
-    ms, vs = fm.means.take(cands, axis=0), fm.covs.take(cands, axis=0)
+    terms, rank = fm.take(cands), np.arange(cands.size)
     # near[start[a]:start[a + 1]]: the later candidates within merge_radius of a in a's covariance
-    start, near = _gate_neighbours(ms, vs, abs(merge_radius), np.arange(cands.size))
-    _, heads = _greedy_clusters(np.arange(cands.size), start, near)
-    return list(ms.take(heads, axis=0))
+    start, near, _ = _gate_rows(terms.means, terms.covs, terms._precisions(), abs(merge_radius), rank)
+    _, heads = _greedy_clusters(rank, start, near)
+    return list(terms.means.take(heads, axis=0))

@@ -25,7 +25,7 @@ from .mixtures import (
     _Record,
     _as_count,
     _check_terms,
-    _gate_neighbours,
+    _gate_rows,
     _greedy_clusters,
     _in_range,
     _require_pd,
@@ -153,15 +153,16 @@ def ipda_predict(state: IpdaState, params: IpdaParams) -> IpdaState:
     return IpdaState._trusted(r_new, ws / total, ms, vs, diffuse / total, state.time_index + 1)
 
 
-def _prune_and_merge(ws, ms, vs, diffuse, params):
+def _prune_and_merge(ws, ms, vs, ps, diffuse, params):
     """Association-weight pruning then moment-matching merge; renormalizes.
 
-    Greedy from the heaviest term down (:func:`_greedy_clusters`): each term
-    not yet merged heads a cluster of the unmerged terms within
-    merge_threshold of its mean in the metric of its covariance, and the
-    cluster is replaced by its moment match.  The gate tests only the pairs of a coordinate-0 window
-    (:func:`_gate_neighbours`).  The result is bit for bit that of testing
-    every pair and merging one cluster at a time.
+    ``ps`` are the precisions ``inv(vs)``.  Greedy from the heaviest term
+    down (:func:`_greedy_clusters`): each term not yet merged heads a
+    cluster of the unmerged terms within merge_threshold of its mean in the
+    metric of its covariance, and the cluster is replaced by its moment
+    match.  The gate tests only the pairs of a coordinate-0 window
+    (:func:`_gate_rows`).  The result is bit for bit that of testing every
+    pair and merging one cluster at a time.
     """
     keep = ws >= params.prune_threshold
     ws, ms, vs = ws.compress(keep), ms.compress(keep, axis=0), vs.compress(keep, axis=0)
@@ -171,7 +172,7 @@ def _prune_and_merge(ws, ms, vs, diffuse, params):
         rank = np.empty_like(order)
         rank[order] = np.arange(order.size)
         # only later-ranked neighbours: every term ranked before h is clustered when h is reached
-        start, nbrs = _gate_neighbours(ms, vs, params.merge_threshold, rank)
+        start, nbrs, _ = _gate_rows(ms, vs, ps.compress(keep, axis=0), params.merge_threshold, rank)
         label, _ = _greedy_clusters(order, start, nbrs)
         ws, ms, vs = _moment_merge(ws, ms, vs, order, label)
     total = float(ws.sum()) + diffuse
@@ -187,10 +188,15 @@ def _moment_merge(ws, ms, vs, order, label):
     right (``np.bincount`` and ``np.add.at``), which gives the bits of
     numpy's sum over each cluster alone while it has fewer than
     ``_SEQUENTIAL_SUM`` members; larger clusters are summed again by numpy.
+    The members are grouped by cluster once, in ``order`` within each (a
+    stable sort of the labels), so each large cluster is a slice.
     """
+    order = order.take(np.argsort(label.take(order), kind="stable"))
     label = label.take(order)
     ws, ms, vs = ws.take(order), ms.take(order, axis=0), vs.take(order, axis=0)
-    large = {c: label == c for c in np.flatnonzero(np.bincount(label) >= _SEQUENTIAL_SUM).tolist()}
+    sizes = np.bincount(label)
+    ends = np.cumsum(sizes)
+    large = {c: slice(ends[c] - sizes[c], ends[c]) for c in np.flatnonzero(sizes >= _SEQUENTIAL_SUM).tolist()}
     wm = ws[:, None] * ms
     out_w = np.bincount(label, weights=ws)
     out_m = np.zeros((out_w.size, ms.shape[1]))
@@ -231,7 +237,8 @@ def ipda_update(state: IpdaState, params: IpdaParams, observations) -> IpdaState
 
     miss = 1.0 - pd
     lam_total = miss
-    stacks = [(miss * state.weights, state.means, state.covs)]
+    # each stack with the precisions of its covariances: one inverse per distinct covariance
+    stacks = [(miss * state.weights, state.means, state.covs, np.linalg.inv(state.covs))]
     born = int(n_obs > 0 and delta > 0.0)
     if n_obs and (k or born):
         # row j: the detections of observation j, then its birth
@@ -239,34 +246,34 @@ def ipda_update(state: IpdaState, params: IpdaParams, observations) -> IpdaState
         w = np.empty((n_obs, k + born))
         m = np.empty((n_obs, k + born, d))
         v = np.empty((n_obs, k + born, d, d))
+        p = np.empty((n_obs, k + born, d, d))
         if k:
-            liks, m_post, v_post, s = batch_kalman_update(
-                state.means, state.covs, ys, params.obs, params.obs_noise
-            )
+            liks, m_post, v_post, s = batch_kalman_update(state.means, state.covs, ys, params)
             # the normalized innovation densities N(y; H m, S), one row per observation
             norm = np.sqrt((2.0 * math.pi) ** params.obs_dim * np.linalg.det(s))
             w[:, :k] = (pd / rho) * state.weights * (liks / norm[:, None]).T
             m[:, :k] = m_post.swapaxes(0, 1)
             v[:, :k] = v_post
+            p[:, :k] = np.linalg.inv(v_post)
             det_sums = w[:, :k].sum(axis=1).tolist()
         if born:
             w_birth = (pd / rho) * delta * (1.0 / params.surveillance_volume)
             w[:, k] = w_birth
-            m[:, k], v[:, k] = _born_terms(params, params.birth_velocity_std, ys)
+            m[:, k], v[:, k], p[:, k] = _born_terms(params, params.birth_velocity_std, ys)
         for j in range(n_obs):  # in the order of the branches
             if k:
                 lam_total += det_sums[j]
             if born:
                 lam_total += w_birth
-        stacks.append((w.ravel(), m.reshape(-1, d), v.reshape(-1, d, d)))
+        stacks.append((w.ravel(), m.reshape(-1, d), v.reshape(-1, d, d), p.reshape(-1, d, d)))
 
     if lam_total <= 0.0:  # no branch is possible: existence 0, only the diffuse prior is left
         return IpdaState.initial(state.time_index)
     denom = 1.0 - r + r * lam_total
     existence = r * lam_total / denom if denom > 0.0 else 0.0
 
-    ws, ms, vs = concat_terms(stacks)
-    ws, ms, vs, diffuse = _prune_and_merge(ws / lam_total, ms, vs, miss * delta / lam_total, params)
+    ws, ms, vs, ps = concat_terms(stacks)
+    ws, ms, vs, diffuse = _prune_and_merge(ws / lam_total, ms, vs, ps, miss * delta / lam_total, params)
     if not ws.size:
         ms = np.empty((0, 0))  # as the constructor stores the means of no terms
     return IpdaState._trusted(existence, ws, ms, vs, diffuse, state.time_index)

@@ -16,6 +16,14 @@ transition and fusing it with a linear-Gaussian observation both stay in
 closed form.  A mixture of k terms in d dimensions is therefore stored as one
 stack, ``weights`` (k,), ``means`` (k, d) and ``covs`` (k, d, d), and every
 recursion is batched algebra over that stack.  Stacks are read-only.  The
+precisions V^-1 travel with the terms: the update that builds a mixture
+inverts each distinct covariance it derives once (the k prior and the k
+posterior covariances and the one birth covariance, not the k n + n terms
+that share them) and keeps the inverses beside the stack, ``take`` carries
+them, and the reductions read them where they would invert.  A 0/1
+observation matrix H that selects one coordinate is read as that index in
+the Kalman update, with no matrix products and no 1 x 1 inverse.  Both keep
+every output bit.  The
 one way into a mixture is ``MaxMixture(weights, means, covs, flat_weight)``,
 which checks the stack in full; a stack that a recursion derives from checked
 stacks is not checked again.  The recursions check only what their
@@ -47,8 +55,9 @@ import heapq
 import logging
 import math
 import operator
+import sys
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -253,10 +262,46 @@ class MaxMixture(_Record):
         return tuple(map(GaussianPossibility, self.weights.tolist(), self.means, self.covs))
 
     def take(self, idx):
-        """The mixture of the terms at the integer indices ``idx``, in that order, with the same flat term."""
-        return self._trusted(
+        """The mixture of the terms at the integer indices ``idx``, in that order, with the same flat term.
+
+        Kept precisions (:meth:`_precisions`) are taken along.
+        """
+        out = self._trusted(
             self.weights.take(idx), self.means.take(idx, axis=0), self.covs.take(idx, axis=0), self.flat_weight
         )
+        kept = self.__dict__.get("_precs")
+        if kept is not None:
+            src, rows = kept
+            out._keep_precisions(src, np.asarray(idx, dtype=np.intp) if rows is None else rows.take(idx))
+        return out
+
+    def _precisions(self) -> np.ndarray:
+        """The inverses of ``covs`` (k, d, d), read-only.
+
+        Kept beside the stack, not as a field: the update that built the
+        terms stores them, :meth:`take` carries them, and otherwise they are
+        computed on first use, one ``np.linalg.inv`` call, and kept.  Each is
+        one LAPACK inverse of its own covariance, so it has the same bits
+        whichever stack it was inverted in.  The stack is read-only, so they
+        cannot go stale.
+        """
+        kept = self.__dict__.get("_precs")
+        if kept is None:
+            return self._keep_precisions(np.linalg.inv(self.covs))
+        src, rows = kept
+        return src if rows is None else self._keep_precisions(src.take(rows, axis=0))
+
+    def _keep_precisions(self, src: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Keep ``src[rows]`` (``src`` when rows is None) as the precisions of
+        the terms, and return ``src``.
+
+        ``src[rows[i]]`` must be ``np.linalg.inv`` of term i's covariance.
+        Terms that share a covariance share a row of ``src``, which is
+        gathered only when :meth:`_precisions` is read.
+        """
+        src.setflags(write=False)
+        self.__dict__["_precs"] = (src, rows)
+        return src
 
     @property
     def dim(self) -> int | None:
@@ -284,16 +329,17 @@ class MaxMixture(_Record):
         return float(np.max(self.weights, initial=self.flat_weight))
 
 
-def concat_terms(stacks: Iterable[tuple]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenate (weights, means, covs) stacks in order.
+def concat_terms(stacks: Sequence[tuple]) -> tuple[np.ndarray, ...]:
+    """Concatenate (weights, means, covs) stacks, or (weights, means, covs,
+    precisions) stacks, in order; ``stacks`` holds at least one.
 
     Empty stacks are skipped: a mixture built without terms does not know
     its dimension and stores (0, 0) means.
     """
-    stacks = [s for s in stacks if len(s[0])]
-    if not stacks:
-        return np.empty(0), np.empty((0, 0)), np.empty((0, 0, 0))
-    return tuple(np.concatenate(parts) for parts in zip(*stacks))
+    filled = [s for s in stacks if len(s[0])]
+    if not filled:
+        return (np.empty(0), np.empty((0, 0)), np.empty((0, 0, 0)), np.empty((0, 0, 0)))[: len(stacks[0])]
+    return tuple(np.concatenate(parts) for parts in zip(*filled))
 
 
 def batch_quadratic(ms: np.ndarray, vs: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -353,6 +399,11 @@ class LinearGaussianModel(_Record):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
         self._fill((trans.copy(), noise.copy(), obs.copy(), obs_noise.copy()))
+        # the coordinate that H selects when it is one 0/1 row, else None: batch_kalman_update reads H as that index
+        row = obs[0] if obs.shape[0] == 1 else np.zeros(0)
+        nonzero = np.flatnonzero(row)
+        index = int(nonzero[0]) if nonzero.size == 1 and row[nonzero[0]] == 1.0 else None
+        object.__setattr__(self, "_obs_index", index)
 
     @property
     def state_dim(self) -> int:
@@ -393,24 +444,41 @@ def batch_predict(ms: np.ndarray, vs: np.ndarray, trans: np.ndarray, noise: np.n
     return means, covs
 
 
-def batch_kalman_update(ms, vs, ys, obs, obs_noise):
+def batch_kalman_update(ms, vs, ys, model: LinearGaussianModel):
     """Kalman update of k Gaussian terms against n observations at once.
 
     Returns (likelihoods (k, n), posterior means (k, n, d), posterior covs
-    (k, d, d), innovation covs (k, p, p)).  Neither covariance depends on
-    the observation value.
-    Raises NumericalError if any innovation covariance is singular or any
-    posterior covariance is not positive-definite.
+    (k, d, d), innovation covs (k, p, p)), for the observation matrix H and
+    noise R of ``model``.  Neither covariance depends on the observation
+    value.  Raises NumericalError if any innovation covariance is not
+    finite and positive-definite or any posterior covariance is not
+    positive-definite.
+
+    When H is one 0/1 row selecting coordinate i (decided once, when the
+    model is built), H is read as that index: S = V[:, i, i] + R, checked by
+    its sign and finiteness, S^-1 = 1 / S and the gain V[:, :, i] S^-1.
+    For finite V these are the bits of the matrix products, of the Cholesky
+    check and of the LAPACK inverse of a 1 x 1 S, so both ways give the same
+    four outputs.
     """
     ms = np.asarray(ms, dtype=float)
     vs = np.asarray(vs, dtype=float)
     ys = np.asarray(ys, dtype=float)
+    obs, obs_noise, i = model.obs, model.obs_noise, model._obs_index
     d = ms.shape[1]
-    s = obs @ vs @ obs.T + obs_noise  # (k, p, p)
-    s = 0.5 * (s + np.swapaxes(s, 1, 2))
-    _require_pd(s, "innovation")
-    s_inv = np.linalg.inv(s)
-    gain = vs @ obs.T @ s_inv  # (k, d, p)
+    if i is None:
+        s = obs @ vs @ obs.T + obs_noise  # (k, p, p)
+        s = 0.5 * (s + np.swapaxes(s, 1, 2))
+        _require_pd(s, "innovation")
+        s_inv = np.linalg.inv(s)
+        gain = vs @ obs.T @ s_inv  # (k, d, p)
+    else:
+        s = vs[:, i, i, None, None] + obs_noise
+        # the symmetrization above doubles S, which overflows past half the float range
+        if not ((s > 0.0) & (s <= 0.5 * sys.float_info.max)).all():
+            raise NumericalError("innovation covariance is not finite and positive-definite")
+        s_inv = 1.0 / s
+        gain = vs[:, :, i, None] * s_inv
     innov = ys[None, :, :] - (obs @ ms[:, :, None])[:, None, :, 0]  # (k, n, p)
     quad = np.einsum("knp,kpq,knq->kn", innov, s_inv, innov)
     liks = _floored_exp(-0.5 * quad)
@@ -477,28 +545,20 @@ def _window_pairs(x: np.ndarray, radius: np.ndarray) -> tuple[np.ndarray, np.nda
     return rows, cols
 
 
-def _gate_neighbours(
-    ms: np.ndarray, vs: np.ndarray, tau: float, rank: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _gate_rows(ms, vs, ps, tau, rank=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The terms within tau of each mean in the metric of its own covariance.
 
-    Returns ``(start, nbrs)``: ``nbrs[start[a]:start[a + 1]]`` are the b with
+    ``ps`` are the precisions ``inv(vs)``.  Returns ``(start, nbrs, quads)``:
+    ``nbrs[start[a]:start[a + 1]]`` are the b with
     ``(m_b - m_a)' V_a^-1 (m_b - m_a) <= tau**2``, a itself included, or
-    only those with ``rank[b] > rank[a]`` when ``rank`` is given.  By
-    Cauchy-Schwarz that quadratic is at least ``d0**2 / V_a[0, 0]``, d0 being
-    the difference in coordinate 0, so only the terms within
-    ``tau * sqrt(V_a[0, 0])`` of m_a in coordinate 0 are tested.  The result
-    is exactly that of testing every pair; time and memory grow with the
-    number of pairs in those windows, quadratic only when all means share
-    coordinate 0.
+    only those with ``rank[b] > rank[a]`` when ``rank`` is given, and
+    ``quads`` holds that quadratic beside each pair.  By Cauchy-Schwarz the
+    quadratic is at least ``d0**2 / V_a[0, 0]``, d0 being the difference in
+    coordinate 0, so only the terms within ``tau * sqrt(V_a[0, 0])`` of m_a
+    in coordinate 0 are tested.  The result is exactly that of testing every
+    pair; time and memory grow with the number of pairs in those windows,
+    quadratic only when all means share coordinate 0.
     """
-    start, nbrs, _ = _gate_rows(ms, vs, np.linalg.inv(vs), tau, rank)
-    return start, nbrs
-
-
-def _gate_rows(ms, vs, ps, tau, rank=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_gate_neighbours` given the precisions ``ps = inv(vs)``, with
-    the quadratic of each pair it returns beside the pair, in the same order."""
     rows, cols = _window_pairs(ms[:, 0], tau * _WINDOW_SLACK * np.sqrt(vs[:, 0, 0]))
     if rank is not None:
         later = rank.take(cols) > rank.take(rows)
@@ -515,7 +575,7 @@ def _greedy_clusters(order, start, nbrs) -> tuple[np.ndarray, np.ndarray]:
 
     ``order`` ranks the terms, heaviest first, and ``nbrs[start[a]:start[a + 1]]``
     are the terms paired with a, each ranked after a (the form that
-    :func:`_gate_neighbours` returns).  The terms are visited in ``order``;
+    :func:`_gate_rows` returns).  The terms are visited in ``order``;
     a term that no head has claimed becomes a head and claims the unclaimed
     terms paired with it.  This is GM-PHD's extraction and merge rule (Vo &
     Ma, IEEE TSP 2006).  Returns each term's cluster, numbered in the order
@@ -628,27 +688,27 @@ def dominance_reduce(mix: MaxMixture) -> MaxMixture:
     The work stops as soon as nothing is left to decide: at most one term
     above the flat term, no window pair with the heavier-ranked term first,
     no pair past the test at m_i, or no certified pair.  Each exit skips the
-    steps after it (the inverse covariances, the certificates, the greedy
+    steps after it (the precisions, the certificates, the greedy
     rule), so a call that removes only terms at or below the flat term costs
     a comparison and a gather, and one that removes nothing costs the
     windows.  Time and memory grow with the number of pairs in the windows:
     quadratic in the worst case, when all means share coordinate 0.
     """
     survivors = np.flatnonzero(mix.weights > mix.flat_weight)
+    if survivors.size < mix.weights.size:
+        mix = mix.take(survivors)
     if survivors.size > 1:
-        heads = _dominance_heads(
-            mix.weights.take(survivors), mix.means.take(survivors, axis=0), mix.covs.take(survivors, axis=0)
-        )
+        heads = _dominance_heads(mix)
         if heads is not None:
-            survivors = survivors.take(heads)
-    if survivors.size == mix.weights.size:
-        return mix
-    return mix.take(survivors)
+            mix = mix.take(heads)
+    return mix
 
 
-def _dominance_heads(ws: np.ndarray, ms: np.ndarray, vs: np.ndarray) -> np.ndarray | None:
-    """The terms that :func:`dominance_reduce` keeps of at least two terms above
-    the flat term, in index order, or None when it keeps them all."""
+def _dominance_heads(mix: MaxMixture) -> np.ndarray | None:
+    """The terms that :func:`dominance_reduce` keeps of a mixture of at least
+    two terms, all above the flat term, in index order, or None when it
+    keeps them all."""
+    ws, ms, vs = mix.weights, mix.means, mix.covs
     order = np.argsort(-ws, kind="stable")
     rank = np.empty(ws.size, dtype=np.intp)
     rank[order] = np.arange(ws.size)
@@ -661,7 +721,7 @@ def _dominance_heads(ws: np.ndarray, ms: np.ndarray, vs: np.ndarray) -> np.ndarr
     if not ahead.any():
         return None
     js, iis = js.compress(ahead), iis.compress(ahead)
-    ps = np.linalg.inv(vs)
+    ps = mix._precisions()
     # cheap necessary condition: j can only dominate i if j's term at i's mean
     # reaches i's weight
     dd = ms.take(iis, axis=0) - ms.take(js, axis=0)
@@ -673,7 +733,7 @@ def _dominance_heads(ws: np.ndarray, ms: np.ndarray, vs: np.ndarray) -> np.ndarr
     certified = _dominance_certificates(ws, ms, ps, js, iis)
     if not certified.any():
         return None
-    # js is still grouped by row, so the certified pairs are in the form of _gate_neighbours
+    # js is still grouped by row, so the certified pairs are in the form of _gate_rows
     js, iis = js.compress(certified), iis.compress(certified)
     _, heads = _greedy_clusters(order, np.searchsorted(js, np.arange(ws.size + 1)), iis)
     return np.sort(heads)
@@ -950,7 +1010,7 @@ def merge(mix: MaxMixture, tau_m: float) -> MaxMixture:
     peak.  This is a deliberate approximation: the result can differ
     pointwise from the input (see :func:`merge_with_report` for bounds).
     The gate tests only the pairs of a coordinate-0 window
-    (:func:`_gate_neighbours`), with the result of testing every pair.
+    (:func:`_gate_rows`), with the result of testing every pair.
 
     This is not the rule of :func:`_greedy_clusters`: a declined component
     goes back into the queue after the ungated ones, and only an absorption
@@ -985,7 +1045,7 @@ def _merge_impl(mix: MaxMixture, tau_m: float, report: bool):
     if mix.weights.size <= 1:
         return mix, []
     w_arr, m_arr, v_arr = mix.weights, mix.means, mix.covs
-    ps = np.linalg.inv(v_arr)
+    ps = mix._precisions()
     gate = _gate_rows(m_arr, v_arr, ps, tau_m)
     if gate[1].size == w_arr.size:  # each term gates only itself: each heads its own cluster
         return mix.take(np.argsort(-w_arr, kind="stable")), []

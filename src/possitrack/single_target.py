@@ -66,6 +66,12 @@ class ClutterModel:
     card: Callable[[int], float] | None = None
     spatial: Callable[[np.ndarray], float] | None = None
 
+    def __post_init__(self):
+        for name in ("card", "spatial"):
+            value = getattr(self, name)
+            if value is not None and not callable(value):
+                raise ValueError(f"{name} must be callable or None, got {type(value).__name__}")
+
 
 # the birth velocity stds whose square, a born term's variance on each
 # unobserved coordinate, is a finite normal float
@@ -135,6 +141,12 @@ class SingleTargetParams(LinearGaussianModel):
             raise ValueError("max(survival, disappearance) must equal 1")
         _in_range("prune_threshold", self.prune_threshold, 0, 1, "[)")
         _in_range("merge_threshold", self.merge_threshold, 0, math.inf, "[]")
+        if not isinstance(self.birth, (ObservationDrivenBirth, ExplicitBirth)):
+            raise ValueError(
+                f"birth must be an ObservationDrivenBirth or an ExplicitBirth, got {type(self.birth).__name__}"
+            )
+        if not isinstance(self.clutter, ClutterModel):
+            raise ValueError(f"clutter must be a ClutterModel, got {type(self.clutter).__name__}")
         if isinstance(self.birth, ExplicitBirth) and self.birth.mixture.dim != self.state_dim:
             raise ValueError("explicit birth components must have the state dimension")
 
@@ -237,23 +249,26 @@ def _born_terms(params: LinearGaussianModel, velocity_std: float, ys: np.ndarray
     noise covariance; unobserved coordinates get mean 0 and the velocity
     prior variance.  For a selection observation matrix the product of the
     flat term, the observation likelihood and the velocity prior is exactly
-    this Gaussian possibility.  Returns the means (n, d) and the one
-    covariance they share.  Raises NumericalError if that covariance is not
-    positive-definite, as happens when the observation noise is singular.
+    this Gaussian possibility.  Returns the means (n, d), the one
+    covariance they share and its inverse.  Raises NumericalError if that
+    covariance is not positive-definite, as happens when the observation
+    noise is singular.
 
-    The covariance and the selection indices depend only on the model, so
-    they are built and checked once per parameter object, on first use, and
-    kept on it; the covariance returned is read-only.  A failed check is not
-    kept: every call raises it again.
+    The covariance, its inverse and the selection indices depend only on
+    the model, so they are built and checked once per parameter object, on
+    first use, and kept on it; the covariance and inverse returned are
+    read-only.  A failed check is not kept: every call raises it again.
     """
     layout = params.__dict__.get("_birth_layout")
     if layout is None or layout[0] != velocity_std:
         idx, cov = _birth_layout(params.obs, params.obs_noise, velocity_std)
+        prec = np.linalg.inv(cov)
         cov.setflags(write=False)
-        layout = (velocity_std, idx, cov)
+        prec.setflags(write=False)
+        layout = (velocity_std, idx, cov, prec)
         object.__setattr__(params, "_birth_layout", layout)
-    _, idx, cov = layout
-    return _born_means(ys, idx, params.state_dim), cov
+    _, idx, cov, prec = layout
+    return _born_means(ys, idx, params.state_dim), cov, prec
 
 
 def _birth_layout(obs: np.ndarray, obs_noise: np.ndarray, velocity_std: float):
@@ -326,15 +341,20 @@ def update(state: ExtendedPossibility, params: SingleTargetParams, observations)
     mix = state.on_s
     ws, ms, vs = mix.weights, mix.means, mix.covs
     a_df = params.missed_detection
+    k = ws.size
     branches = [(ws * (a_df * f_all), ms, vs)]
-    if ws.size and n_obs:
-        liks, m_post, v_post, _ = batch_kalman_update(ms, vs, ys, params.obs, params.obs_noise)
+    # the precisions: one inverse per distinct covariance, and each branch's rows of them
+    prec_src, prec_rows = ([mix._precisions()] if k else []), [np.arange(k)]
+    if k and n_obs:
+        liks, m_post, v_post, _ = batch_kalman_update(ms, vs, ys, params)
         det_w = ws[:, None] * liks * f_loo[None, :]
         branches.append((
             det_w.T.ravel(),
             m_post.swapaxes(0, 1).reshape(-1, ms.shape[1]),
             np.tile(v_post, (n_obs, 1, 1)),
         ))
+        prec_src.append(np.linalg.inv(v_post))
+        prec_rows.append(np.tile(np.arange(k, 2 * k), n_obs))
 
     flat = mix.flat_weight
     flat_mis = flat * a_df * f_all
@@ -344,8 +364,10 @@ def update(state: ExtendedPossibility, params: SingleTargetParams, observations)
             if isinstance(params.birth, ObservationDrivenBirth)
             else 1.0
         )
-        means, cov = _born_terms(params, vel_std, ys)
+        means, cov, prec = _born_terms(params, vel_std, ys)
         branches.append((flat * f_loo, means, np.broadcast_to(cov, (n_obs, *cov.shape))))
+        prec_rows.append(np.full(n_obs, sum(map(len, prec_src))))
+        prec_src.append(prec[None])
 
     new_w, new_m, new_v = concat_terms(branches)
     psi_un = state.psi_mass * f_all
@@ -357,6 +379,8 @@ def update(state: ExtendedPossibility, params: SingleTargetParams, observations)
     on_s = MaxMixture._trusted(
         new_w.compress(keep) / c_t, new_m.compress(keep, axis=0), new_v.compress(keep, axis=0), flat_mis / c_t
     )
+    if prec_src:
+        on_s._keep_precisions(np.concatenate(prec_src), np.concatenate(prec_rows).compress(keep))
     return ExtendedPossibility._trusted(psi_un / c_t, on_s, state.time_index)
 
 

@@ -5,6 +5,7 @@ import json
 import subprocess
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -175,3 +176,15 @@ def test_verify_compares_the_working_tree_src_with_the_recorded_one(tmp_path, mo
     record.write_text(json.dumps({"change_tree": "0" * 40}))
     assert bench_pairs.main(["--verify", str(record)]) == 2
     assert "not in this repository" in capsys.readouterr().out
+
+
+def test_blas_core_names_the_kernel_of_numpys_openblas(monkeypatch, tmp_path):
+    core = bench_pairs.blas_core()
+    assert isinstance(core, str) and core and core == bench_pairs.blas_core()
+    # numpy without a bundled OpenBLAS, or one without the symbol: "unknown"
+    fake = tmp_path / "numpy"
+    fake.mkdir()
+    (tmp_path / "numpy.libs").mkdir()
+    (tmp_path / "numpy.libs" / "libscipy_openblas64_-fake.so").write_bytes(b"not a library")
+    monkeypatch.setattr(np, "__file__", str(fake / "__init__.py"))
+    assert bench_pairs.blas_core() == "unknown"

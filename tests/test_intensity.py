@@ -316,10 +316,10 @@ def _ref_update_intensity(fm, params, observations):
     floor = fm.floor
     branches = [(ws * params.missed_detection, ms, vs)]
     if n_obs and ws.size:
-        liks, m_post, v_post, _ = batch_kalman_update(ms, vs, ys, params.obs, params.obs_noise)
+        liks, m_post, v_post, _ = batch_kalman_update(ms, vs, ys, params)
         w_lik = ws[:, None] * liks  # (k, n)
     if n_obs and floor > 0.0:
-        born_m, born_v = _born_terms(params, params.birth_velocity_std, ys)
+        born_m, born_v, _ = _born_terms(params, params.birth_velocity_std, ys)
     for j, clutter in enumerate(params.clutter.eval_many(ys)):
         d_y = max(floor, float(w_lik[:, j].max()) if ws.size else 0.0, clutter)
         if d_y <= 0.0:

@@ -239,7 +239,7 @@ def test_prune_and_merge_matches_moment_matching_reference():
     ws = np.array([0.5, 0.2, 0.1, 1e-6])
     ms = np.array([[0.0, 0.0], [0.6, -0.3], [20.0, 1.0], [0.1, 0.0]])
     vs = np.array([[[1.0, 0.2], [0.2, 2.0]], [[0.5, 0.0], [0.0, 1.5]], np.eye(2), np.eye(2)])
-    out_w, out_m, out_v, diffuse = _prune_and_merge(ws, ms, vs, 0.1, params())
+    out_w, out_m, out_v, diffuse = _prune_and_merge(ws, ms, vs, np.linalg.inv(vs), 0.1, params())
 
     total = 0.8 + 0.1
     w_ref = ws[0] + ws[1]
@@ -332,7 +332,7 @@ def test_prune_and_merge_matches_dense_reference(seed, d, sizes, spread, layout,
         ws[:] = 1e-6
     p = _model(d, tau)
 
-    out = _prune_and_merge(ws, ms, vs, diffuse, p)
+    out = _prune_and_merge(ws, ms, vs, np.linalg.inv(vs), diffuse, p)
     ref = _ref_prune_and_merge(ws, ms, vs, diffuse, p)
     for x, y in zip(out[:3], ref[:3]):
         assert x.shape == y.shape
@@ -348,9 +348,10 @@ def test_prune_and_merge_memory_is_subquadratic():
     ms = np.column_stack([np.arange(k, dtype=float), rng.normal(size=k)])
     vs = np.tile(np.diag([0.5, 2.0]), (k, 1, 1))
     ws = rng.uniform(0.1, 1.0, k)
+    ps = np.linalg.inv(vs)
     tracemalloc.start()
     try:
-        out_w, _, _, _ = _prune_and_merge(ws / ws.sum(), ms, vs, 0.0, _model(2, 3.22))
+        out_w, _, _, _ = _prune_and_merge(ws / ws.sum(), ms, vs, ps, 0.0, _model(2, 3.22))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -21,6 +21,7 @@ from possitrack.intensity import IntensityMixture, MultiTargetParams, extract_ta
 from possitrack.ipda import IpdaParams, IpdaState, _prune_and_merge, ipda_estimate
 from possitrack.mixtures import (
     EXP_FLOOR,
+    LinearGaussianModel,
     MaxMixture,
     NumericalError,
     _dominance_certificates,
@@ -35,6 +36,8 @@ from possitrack.mixtures import (
 )
 from possitrack.scenario import ScenarioConfig, error_at, simulate_truth
 from possitrack.single_target import (
+    ClutterModel,
+    ExplicitBirth,
     ExtendedPossibility,
     ObservationDrivenBirth,
     SingleTargetParams,
@@ -386,6 +389,42 @@ def test_scalar_boundary(row):
         assert rejected != accepted, f"{field}={value!r}"
 
 
+# One row per argument whose type is checked where it enters from outside:
+# build(field, value), the field, values it accepts and values it rejects.
+# Each rejected value must fail this rule when the object is built, not at
+# the first scan.
+
+_BIRTH_MIX = MaxMixture([0.5], [[0.0, 0.0]], [np.eye(2)])
+TYPE_ROWS = {
+    "SingleTargetParams.birth": (
+        lambda f, v: replace(_PF, **{f: v}), "birth",
+        (ObservationDrivenBirth(), ExplicitBirth(_BIRTH_MIX)), ("x", None, _BIRTH_MIX, ClutterModel()),
+    ),
+    "SingleTargetParams.clutter": (
+        lambda f, v: replace(_PF, **{f: v}), "clutter", (ClutterModel(),), ("x", None, ObservationDrivenBirth()),
+    ),
+    **{
+        f"ClutterModel.{name}": (
+            lambda f, v: ClutterModel(**{f: v}), name, (None, lambda x: 1.0, math.exp), (5, "x", 0.5, [math.exp]),
+        )
+        for name in ("card", "spatial")
+    },
+    "MultiTargetParams.birth": (_model, "birth", (IntensityMixture(flat_weight=0.5),), ("x", None, _BIRTH_MIX)),
+    "MultiTargetParams.clutter": (_model, "clutter", (IntensityMixture(flat_weight=0.5), MaxMixture()), ("x", None)),
+    "ExtendedPossibility.on_s": (_pf_state, "on_s", (MaxMixture(), _MIX), ("x", None, _BIRTH_MIX.weights)),
+}
+
+
+@pytest.mark.parametrize("row", TYPE_ROWS.values(), ids=TYPE_ROWS.keys())
+def test_type_boundary(row):
+    build, field, accepted, rejected = row
+    for value in accepted:
+        build(field, value)
+    for value in rejected:
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            build(field, value)
+
+
 def test_mixture_from_components_gives_back_its_arrays():
     rng = np.random.default_rng(4)
     a = rng.normal(size=(5, 2, 2))
@@ -497,11 +536,18 @@ def test_predict_sup_property_closed_form():
 # -------------------------------------------------------------------- update
 
 
+def obs_model(obs, obs_noise) -> LinearGaussianModel:
+    """A model with observation matrix obs and noise obs_noise, all that batch_kalman_update reads."""
+    obs = np.asarray(obs, dtype=float)
+    d = obs.shape[1]
+    return LinearGaussianModel(np.eye(d), np.zeros((d, d)), obs, np.asarray(obs_noise, dtype=float))
+
+
 def updated(term, y, obs, obs_noise):
     """The posterior term (weight kept) and the likelihood of one term and one observation."""
     w, m, v = (np.asarray(a, dtype=float) for a in term)
     liks, m_post, v_post, _ = batch_kalman_update(m[None], v[None], np.asarray([y], dtype=float),
-                                                  np.asarray(obs, dtype=float), np.asarray(obs_noise, dtype=float))
+                                                  obs_model(obs, obs_noise))
     return (w, m_post[0, 0], v_post[0]), float(liks[0, 0])
 
 
@@ -546,7 +592,7 @@ def test_batch_kalman_update_matches_single():
     ms = rng.normal(size=(4, 2))
     vs = np.stack([np.diag([1.0 + i, 0.5]) for i in range(4)])
     ys = rng.normal(size=(3, 1))
-    liks, m_post, v_post, s = batch_kalman_update(ms, vs, ys, H, R)
+    liks, m_post, v_post, s = batch_kalman_update(ms, vs, ys, obs_model(H, R))
     assert liks.shape == (4, 3)
     assert m_post.shape == (4, 3, 2)
     assert v_post.shape == (4, 2, 2)
@@ -557,6 +603,61 @@ def test_batch_kalman_update_matches_single():
             assert liks[k, n] == pytest.approx(lik, rel=1e-12)
             np.testing.assert_allclose(m_post[k, n], mean, rtol=1e-12)
         np.testing.assert_allclose(v_post[k], cov, rtol=1e-12)
+
+
+# A 0/1 row H selecting coordinate i is read as that index; any other H takes
+# the matrix products, the Cholesky check and the LAPACK inverse.
+
+
+def _random_stack(rng, k, d):
+    a = rng.normal(size=(k, d, d)) * rng.uniform(0.1, 3.0, (k, 1, 1))
+    vs = a @ np.swapaxes(a, 1, 2) + 0.05 * np.eye(d)
+    return rng.normal(size=(k, d)) * 5.0, 0.5 * (vs + np.swapaxes(vs, 1, 2))
+
+
+@pytest.mark.parametrize("d", [1, 2, 4])
+def test_selection_kalman_update_has_the_bits_of_the_matrix_path(d, monkeypatch):
+    rng = np.random.default_rng(d)
+    for i in range(d):
+        model = obs_model(np.eye(1, d, i), [[rng.uniform(0.01, 2.0)]])
+        assert model._obs_index == i
+        for k, n in ((1, 1), (7, 5), (40, 30)):
+            ms, vs = _random_stack(rng, k, d)
+            ys = rng.normal(size=(n, 1)) * 5.0
+            fast = batch_kalman_update(ms, vs, ys, model)
+            with monkeypatch.context() as m:
+                m.setitem(model.__dict__, "_obs_index", None)
+                general = batch_kalman_update(ms, vs, ys, model)
+            for a, b in zip(fast, general):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("obs", [[[1.0, 0.5]], [[2.0, 0.0]], [[0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]],
+                         ids=["mixed_row", "scaled_row", "zero_row", "p2"])
+def test_other_observation_matrices_take_the_matrix_path(obs, monkeypatch):
+    model = obs_model(obs, np.eye(len(obs)))
+    assert model._obs_index is None
+    inverted = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
+    ms, vs = _random_stack(np.random.default_rng(0), 3, 2)
+    liks, _, _, s = batch_kalman_update(ms, vs, np.ones((2, len(obs))), model)
+    assert inverted == [(3, len(obs), len(obs))] and s.shape == (3, len(obs), len(obs))
+    assert liks.shape == (3, 2)
+
+
+@pytest.mark.parametrize("s_value", [0.0, -1.0, math.nan, math.inf, -math.inf, 1e308])
+@pytest.mark.parametrize("selection", [True, False], ids=["index", "matrix"])
+def test_bad_innovation_covariance_raises_on_both_paths(s_value, selection, monkeypatch):
+    # S = V[0, 0] + R with R = 0.5; past half the float range the matrix
+    # path's symmetrization overflows, and the index path rejects it too
+    model = obs_model([[1.0, 0.0]], [[0.5]])
+    if not selection:
+        monkeypatch.setitem(model.__dict__, "_obs_index", None)
+    vs = np.array([np.eye(2), np.eye(2)])
+    vs[1, 0, 0] = s_value - 0.5
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="innovation covariance is not finite"):
+        batch_kalman_update(np.zeros((2, 2)), vs, np.zeros((1, 1)), model)
 
 
 def test_update_singular_innovation_raises():
@@ -1467,9 +1568,9 @@ def _extract_target_count():
 def _ipda_term_count():
     p = IpdaParams(trans=np.eye(2), trans_noise=np.eye(2), obs=np.array([[1.0, 0.0]]),
                    obs_noise=np.eye(1), merge_threshold=1.0)
+    vs = np.array([np.diag([4.0, 1.0]), np.diag([0.25, 1.0])])
     ws, _, _, _ = _prune_and_merge(
-        np.array([0.7, 0.3]), np.array([[0.0, 0.0], [1.5, 0.0]]),
-        np.array([np.diag([4.0, 1.0]), np.diag([0.25, 1.0])]), 0.0, p,
+        np.array([0.7, 0.3]), np.array([[0.0, 0.0], [1.5, 0.0]]), vs, np.linalg.inv(vs), 0.0, p,
     )
     return ws.size
 

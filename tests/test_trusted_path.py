@@ -16,13 +16,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from possitrack.bench import BenchConfig, make_run
+from possitrack import ipda
+from possitrack.bench import default_config
 from possitrack.intensity import (
     IntensityMixture,
     MultiTargetParams,
+    extract_targets,
     propagate_intensity,
     update_intensity,
 )
-from possitrack.ipda import IpdaParams, IpdaState, ipda_predict, ipda_update
+from possitrack.ipda import IpdaParams, IpdaState, ipda_predict, ipda_step, ipda_update
 from possitrack.mixtures import (
     LinearGaussianModel,
     MaxMixture,
@@ -44,13 +47,18 @@ from possitrack.single_target import (
 
 
 def assert_checked(mix: MaxMixture) -> None:
-    """The stack passes the boundary check and is read-only."""
+    """The stack passes the boundary check and is read-only, and kept
+    precisions are the inverses of its covariances, bit for bit."""
     w, m, v = _checked_stack(mix.weights, mix.means, mix.covs)
     for a, b in ((w, mix.weights), (m, mix.means), (v, mix.covs)):
         assert np.array_equal(a, b)
         assert not b.flags.writeable
     assert 0.0 <= mix.flat_weight <= 1.0
     assert type(mix.flat_weight) is float
+    if "_precs" in mix.__dict__:
+        precs = mix._precisions()
+        assert not precs.flags.writeable
+        assert precs.shape == mix.covs.shape and precs.tobytes() == np.linalg.inv(mix.covs).tobytes()
 
 
 def assert_checked_state(state: ExtendedPossibility) -> None:
@@ -232,10 +240,12 @@ def test_birth_covariance_is_factorized_once_per_parameter_object(monkeypatch):
         assert checked.count("birth") == 2
         checked.clear()
     params = IpdaParams(**mats)
-    _, cov = single_target._born_terms(params, 1.0, np.array([[0.5]]))
-    assert not cov.flags.writeable
-    assert single_target._born_terms(params, 1.0, np.array([[2.0]]))[1] is cov
+    _, cov, prec = single_target._born_terms(params, 1.0, np.array([[0.5]]))
+    assert not cov.flags.writeable and not prec.flags.writeable
+    again = single_target._born_terms(params, 1.0, np.array([[2.0]]))
+    assert again[1] is cov and again[2] is prec
     np.testing.assert_array_equal(cov, single_target._birth_layout(params.obs, params.obs_noise, 1.0)[1])
+    assert prec.tobytes() == np.linalg.inv(cov).tobytes()
 
 
 def test_singular_birth_covariance_is_reported_on_every_use():
@@ -243,3 +253,78 @@ def test_singular_birth_covariance_is_reported_on_every_use():
     for _ in range(2):
         with pytest.raises(NumericalError, match="birth covariance"):
             ipda_update(IpdaState.initial(), p, [0.5])
+
+
+# The updates keep each term's precision inv(V) beside the stack, take
+# carries it, and the reductions read it where they would invert V.  Each
+# kept precision is one LAPACK inverse of its own covariance, so a reduction
+# must give the bytes it gives on the same arrays without them.
+
+
+def _same_bytes(a: MaxMixture, b: MaxMixture) -> bool:
+    return a.flat_weight == b.flat_weight and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in ((a.weights, b.weights), (a.means, b.means), (a.covs, b.covs))
+    )
+
+
+def _rebuilt(mix: MaxMixture) -> MaxMixture:
+    """The same terms through the public constructor, with no kept precisions."""
+    again = type(mix)(mix.weights, mix.means, mix.covs, mix.flat_weight)
+    assert "_precs" not in again.__dict__
+    return again
+
+
+def test_reductions_give_the_same_bytes_with_carried_precisions():
+    cfg = default_config()
+    p = cfg.proposed_params()
+    mt = MultiTargetParams(trans=p.trans, trans_noise=p.trans_noise, obs=p.obs, obs_noise=p.obs_noise)
+    _, obs = make_run(cfg.scenario, 30.0, 1, 0, 0)
+    state, fm = ExtendedPossibility.absent(), IntensityMixture()
+    for ys in obs.steps:
+        post = update(predict(state, p), p, ys)
+        pruned = prune(post.on_s, p.prune_threshold)
+        assert "_precs" in pruned.__dict__
+        reduced = dominance_reduce(pruned)
+        assert _same_bytes(reduced, dominance_reduce(_rebuilt(pruned)))
+        assert "_precs" in reduced.__dict__
+        merged = merge(reduced, p.merge_threshold)
+        assert _same_bytes(merged, merge(_rebuilt(reduced), p.merge_threshold))
+        state = replace(post, on_s=merged)
+
+        fm = update_intensity(propagate_intensity(fm, mt), mt, ys)
+        assert "_precs" in fm.__dict__
+        for tau_x, radius in ((0.9, 3.22), (0.0, 8.0)):
+            got, want = extract_targets(fm, tau_x, radius), extract_targets(_rebuilt(fm), tau_x, radius)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+def test_ipda_steps_with_handed_down_precisions_equal_inverting_the_kept_stack(monkeypatch):
+    cfg = default_config()
+    b = cfg.baseline_params(30.0)
+    _, obs = make_run(cfg.scenario, 30.0, 1, 0, 1)
+    handed = [IpdaState.initial()]
+    for ys in obs.steps:
+        handed.append(ipda_step(handed[-1], b, ys))
+    gate_rows = ipda._gate_rows
+    monkeypatch.setattr(ipda, "_gate_rows", lambda ms, vs, ps, *rest: gate_rows(ms, vs, np.linalg.inv(vs), *rest))
+    for before, after, ys in zip(handed, handed[1:], obs.steps):
+        again = ipda_step(before, b, ys)
+        assert again.existence == after.existence and again.diffuse_weight == after.diffuse_weight
+        for x, y in ((again.weights, after.weights), (again.means, after.means), (again.covs, after.covs)):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
+    assert max(st.n_components for st in handed) > 1
+
+
+def test_take_keeps_the_precision_stack_aligned_with_its_terms():
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(6, 2, 2))
+    mix = MaxMixture(rng.uniform(0.1, 1.0, 6), rng.normal(size=(6, 2)), a @ np.swapaxes(a, 1, 2) + np.eye(2))
+    assert "_precs" not in mix.__dict__ and "_precs" not in repr(mix)
+    precs = mix._precisions()
+    assert mix._precisions() is precs  # computed once, then kept
+    for idx in ([5, 0, 3], [2, 2], [], np.arange(6)[::-1]):
+        part = mix.take(idx)
+        assert part._precisions().tobytes() == precs.take(idx, axis=0).tobytes()
+        assert_checked(part)
+    assert "_precs" not in MaxMixture._trusted(mix.weights, mix.means, mix.covs, 0.0).__dict__

@@ -23,8 +23,10 @@ gain on that metric (``summarize``).  ``summary_info`` gives the same for
 the wall-clock figures and the calibration kernel's time of the info lines (``INFO_METRICS``), so a
 gain in the normalized metrics can be told from a shift of the kernel.
 ``summary_traced`` gives the same for each per-layer metric over the traced
-pairs.  The file is rewritten after every run, so an interrupted session
-keeps the runs it made.
+pairs.  The ``machine`` record holds the first run's environment plus
+``blas_core``, the OpenBLAS kernel that numpy runs on (:func:`blas_core`).
+The file is rewritten after every run, so an interrupted session keeps the
+runs it made.
 
     python3 tools/bench_pairs.py --verify BENCH_pr8.json
 
@@ -57,6 +59,30 @@ INFO_METRICS = [
     {"name": "raw_scan_ms_p50", "better": "lower"},
     {"name": "calibration_ms", "better": "lower"},
 ]
+
+
+def blas_core() -> str:
+    """The name of the OpenBLAS kernel that numpy runs here, such as "SkylakeX", or "unknown".
+
+    numpy's OpenBLAS is built with DYNAMIC_ARCH and picks its kernel by CPU
+    (or by ``OPENBLAS_CORETYPE``).  Small-matrix routines round differently
+    under different kernels, so the filters' output bytes hold per kernel.
+    Read through ctypes from ``scipy_openblas_get_corename64_`` of the
+    library bundled with numpy; "unknown" when there is none or it lacks
+    the symbol.
+    """
+    import ctypes
+
+    import numpy
+
+    for path in sorted(Path(numpy.__file__).resolve().parent.parent.glob("numpy.libs/*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(path)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -251,7 +277,7 @@ def main(argv=None) -> int:
                 record["runs"].append({"side": side, "workload": workload, "seed": seed,
                                        "ran_first": side == order[0], **run})
                 if record["machine"] is None and run["info"]:
-                    record["machine"] = run["info"]["env"]
+                    record["machine"] = {**run["info"]["env"], "blas_core": blas_core()}
                 value = run["result"]["metrics"]["scans_per_s"]["value"] if run["result"] else None
                 print(f"{workload} seed={seed} {side}: exit {run['exit']}, scans_per_s {value}",
                       file=sys.stderr)

@@ -42,6 +42,9 @@ also exports the commit HEAD~1 with ``git archive`` (the export of
 prints the two digest sets side by side and exits with status 1 if any
 section differs, or 2 if either side fails (a failed check included).
 Both sides run at once, one process each.
+
+The digests hold for one OpenBLAS kernel: the run prints the kernel numpy
+uses (``bench_pairs.blas_core``) to stderr.
 """
 
 from __future__ import annotations
@@ -60,6 +63,9 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tools"))
+
+from bench_pairs import blas_core, export_tree  # noqa: E402
 
 from possitrack.bench import _run_cell, default_config, make_run  # noqa: E402
 from possitrack.intensity import (  # noqa: E402
@@ -218,13 +224,11 @@ def compare(mine: dict[str, str], theirs: dict[str, str]) -> tuple[list[str], bo
 
 def _start_at(rev: str, tmp: Path) -> subprocess.Popen:
     """Start this file on the files of ``rev``, exported under tmp."""
-    sys.path.insert(0, str(ROOT / "tools"))
-    from bench_pairs import export_tree
-
     export_tree(rev, tmp)
-    # the same hashing code on both sides: only src/ (and the scenes) come from rev
+    # the same tool code on both sides: only src/ (and the scenes) come from rev
     (tmp / "tools").mkdir(exist_ok=True)
-    shutil.copyfile(Path(__file__), tmp / "tools" / "state_hash.py")
+    for name in ("state_hash.py", "bench_pairs.py"):
+        shutil.copyfile(ROOT / "tools" / name, tmp / "tools" / name)
     return subprocess.Popen([sys.executable, "tools/state_hash.py"], cwd=tmp,
                             stdout=subprocess.PIPE, text=True)
 
@@ -236,6 +240,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.against is None:
+            # on stderr, so the digest lines stay all of stdout; with --against the run at REV prints it
+            print(f"BLAS kernel: {blas_core()} (the digests hold per kernel)", file=sys.stderr)
             for name, digest in digests().items():
                 print(f"{name} {digest}")
             return 0
