@@ -278,7 +278,7 @@ def update_intensity(fm: IntensityMixture, params: MultiTargetParams, observatio
         np.concatenate(v_src).take(v_rows, axis=0),
         new_floor,
     )
-    terms._keep_precisions(np.concatenate(p_src), v_rows)
+    terms._keep_precisions(np.concatenate(p_src).take(v_rows, axis=0))
     out = dominance_reduce(terms)
     if out.weights.size > params.max_components:
         out = out.take(np.argsort(-out.weights, kind="stable")[: params.max_components])

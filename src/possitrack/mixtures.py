@@ -16,14 +16,14 @@ transition and fusing it with a linear-Gaussian observation both stay in
 closed form.  A mixture of k terms in d dimensions is therefore stored as one
 stack, ``weights`` (k,), ``means`` (k, d) and ``covs`` (k, d, d), and every
 recursion is batched algebra over that stack.  Stacks are read-only.  The
-precisions V^-1 travel with the terms: the update that builds a mixture
-inverts each distinct covariance it derives once (the k prior and the k
-posterior covariances and the one birth covariance, not the k n + n terms
-that share them) and keeps the inverses beside the stack, ``take`` carries
-them, and the reductions read them where they would invert.  A 0/1
-observation matrix H that selects one coordinate is read as that index in
-the Kalman update, with no matrix products and no 1 x 1 inverse.  Both keep
-every output bit.  The
+precisions V^-1 are one more stack (k, d, d): the update inverts each
+distinct covariance it derives once and lays the inverses out as the
+covariances, ``take`` gathers them with the covariances, and the reductions
+and ``eval_many`` read them where they would invert.  An H whose every row
+is one 1 among 0s is read as the coordinates it selects, decided once per
+model: by the Kalman update, for one row, with no matrix products and no
+1 x 1 inverse, and by the observation-driven birth.  Both keep every output
+bit.  The
 one way into a mixture is ``MaxMixture(weights, means, covs, flat_weight)``,
 which checks the stack in full; a stack that a recursion derives from checked
 stacks is not checked again.  The recursions check only what their
@@ -264,44 +264,35 @@ class MaxMixture(_Record):
     def take(self, idx):
         """The mixture of the terms at the integer indices ``idx``, in that order, with the same flat term.
 
-        Kept precisions (:meth:`_precisions`) are taken along.
+        Kept precisions (:meth:`_precisions`) are gathered with the covariances.
         """
         out = self._trusted(
             self.weights.take(idx), self.means.take(idx, axis=0), self.covs.take(idx, axis=0), self.flat_weight
         )
         kept = self.__dict__.get("_precs")
         if kept is not None:
-            src, rows = kept
-            out._keep_precisions(src, np.asarray(idx, dtype=np.intp) if rows is None else rows.take(idx))
+            out._keep_precisions(kept.take(idx, axis=0))
         return out
 
     def _precisions(self) -> np.ndarray:
         """The inverses of ``covs`` (k, d, d), read-only.
 
         Kept beside the stack, not as a field: the update that built the
-        terms stores them, :meth:`take` carries them, and otherwise they are
+        terms stores them, :meth:`take` gathers them, and otherwise they are
         computed on first use, one ``np.linalg.inv`` call, and kept.  Each is
         one LAPACK inverse of its own covariance, so it has the same bits
         whichever stack it was inverted in.  The stack is read-only, so they
         cannot go stale.
         """
         kept = self.__dict__.get("_precs")
-        if kept is None:
-            return self._keep_precisions(np.linalg.inv(self.covs))
-        src, rows = kept
-        return src if rows is None else self._keep_precisions(src.take(rows, axis=0))
+        return self._keep_precisions(np.linalg.inv(self.covs)) if kept is None else kept
 
-    def _keep_precisions(self, src: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
-        """Keep ``src[rows]`` (``src`` when rows is None) as the precisions of
-        the terms, and return ``src``.
-
-        ``src[rows[i]]`` must be ``np.linalg.inv`` of term i's covariance.
-        Terms that share a covariance share a row of ``src``, which is
-        gathered only when :meth:`_precisions` is read.
-        """
-        src.setflags(write=False)
-        self.__dict__["_precs"] = (src, rows)
-        return src
+    def _keep_precisions(self, precs: np.ndarray) -> np.ndarray:
+        """Keep ``precs`` (k, d, d), ``np.linalg.inv`` of each term's
+        covariance, read-only as the precisions of the terms, and return it."""
+        precs.setflags(write=False)
+        self.__dict__["_precs"] = precs
+        return precs
 
     @property
     def dim(self) -> int | None:
@@ -319,7 +310,7 @@ class MaxMixture(_Record):
             return np.full(xs.shape[0], self.flat_weight)
         if xs.shape[1] != self.dim:
             raise ValueError(f"points have dim {xs.shape[1]}, mixture has dim {self.dim}")
-        quads = batch_quadratic(self.means, self.covs, xs)  # (k, n)
+        quads = _quadratic(xs[None, :, :] - self.means[:, None, :], self._precisions()[:, None])  # (k, n)
         vals = self.weights[:, None] * _floored_exp(-0.5 * quads)
         out = vals.max(axis=0)
         return np.maximum(out, self.flat_weight)
@@ -340,15 +331,6 @@ def concat_terms(stacks: Sequence[tuple]) -> tuple[np.ndarray, ...]:
     if not filled:
         return (np.empty(0), np.empty((0, 0)), np.empty((0, 0, 0)), np.empty((0, 0, 0)))[: len(stacks[0])]
     return tuple(np.concatenate(parts) for parts in zip(*filled))
-
-
-def batch_quadratic(ms: np.ndarray, vs: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """(x - m_k)' V_k^-1 (x - m_k) for every component k and point x: (k, n).
-
-    Summed in the fixed order of :func:`_quadratic`, so a point's value does
-    not depend on how many points are evaluated with it.
-    """
-    return _quadratic(xs[None, :, :] - ms[:, None, :], np.linalg.inv(vs)[:, None])
 
 
 def _quadratic(dd: np.ndarray, prec: np.ndarray) -> np.ndarray:
@@ -399,11 +381,10 @@ class LinearGaussianModel(_Record):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
         self._fill((trans.copy(), noise.copy(), obs.copy(), obs_noise.copy()))
-        # the coordinate that H selects when it is one 0/1 row, else None: batch_kalman_update reads H as that index
-        row = obs[0] if obs.shape[0] == 1 else np.zeros(0)
-        nonzero = np.flatnonzero(row)
-        index = int(nonzero[0]) if nonzero.size == 1 and row[nonzero[0]] == 1.0 else None
-        object.__setattr__(self, "_obs_index", index)
+        # the coordinate that each row of H picks when every row is one 1 among 0s, else None; the Kalman
+        # update and the observation-driven birth read H as these indices
+        selects = ((obs == 0.0) | (obs == 1.0)).all() and ((obs == 1.0).sum(axis=1) == 1).all()
+        object.__setattr__(self, "_selected", tuple(obs.argmax(axis=1).tolist()) if selects else None)
 
     @property
     def state_dim(self) -> int:
@@ -454,9 +435,10 @@ def batch_kalman_update(ms, vs, ys, model: LinearGaussianModel):
     finite and positive-definite or any posterior covariance is not
     positive-definite.
 
-    When H is one 0/1 row selecting coordinate i (decided once, when the
-    model is built), H is read as that index: S = V[:, i, i] + R, checked by
-    its sign and finiteness, S^-1 = 1 / S and the gain V[:, :, i] S^-1.
+    When H is one row that selects coordinate i (``model._selected``, decided
+    once, when the model is built), H is read as that index: S = V[:, i, i] +
+    R, checked by its sign and finiteness, S^-1 = 1 / S and the gain
+    V[:, :, i] S^-1.
     For finite V these are the bits of the matrix products, of the Cholesky
     check and of the LAPACK inverse of a 1 x 1 S, so both ways give the same
     four outputs.
@@ -464,15 +446,16 @@ def batch_kalman_update(ms, vs, ys, model: LinearGaussianModel):
     ms = np.asarray(ms, dtype=float)
     vs = np.asarray(vs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    obs, obs_noise, i = model.obs, model.obs_noise, model._obs_index
+    obs, obs_noise, selected = model.obs, model.obs_noise, model._selected
     d = ms.shape[1]
-    if i is None:
+    if selected is None or len(selected) != 1:
         s = obs @ vs @ obs.T + obs_noise  # (k, p, p)
         s = 0.5 * (s + np.swapaxes(s, 1, 2))
         _require_pd(s, "innovation")
         s_inv = np.linalg.inv(s)
         gain = vs @ obs.T @ s_inv  # (k, d, p)
     else:
+        i = selected[0]
         s = vs[:, i, i, None, None] + obs_noise
         # the symmetrization above doubles S, which overflows past half the float range
         if not ((s > 0.0) & (s <= 0.5 * sys.float_info.max)).all():

@@ -229,19 +229,6 @@ def clutter_possibility(model: ClutterModel, observations) -> float:
     return val
 
 
-def _selection_indices(obs: np.ndarray) -> np.ndarray:
-    """Indices of observed state coordinates for a 0/1 selection matrix."""
-    idx = []
-    for row in obs:
-        nz = np.nonzero(row)[0]
-        if nz.size != 1 or row[nz[0]] != 1.0:
-            raise ValueError(
-                "observation-driven birth needs a 0/1 selection observation matrix"
-            )
-        idx.append(nz[0])
-    return np.asarray(idx, dtype=int)
-
-
 def _born_terms(params: LinearGaussianModel, velocity_std: float, ys: np.ndarray):
     """Moments of the terms born from observations ``ys`` (n, p) meeting the flat term.
 
@@ -254,14 +241,14 @@ def _born_terms(params: LinearGaussianModel, velocity_std: float, ys: np.ndarray
     covariance is not positive-definite, as happens when the observation
     noise is singular.
 
-    The covariance, its inverse and the selection indices depend only on
+    The covariance, its inverse and the observed coordinates depend only on
     the model, so they are built and checked once per parameter object, on
     first use, and kept on it; the covariance and inverse returned are
     read-only.  A failed check is not kept: every call raises it again.
     """
     layout = params.__dict__.get("_birth_layout")
     if layout is None or layout[0] != velocity_std:
-        idx, cov = _birth_layout(params.obs, params.obs_noise, velocity_std)
+        idx, cov = _birth_layout(params, velocity_std)
         prec = np.linalg.inv(cov)
         cov.setflags(write=False)
         prec.setflags(write=False)
@@ -271,12 +258,17 @@ def _born_terms(params: LinearGaussianModel, velocity_std: float, ys: np.ndarray
     return _born_means(ys, idx, params.state_dim), cov, prec
 
 
-def _birth_layout(obs: np.ndarray, obs_noise: np.ndarray, velocity_std: float):
-    """Observed coordinates and the checked covariance of a term born from an observation."""
-    d = obs.shape[1]
-    idx = _selection_indices(obs)
-    cov = np.eye(d) * velocity_std**2
-    cov[np.ix_(idx, idx)] = obs_noise
+def _birth_layout(params: LinearGaussianModel, velocity_std: float):
+    """Observed coordinates and the checked covariance of a term born from an observation.
+
+    The coordinates are those that H selects (``params._selected``); any
+    other H raises ValueError.
+    """
+    if params._selected is None:
+        raise ValueError("observation-driven birth needs a 0/1 selection observation matrix")
+    idx = np.array(params._selected, dtype=np.intp)
+    cov = np.eye(params.state_dim) * velocity_std**2
+    cov[np.ix_(idx, idx)] = params.obs_noise
     _require_pd(cov, "birth")
     return idx, cov
 
@@ -342,9 +334,8 @@ def update(state: ExtendedPossibility, params: SingleTargetParams, observations)
     ws, ms, vs = mix.weights, mix.means, mix.covs
     a_df = params.missed_detection
     k = ws.size
-    branches = [(ws * (a_df * f_all), ms, vs)]
-    # the precisions: one inverse per distinct covariance, and each branch's rows of them
-    prec_src, prec_rows = ([mix._precisions()] if k else []), [np.arange(k)]
+    # each branch with the precisions of its covariances: one inverse per distinct covariance
+    branches = [(ws * (a_df * f_all), ms, vs, mix._precisions())]
     if k and n_obs:
         liks, m_post, v_post, _ = batch_kalman_update(ms, vs, ys, params)
         det_w = ws[:, None] * liks * f_loo[None, :]
@@ -352,9 +343,8 @@ def update(state: ExtendedPossibility, params: SingleTargetParams, observations)
             det_w.T.ravel(),
             m_post.swapaxes(0, 1).reshape(-1, ms.shape[1]),
             np.tile(v_post, (n_obs, 1, 1)),
+            np.tile(np.linalg.inv(v_post), (n_obs, 1, 1)),
         ))
-        prec_src.append(np.linalg.inv(v_post))
-        prec_rows.append(np.tile(np.arange(k, 2 * k), n_obs))
 
     flat = mix.flat_weight
     flat_mis = flat * a_df * f_all
@@ -365,11 +355,10 @@ def update(state: ExtendedPossibility, params: SingleTargetParams, observations)
             else 1.0
         )
         means, cov, prec = _born_terms(params, vel_std, ys)
-        branches.append((flat * f_loo, means, np.broadcast_to(cov, (n_obs, *cov.shape))))
-        prec_rows.append(np.full(n_obs, sum(map(len, prec_src))))
-        prec_src.append(prec[None])
+        branches.append((flat * f_loo, means, np.broadcast_to(cov, (n_obs, *cov.shape)),
+                         np.broadcast_to(prec, (n_obs, *prec.shape))))
 
-    new_w, new_m, new_v = concat_terms(branches)
+    new_w, new_m, new_v, new_p = concat_terms(branches)
     psi_un = state.psi_mass * f_all
     c_t = float(np.max(new_w, initial=max(psi_un, flat_mis)))
     if not (c_t > 0.0) or not math.isfinite(c_t):
@@ -379,8 +368,7 @@ def update(state: ExtendedPossibility, params: SingleTargetParams, observations)
     on_s = MaxMixture._trusted(
         new_w.compress(keep) / c_t, new_m.compress(keep, axis=0), new_v.compress(keep, axis=0), flat_mis / c_t
     )
-    if prec_src:
-        on_s._keep_precisions(np.concatenate(prec_src), np.concatenate(prec_rows).compress(keep))
+    on_s._keep_precisions(new_p.compress(keep, axis=0))
     return ExtendedPossibility._trusted(psi_un / c_t, on_s, state.time_index)
 
 

@@ -5,6 +5,8 @@ from typing import Callable
 
 import numpy as np
 
+from possitrack.mixtures import _quadratic
+
 
 def grid_sup_oracle(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, step: float) -> float:
     """Max of a scalar function sampled on the lattice lo, lo+step, ..., hi.
@@ -25,3 +27,14 @@ def grid_sup_oracle(fn: Callable[[np.ndarray], np.ndarray], lo: float, hi: float
     if vals.ndim == 0:
         return float(vals)
     return float(vals.max())
+
+
+def batch_quadratic(ms: np.ndarray, vs: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """(x - m_k)' V_k^-1 (x - m_k) for every component k and point x: (k, n).
+
+    The dense reference of the gates: every pair, with the covariances
+    inverted on each call.  Summed in the fixed order of the filters'
+    ``_quadratic``, so a value has the bits of theirs and does not depend on
+    how many points are evaluated with it.
+    """
+    return _quadratic(xs[None, :, :] - ms[:, None, :], np.linalg.inv(vs)[:, None])

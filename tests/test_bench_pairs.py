@@ -188,3 +188,13 @@ def test_blas_core_names_the_kernel_of_numpys_openblas(monkeypatch, tmp_path):
     (tmp_path / "numpy.libs" / "libscipy_openblas64_-fake.so").write_bytes(b"not a library")
     monkeypatch.setattr(np, "__file__", str(fake / "__init__.py"))
     assert bench_pairs.blas_core() == "unknown"
+
+
+def test_src_lines_counts_the_lines_of_the_python_files_under_src(tmp_path):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\n")
+    (tmp_path / "src" / "b.py").write_text("z = 3")  # no newline at the end
+    (tmp_path / "src" / "notes.txt").write_text("not counted\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "c.py").write_text("not counted\n")
+    assert bench_pairs.src_lines(tmp_path) == 3

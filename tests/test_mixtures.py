@@ -28,7 +28,6 @@ from possitrack.mixtures import (
     _floored_exp,
     _overshoot_bound,
     batch_kalman_update,
-    batch_quadratic,
     dominance_reduce,
     merge,
     merge_with_report,
@@ -41,12 +40,13 @@ from possitrack.single_target import (
     ExtendedPossibility,
     ObservationDrivenBirth,
     SingleTargetParams,
+    _birth_layout,
     estimate,
     predict,
     update,
 )
 
-from oracles import grid_sup_oracle
+from oracles import batch_quadratic, grid_sup_oracle
 from test_intensity import _assert_same_intensity, _ref_propagate_intensity
 
 # frozen oracle values
@@ -252,7 +252,8 @@ def test_params_reject_non_finite_matrices(cls, name):
 # One row per (constructor or function, field, interval) checked where a
 # scalar enters from outside.  build(field, value) gives that field the value
 # and every other argument a valid default.  The interval is written as
-# lo, hi and its brackets; "int" marks an integer field >= lo.
+# lo, hi and its brackets; "int" marks an integer field >= lo.  A row may end
+# with more (value, accepted) probes.
 
 _MIX = mixture(g1(1.0, 0.0, 1.0), g1(0.9, 0.1, 1.0))
 _FM = IntensityMixture(_MIX.weights, _MIX.means, _MIX.covs, 0.1)
@@ -260,8 +261,11 @@ _PF = default_config().proposed_params()
 _IPDA = default_config().baseline_params(1.0)
 _TRUTH = simulate_truth(ScenarioConfig(), seed=0)
 # birth velocity stds: from the square root of the smallest normal float to
-# the largest float whose square is finite
-_STD = (1.4916681462400413e-154, 1.3407807929942596e154, "[]")
+# the largest float whose square is finite.  Of the probes, 0.0 squares to 0,
+# 1e-200 to 0 too, 1e-160 to a subnormal, 1e-150 and 1e154 to normal floats
+# and 1e200 to inf.
+_STD = (1.4916681462400413e-154, 1.3407807929942596e154, "[]",
+        (0.0, False), (1e-200, False), (1e-160, False), (1e-150, True), (1e154, True), (1e200, False))
 
 
 def _model(field, value):
@@ -379,8 +383,8 @@ def _probes(lo, hi, closed):
 def test_scalar_boundary(row):
     # a value this row accepts may still fail another rule (such as
     # t_birth <= t_death); a value it rejects must fail this rule
-    build, field, lo, hi, closed = row
-    for value, accepted in _probes(lo, hi, closed):
+    build, field, lo, hi, closed, *extra = row
+    for value, accepted in [*_probes(lo, hi, closed), *extra]:
         try:
             build(field, value)
             rejected = False
@@ -605,8 +609,11 @@ def test_batch_kalman_update_matches_single():
         np.testing.assert_allclose(v_post[k], cov, rtol=1e-12)
 
 
-# A 0/1 row H selecting coordinate i is read as that index; any other H takes
-# the matrix products, the Cholesky check and the LAPACK inverse.
+# H is read as indices when each of its rows is one 1 among 0s
+# (LinearGaussianModel._selected): the Kalman update takes the index path for
+# one such row, the observation-driven birth accepts any number of them.  Any
+# other H takes the matrix products, the Cholesky check and the LAPACK inverse,
+# and has no birth.
 
 
 def _random_stack(rng, k, d):
@@ -620,30 +627,40 @@ def test_selection_kalman_update_has_the_bits_of_the_matrix_path(d, monkeypatch)
     rng = np.random.default_rng(d)
     for i in range(d):
         model = obs_model(np.eye(1, d, i), [[rng.uniform(0.01, 2.0)]])
-        assert model._obs_index == i
+        assert model._selected == (i,)
         for k, n in ((1, 1), (7, 5), (40, 30)):
             ms, vs = _random_stack(rng, k, d)
             ys = rng.normal(size=(n, 1)) * 5.0
             fast = batch_kalman_update(ms, vs, ys, model)
             with monkeypatch.context() as m:
-                m.setitem(model.__dict__, "_obs_index", None)
+                m.setitem(model.__dict__, "_selected", None)
                 general = batch_kalman_update(ms, vs, ys, model)
             for a, b in zip(fast, general):
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-@pytest.mark.parametrize("obs", [[[1.0, 0.5]], [[2.0, 0.0]], [[0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]],
-                         ids=["mixed_row", "scaled_row", "zero_row", "p2"])
-def test_other_observation_matrices_take_the_matrix_path(obs, monkeypatch):
+@pytest.mark.parametrize(
+    "obs, index_path, birth",
+    [([[1.0, 0.0]], True, True), ([[0.0, 1.0]], True, True), ([[1.0, 0.0], [0.0, 1.0]], False, True),
+     ([[2.0, 0.0]], False, False), ([[1.0, 0.5]], False, False), ([[0.0, 0.0]], False, False)],
+    ids=["select_0", "select_1", "p2", "scaled_row", "mixed_row", "zero_row"],
+)
+def test_other_observation_matrices_take_the_matrix_path(obs, index_path, birth, monkeypatch):
     model = obs_model(obs, np.eye(len(obs)))
-    assert model._obs_index is None
     inverted = []
     inv = np.linalg.inv
     monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
     ms, vs = _random_stack(np.random.default_rng(0), 3, 2)
     liks, _, _, s = batch_kalman_update(ms, vs, np.ones((2, len(obs))), model)
-    assert inverted == [(3, len(obs), len(obs))] and s.shape == (3, len(obs), len(obs))
-    assert liks.shape == (3, 2)
+    assert inverted == ([] if index_path else [(3, len(obs), len(obs))])
+    assert s.shape == (3, len(obs), len(obs)) and liks.shape == (3, 2)
+    if birth:  # observed coordinates take R, here I; the others the velocity variance 2.0**2
+        idx, cov = _birth_layout(model, 2.0)
+        assert idx.tolist() == np.argmax(obs, axis=1).tolist()
+        assert cov.tolist() == np.diag([1.0 if j in idx else 4.0 for j in range(2)]).tolist()
+    else:
+        with pytest.raises(ValueError, match="observation-driven birth needs a 0/1 selection"):
+            _birth_layout(model, 2.0)
 
 
 @pytest.mark.parametrize("s_value", [0.0, -1.0, math.nan, math.inf, -math.inf, 1e308])
@@ -653,7 +670,7 @@ def test_bad_innovation_covariance_raises_on_both_paths(s_value, selection, monk
     # path's symmetrization overflows, and the index path rejects it too
     model = obs_model([[1.0, 0.0]], [[0.5]])
     if not selection:
-        monkeypatch.setitem(model.__dict__, "_obs_index", None)
+        monkeypatch.setitem(model.__dict__, "_selected", None)
     vs = np.array([np.eye(2), np.eye(2)])
     vs[1, 0, 0] = s_value - 0.5
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="innovation covariance is not finite"):

@@ -94,11 +94,6 @@ def test_observation_driven_birth_rejects_bad_velocity_std(std):
         ObservationDrivenBirth(velocity_std=std)
 
 
-@pytest.mark.parametrize("std", [1e154, 1e-150])
-def test_observation_driven_birth_accepts_std_whose_square_is_normal(std):
-    assert ObservationDrivenBirth(velocity_std=std).velocity_std == std
-
-
 def test_initial_state_is_fully_absent():
     st = ExtendedPossibility.absent()
     assert st.psi_mass == 1.0

@@ -244,7 +244,7 @@ def test_birth_covariance_is_factorized_once_per_parameter_object(monkeypatch):
     assert not cov.flags.writeable and not prec.flags.writeable
     again = single_target._born_terms(params, 1.0, np.array([[2.0]]))
     assert again[1] is cov and again[2] is prec
-    np.testing.assert_array_equal(cov, single_target._birth_layout(params.obs, params.obs_noise, 1.0)[1])
+    np.testing.assert_array_equal(cov, single_target._birth_layout(params, 1.0)[1])
     assert prec.tobytes() == np.linalg.inv(cov).tobytes()
 
 
@@ -256,7 +256,7 @@ def test_singular_birth_covariance_is_reported_on_every_use():
 
 
 # The updates keep each term's precision inv(V) beside the stack, take
-# carries it, and the reductions read it where they would invert V.  Each
+# gathers it, and the reductions read it where they would invert V.  Each
 # kept precision is one LAPACK inverse of its own covariance, so a reduction
 # must give the bytes it gives on the same arrays without them.
 
@@ -328,3 +328,16 @@ def test_take_keeps_the_precision_stack_aligned_with_its_terms():
         assert part._precisions().tobytes() == precs.take(idx, axis=0).tobytes()
         assert_checked(part)
     assert "_precs" not in MaxMixture._trusted(mix.weights, mix.means, mix.covs, 0.0).__dict__
+
+
+def test_a_gaussian_clutter_mixture_is_inverted_once_per_parameter_object(monkeypatch):
+    # eval_many reads the clutter's kept precisions, so the constant clutter
+    # mixture of the parameters is inverted on the first scan only
+    mt = MultiTargetParams(**model(), clutter=IntensityMixture([0.4], [[0.0]], [[[4.0]]], 0.3))
+    inverted = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
+    fm = IntensityMixture(flat_weight=0.5)
+    for ys in ([0.5], [0.5, 2.0], [], [1.0], [-3.0, 0.2]):
+        fm = update_intensity(propagate_intensity(fm, mt), mt, ys)
+    assert inverted.count((1, 1, 1)) == 1

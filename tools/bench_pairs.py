@@ -25,6 +25,9 @@ gain in the normalized metrics can be told from a shift of the kernel.
 ``summary_traced`` gives the same for each per-layer metric over the traced
 pairs.  The ``machine`` record holds the first run's environment plus
 ``blas_core``, the OpenBLAS kernel that numpy runs on (:func:`blas_core`).
+``src_lines`` holds each side's line count over ``src/**/*.py``
+(:func:`src_lines`), so a change that deletes code is recorded beside the
+timings that show what it costs.
 The file is rewritten after every run, so an interrupted session keeps the
 runs it made.
 
@@ -83,6 +86,11 @@ def blas_core() -> str:
         corename.argtypes, corename.restype = [], ctypes.c_char_p
         return corename().decode()
     return "unknown"
+
+
+def src_lines(tree: Path) -> int:
+    """The number of lines in the ``src/**/*.py`` files under tree."""
+    return sum(len(path.read_bytes().splitlines()) for path in (tree / "src").glob("**/*.py"))
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -247,6 +255,7 @@ def main(argv=None) -> int:
         "change_tree": _worktree_tree(),
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {args.seconds} --trace 0",
         "machine": None,
+        "src_lines": None,
         "protocol": (
             "parent and change exported side by side with git archive on one machine; one pair per "
             f"(workload, seed), seeds {args.seeds[0]}-{args.seeds[-1]} ({len(args.seeds)} pairs per "
@@ -271,6 +280,7 @@ def main(argv=None) -> int:
         trees = {side: Path(tmp) / side for side in SIDES}
         export_tree(parent_commit, trees["parent"])
         export_tree(record["change_tree"], trees["change"])
+        record["src_lines"] = {side: src_lines(trees[side]) for side in SIDES}
         for workload, seed, order in pair_schedule(args.workloads, args.seeds):
             for side in order:
                 run = run_perfbench(trees[side], workload, seed, args.seconds, 0)
