@@ -47,7 +47,7 @@ from .single_target import (
     step,
 )
 from .single_target import _declaration as _pf_declaration
-from .mixtures import NumericalError, _check_count, _in_range
+from .mixtures import NumericalError, _check_scalars, _in_range, _scalar
 
 logger = logging.getLogger(__name__)
 
@@ -98,8 +98,8 @@ class BenchConfig:
     # sweep
     lambda_list: tuple = (1.0, 5.0, 10.0)
     threshold_sweep: tuple = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
-    n_runs: int = 100
-    base_seed: int = 20260816
+    n_runs: int = _scalar(100, 1, None, "int")
+    base_seed: int = _scalar(20260816, 0, None, "int")
     c_err: float = 5.0
 
     def __post_init__(self):
@@ -110,8 +110,7 @@ class BenchConfig:
         object.__setattr__(self, "threshold_sweep", sweep)
         if not self.lambda_list or not self.threshold_sweep:
             raise ValueError("lambda_list and threshold_sweep must be non-empty")
-        _check_count(self, "n_runs", 1)
-        _check_count(self, "base_seed", 0)
+        _check_scalars(self)
         _in_range("c_err", self.c_err, 0, math.inf, "()")  # checked, not converted: the CSVs print it as given
         # the filters check their own scalars
         self.proposed_params()

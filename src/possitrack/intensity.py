@@ -26,10 +26,11 @@ from .mixtures import (
     LinearGaussianModel,
     MaxMixture,
     _as_count,
-    _check_count,
     _gate_rows,
     _greedy_clusters,
     _in_range,
+    _inverse,
+    _scalar,
     batch_kalman_update,
     batch_predict,
     concat_terms,
@@ -80,20 +81,15 @@ class MultiTargetParams(LinearGaussianModel):
     coordinates.
     """
 
-    survival: float = 1.0
-    missed_detection: float = 0.2
+    survival: float = _scalar(1.0, 0, 1, "(]")
+    missed_detection: float = _scalar(0.2, 0, 1, "(]")
     birth: IntensityMixture = IntensityMixture(flat_weight=0.5)
     clutter: IntensityMixture = IntensityMixture(flat_weight=0.5)
-    birth_velocity_std: float = 1.0
-    max_components: int = 200
+    birth_velocity_std: float = _scalar(1.0, *_BIRTH_STD)
+    max_components: int = _scalar(200, 1, None, "int")
 
     def __post_init__(self):
         super().__post_init__()
-        for name in ("survival", "missed_detection"):
-            object.__setattr__(self, name, _in_range(name, getattr(self, name), 0, 1, "(]"))
-        std = _in_range("birth_velocity_std", self.birth_velocity_std, *_BIRTH_STD)
-        object.__setattr__(self, "birth_velocity_std", std)
-        _check_count(self, "max_components", 1)
         if not isinstance(self.birth, IntensityMixture):
             raise ValueError(f"birth must be an IntensityMixture, got {type(self.birth).__name__}")
         if self.birth.dim not in (None, self.state_dim):
@@ -252,7 +248,7 @@ def update_intensity(fm: IntensityMixture, params: MultiTargetParams, observatio
         d_y = np.maximum(d_y, w_lik.max(axis=0))
         m_src.append(m_post.reshape(k * n, -1))
         v_src.append(v_post)
-        p_src.append(np.linalg.inv(v_post))
+        p_src.append(_inverse(v_post))
     if n and floor > 0.0:
         born_m, born_v, born_p = _born_terms(params, params.birth_velocity_std, ys)
         m_src.append(born_m)

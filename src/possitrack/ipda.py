@@ -16,7 +16,7 @@ candidate per observation.  Mixture weights plus the diffuse weight sum to 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 
 import numpy as np
 
@@ -24,11 +24,14 @@ from .mixtures import (
     LinearGaussianModel,
     _Record,
     _as_count,
+    _check_scalars,
     _check_terms,
     _gate_rows,
     _greedy_clusters,
     _in_range,
+    _inverse,
     _require_pd,
+    _scalar,
     batch_kalman_update,
     concat_terms,
 )
@@ -49,25 +52,14 @@ _SEQUENTIAL_SUM = 8
 class IpdaParams(LinearGaussianModel):
     """Model matrices and probabilities of the baseline filter."""
 
-    p_detect: float = 0.8
-    p_survive: float = 0.99
-    p_birth: float = 0.5
-    clutter_rate: float = 1.0
-    surveillance_volume: float = 20.0
-    birth_velocity_std: float = 1.0
-    prune_threshold: float = 1e-5
-    merge_threshold: float = 3.22
-
-    def __post_init__(self):
-        super().__post_init__()
-        for name in ("p_detect", "p_survive", "p_birth"):
-            object.__setattr__(self, name, _in_range(name, getattr(self, name), 0, 1, "[]"))
-        _in_range("clutter_rate", self.clutter_rate, 0, math.inf, "[)")
-        _in_range("surveillance_volume", self.surveillance_volume, 0, math.inf, "()")
-        std = _in_range("birth_velocity_std", self.birth_velocity_std, *_BIRTH_STD)
-        object.__setattr__(self, "birth_velocity_std", std)
-        _in_range("prune_threshold", self.prune_threshold, 0, 1, "[)")
-        _in_range("merge_threshold", self.merge_threshold, 0, math.inf, "[]")
+    p_detect: float = _scalar(0.8, 0, 1, "[]")
+    p_survive: float = _scalar(0.99, 0, 1, "[]")
+    p_birth: float = _scalar(0.5, 0, 1, "[]")
+    clutter_rate: float = _scalar(1.0, 0, math.inf, "[)")
+    surveillance_volume: float = _scalar(20.0, 0, math.inf, "()")
+    birth_velocity_std: float = _scalar(1.0, *_BIRTH_STD)
+    prune_threshold: float = _scalar(1e-5, 0, 1, "[)")
+    merge_threshold: float = _scalar(3.22, 0, math.inf, "[]")
 
     @property
     def clutter_density(self) -> float:
@@ -86,32 +78,30 @@ class IpdaState(_Record):
     (:class:`_Record`), which does not check them again.
     """
 
-    existence: float
+    existence: float = _scalar(MISSING, 0, 1, "[]")
     weights: np.ndarray
     means: np.ndarray
     covs: np.ndarray
-    diffuse_weight: float = 0.0
-    time_index: int = 0
+    # no upper end: the sum rule of __post_init__ bounds it
+    diffuse_weight: float = _scalar(0.0, 0, math.inf, "[)")
+    time_index: int = _scalar(0, 0, None, "int")
 
     def __post_init__(self):
-        r = _in_range("existence", self.existence, 0, 1, "[]")
-        n = _as_count("time_index", self.time_index, 0)
+        _check_scalars(self)
         w = np.array(self.weights, dtype=float, ndmin=1)
         k = w.size
         m = np.array(self.means, dtype=float).reshape(k, -1) if k else np.empty((0, 0))
         v = np.array(self.covs, dtype=float)
         if k and v.shape != (k, m.shape[1], m.shape[1]):
             raise ValueError("covs shape inconsistent with means")
-        # no upper end: the sum rule below bounds it
-        delta = _in_range("diffuse_weight", self.diffuse_weight, 0, math.inf, "[)")
         if not (w >= 0.0).all():
             raise ValueError("weights must be >= 0")
-        total = float(w.sum()) + delta
-        if abs(total - 1.0) > 1e-9 and (k or delta > 0.0):
+        total = float(w.sum()) + self.diffuse_weight
+        if abs(total - 1.0) > 1e-9 and (k or self.diffuse_weight > 0.0):
             raise ValueError(f"weights plus diffuse mass must sum to 1, got {total!r}")
         if k:
             _check_terms(m, v)
-        self._fill((r, w, m, v, delta, n))
+        self._fill((self.existence, w, m, v))
 
     @property
     def n_components(self) -> int:
@@ -238,7 +228,7 @@ def ipda_update(state: IpdaState, params: IpdaParams, observations) -> IpdaState
     miss = 1.0 - pd
     lam_total = miss
     # each stack with the precisions of its covariances: one inverse per distinct covariance
-    stacks = [(miss * state.weights, state.means, state.covs, np.linalg.inv(state.covs))]
+    stacks = [(miss * state.weights, state.means, state.covs, _inverse(state.covs))]
     born = int(n_obs > 0 and delta > 0.0)
     if n_obs and (k or born):
         # row j: the detections of observation j, then its birth
@@ -254,7 +244,7 @@ def ipda_update(state: IpdaState, params: IpdaParams, observations) -> IpdaState
             w[:, :k] = (pd / rho) * state.weights * (liks / norm[:, None]).T
             m[:, :k] = m_post.swapaxes(0, 1)
             v[:, :k] = v_post
-            p[:, :k] = np.linalg.inv(v_post)
+            p[:, :k] = _inverse(v_post)
             det_sums = w[:, :k].sum(axis=1).tolist()
         if born:
             w_birth = (pd / rho) * delta * (1.0 / params.surveillance_volume)

@@ -56,7 +56,7 @@ import logging
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -86,6 +86,14 @@ class NumericalError(RuntimeError):
 def _floored_exp(exponent):
     """exp with the exponent clamped at EXP_FLOOR so results stay positive."""
     return np.exp(np.maximum(exponent, EXP_FLOOR))
+
+
+def _inverse(covs: np.ndarray) -> np.ndarray:
+    """``np.linalg.inv(covs)``, raising NumericalError where LAPACK finds a matrix singular."""
+    try:
+        return np.linalg.inv(covs)
+    except np.linalg.LinAlgError as err:  # a Cholesky check passes some of these
+        raise NumericalError("a covariance is singular to working precision") from err
 
 
 def _as_vector(x, name="x") -> np.ndarray:
@@ -148,9 +156,22 @@ def _as_count(name: str, value, lo: int) -> int:
     return n
 
 
-def _check_count(obj, name: str, lo: int) -> None:
-    """Store ``obj.<name>`` as an int, or raise ValueError as :func:`_as_count`."""
-    object.__setattr__(obj, name, _as_count(name, getattr(obj, name), lo))
+def _scalar(default, lo, hi, closed: str):
+    """A dataclass field that :func:`_check_scalars` checks and stores: a float in the interval of
+    :func:`_in_range`, or with ``closed="int"`` (``hi`` None) an :func:`_as_count` count of at least
+    ``lo``.  A ``default`` of ``dataclasses.MISSING`` makes the field required."""
+    return field(default=default, metadata={"rule": (lo, hi, closed)})
+
+
+def _check_scalars(obj) -> None:
+    """Store each field of the dataclass ``obj`` declared with :func:`_scalar`
+    as its rule returns it, a float or an int, or raise ValueError."""
+    for f in fields(obj):
+        if "rule" in f.metadata:
+            lo, hi, closed = f.metadata["rule"]
+            value = getattr(obj, f.name)
+            value = _as_count(f.name, value, lo) if closed == "int" else _in_range(f.name, value, lo, hi, closed)
+            object.__setattr__(obj, f.name, value)
 
 
 def _checked_stack(weights, means, covs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -285,7 +306,7 @@ class MaxMixture(_Record):
         cannot go stale.
         """
         kept = self.__dict__.get("_precs")
-        return self._keep_precisions(np.linalg.inv(self.covs)) if kept is None else kept
+        return self._keep_precisions(_inverse(self.covs)) if kept is None else kept
 
     def _keep_precisions(self, precs: np.ndarray) -> np.ndarray:
         """Keep ``precs`` (k, d, d), ``np.linalg.inv`` of each term's
@@ -381,6 +402,7 @@ class LinearGaussianModel(_Record):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{name} must be finite")
         self._fill((trans.copy(), noise.copy(), obs.copy(), obs_noise.copy()))
+        _check_scalars(self)  # the scalars a subclass declares
         # the coordinate that each row of H picks when every row is one 1 among 0s, else None; the Kalman
         # update and the observation-driven birth read H as these indices
         selects = ((obs == 0.0) | (obs == 1.0)).all() and ((obs == 1.0).sum(axis=1) == 1).all()
@@ -452,7 +474,7 @@ def batch_kalman_update(ms, vs, ys, model: LinearGaussianModel):
         s = obs @ vs @ obs.T + obs_noise  # (k, p, p)
         s = 0.5 * (s + np.swapaxes(s, 1, 2))
         _require_pd(s, "innovation")
-        s_inv = np.linalg.inv(s)
+        s_inv = _inverse(s)
         gain = vs @ obs.T @ s_inv  # (k, d, p)
     else:
         i = selected[0]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mixtures import _check_count, _in_range
+from .mixtures import _check_scalars, _in_range, _scalar
 
 __all__ = [
     "ScenarioConfig",
@@ -33,30 +33,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    dt: float = 0.1
-    q_accel: float = 1.5
-    r_obs: float = 0.25
-    p_detect: float = 0.8
-    lambda_fp: float = 1.0
-    fp_lo: float = -10.0
-    fp_hi: float = 10.0
-    t_birth: int = 3
-    t_death: int = 22
-    t_end: int = 25
-    init_vel_std: float = 0.1
+    dt: float = _scalar(0.1, 0, math.inf, "()")
+    q_accel: float = _scalar(1.5, 0, math.inf, "[)")
+    r_obs: float = _scalar(0.25, 0, math.inf, "()")
+    p_detect: float = _scalar(0.8, 0, 1, "[]")
+    lambda_fp: float = _scalar(1.0, 0, math.inf, "[)")
+    fp_lo: float = _scalar(-10.0, -math.inf, math.inf, "()")
+    fp_hi: float = _scalar(10.0, -math.inf, math.inf, "()")
+    t_birth: int = _scalar(3, 0, None, "int")
+    t_death: int = _scalar(22, 0, None, "int")
+    t_end: int = _scalar(25, 0, None, "int")
+    init_vel_std: float = _scalar(0.1, 0, math.inf, "[)")
 
     def __post_init__(self):
-        for name in ("dt", "r_obs"):
-            _in_range(name, getattr(self, name), 0, math.inf, "()")
-        for name in ("q_accel", "lambda_fp", "init_vel_std"):
-            _in_range(name, getattr(self, name), 0, math.inf, "[)")
-        _in_range("p_detect", self.p_detect, 0, 1, "[]")
-        for name in ("fp_lo", "fp_hi"):
-            _in_range(name, getattr(self, name), -math.inf, math.inf, "()")
+        _check_scalars(self)
         if not self.fp_lo < self.fp_hi:
             raise ValueError("false-positive region must have fp_lo < fp_hi")
-        for name in ("t_birth", "t_death", "t_end"):
-            _check_count(self, name, 0)
         if not (self.t_birth <= self.t_death <= self.t_end):
             raise ValueError("need 0 <= t_birth <= t_death <= t_end")
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from typing import Callable
 
 import numpy as np
@@ -27,9 +27,11 @@ from .mixtures import (
     MaxMixture,
     NumericalError,
     _Record,
-    _as_count,
+    _check_scalars,
     _in_range,
+    _inverse,
     _require_pd,
+    _scalar,
     batch_kalman_update,
     batch_predict,
     concat_terms,
@@ -86,10 +88,10 @@ class ObservationDrivenBirth:
     possibility prior with standard deviation ``velocity_std``.
     """
 
-    velocity_std: float = 1.0
+    velocity_std: float = _scalar(1.0, *_BIRTH_STD)
 
     def __post_init__(self):
-        object.__setattr__(self, "velocity_std", _in_range("velocity_std", self.velocity_std, *_BIRTH_STD))
+        _check_scalars(self)
 
 
 @dataclass(frozen=True)
@@ -124,23 +126,19 @@ class SingleTargetParams(LinearGaussianModel):
     detection failure while present.
     """
 
-    survival: float = 1.0
-    disappearance: float = 0.01
-    remain_absent: float = 0.5
-    missed_detection: float = 0.2
+    survival: float = _scalar(1.0, 0, 1, "(]")
+    disappearance: float = _scalar(0.01, 0, 1, "(]")
+    remain_absent: float = _scalar(0.5, 0, 1, "(]")
+    missed_detection: float = _scalar(0.2, 0, 1, "(]")
     birth: BirthModel = ObservationDrivenBirth()
     clutter: ClutterModel = ClutterModel()
-    prune_threshold: float = 1e-4
-    merge_threshold: float = 3.22
+    prune_threshold: float = _scalar(1e-4, 0, 1, "[)")
+    merge_threshold: float = _scalar(3.22, 0, math.inf, "[]")
 
     def __post_init__(self):
         super().__post_init__()
-        for name in ("survival", "disappearance", "remain_absent", "missed_detection"):
-            object.__setattr__(self, name, _in_range(name, getattr(self, name), 0, 1, "(]"))
         if abs(max(self.survival, self.disappearance) - 1.0) > 1e-12:
             raise ValueError("max(survival, disappearance) must equal 1")
-        _in_range("prune_threshold", self.prune_threshold, 0, 1, "[)")
-        _in_range("merge_threshold", self.merge_threshold, 0, math.inf, "[]")
         if not isinstance(self.birth, (ObservationDrivenBirth, ExplicitBirth)):
             raise ValueError(
                 f"birth must be an ObservationDrivenBirth or an ExplicitBirth, got {type(self.birth).__name__}"
@@ -159,15 +157,14 @@ class ExtendedPossibility(_Record):
     (:class:`_Record`), which does not check them again.
     """
 
-    psi_mass: float
+    psi_mass: float = _scalar(MISSING, 0, 1, "[]")
     on_s: MaxMixture
-    time_index: int = 0
+    time_index: int = _scalar(0, 0, None, "int")
 
     def __post_init__(self):
-        psi = _in_range("psi_mass", self.psi_mass, 0, 1, "[]")
+        _check_scalars(self)
         if not isinstance(self.on_s, MaxMixture):
             raise ValueError(f"on_s must be a MaxMixture, got {type(self.on_s).__name__}")
-        self._fill((psi, self.on_s, _as_count("time_index", self.time_index, 0)))
 
     @staticmethod
     def absent(time_index: int = 0) -> "ExtendedPossibility":
@@ -249,7 +246,7 @@ def _born_terms(params: LinearGaussianModel, velocity_std: float, ys: np.ndarray
     layout = params.__dict__.get("_birth_layout")
     if layout is None or layout[0] != velocity_std:
         idx, cov = _birth_layout(params, velocity_std)
-        prec = np.linalg.inv(cov)
+        prec = _inverse(cov)
         cov.setflags(write=False)
         prec.setflags(write=False)
         layout = (velocity_std, idx, cov, prec)
@@ -343,7 +340,7 @@ def update(state: ExtendedPossibility, params: SingleTargetParams, observations)
             det_w.T.ravel(),
             m_post.swapaxes(0, 1).reshape(-1, ms.shape[1]),
             np.tile(v_post, (n_obs, 1, 1)),
-            np.tile(np.linalg.inv(v_post), (n_obs, 1, 1)),
+            np.tile(_inverse(v_post), (n_obs, 1, 1)),
         ))
 
     flat = mix.flat_weight

@@ -2,11 +2,13 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from possitrack.bench import default_config, make_run
 from possitrack.ipda import (
     IpdaParams,
     IpdaState,
@@ -89,6 +91,21 @@ def test_state_diffuse_weight_is_bounded_by_the_sum_rule_alone():
 def test_clutter_density_is_rate_over_volume_with_floor():
     assert params().clutter_density == pytest.approx(0.05, rel=1e-15)
     assert params(clutter_rate=0.0).clutter_density > 0.0  # floored, not zero
+
+
+def test_a_float32_clutter_rate_steps_as_its_python_float():
+    # the rate used to be stored as given, so a float32 rate made the clutter
+    # density, and the existence it divides, float32
+    cfg = default_config()
+    base = cfg.baseline_params(3.0)
+    as_float32 = replace(base, clutter_rate=np.float32(3.0))
+    _, obs = make_run(cfg.scenario, 3.0, cfg.base_seed, 0, 0)
+    a = b = IpdaState.initial()
+    for ys in obs.steps:
+        a, b = ipda_step(a, base, ys), ipda_step(b, as_float32, ys)
+        assert repr((a.existence, a.diffuse_weight)) == repr((b.existence, b.diffuse_weight))
+        for x, y in ((a.weights, b.weights), (a.means, b.means), (a.covs, b.covs)):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 

@@ -5,7 +5,10 @@ closed-form or brute-force lattice oracles (see grid_sup_oracle in
 oracles.py for the lattice used at runtime).
 """
 
+import dataclasses
+import importlib
 import math
+import pkgutil
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import possitrack
 from possitrack import mixtures
 from possitrack.bench import BenchConfig, default_config, make_run
 from possitrack.intensity import IntensityMixture, MultiTargetParams, extract_targets, propagate_intensity
@@ -393,6 +397,31 @@ def test_scalar_boundary(row):
         assert rejected != accepted, f"{field}={value!r}"
 
 
+def _declared_rules():
+    """("Class.field", rule, default) of every dataclass field in the package that declares a scalar rule."""
+    for info in pkgutil.iter_modules(possitrack.__path__):
+        module = importlib.import_module(f"possitrack.{info.name}")
+        for cls in vars(module).values():
+            if dataclasses.is_dataclass(cls) and isinstance(cls, type) and cls.__module__ == module.__name__:
+                for f in dataclasses.fields(cls):
+                    if "rule" in f.metadata:
+                        yield f"{cls.__name__}.{f.name}", f.metadata["rule"], f.default
+
+
+@pytest.mark.parametrize("name, rule, default", [pytest.param(*r, id=r[0]) for r in _declared_rules()])
+def test_declared_scalar_is_probed_and_stored_as_a_python_number(name, rule, default):
+    # every declared rule has its BOUNDARIES row, and a numpy scalar inside
+    # the interval is stored as the float or int that the rule returns
+    build, field, *row_rule = BOUNDARIES[name][:5]
+    assert tuple(row_rule) == rule
+    if rule[2] == "int":
+        value, kind = np.int64(rule[0] if default is dataclasses.MISSING else default), int
+    else:
+        value, kind = np.float32(0.5 if default is dataclasses.MISSING else default), float
+    stored = getattr(build(field, value), field)
+    assert type(stored) is kind and stored == value
+
+
 # One row per argument whose type is checked where it enters from outside:
 # build(field, value), the field, values it accepts and values it rejects.
 # Each rejected value must fail this rule when the object is built, not at
@@ -680,6 +709,21 @@ def test_bad_innovation_covariance_raises_on_both_paths(s_value, selection, monk
 def test_update_singular_innovation_raises():
     with pytest.raises(NumericalError):
         updated(g1(1.0, 0.0, 1e-3), [0.0], np.zeros((1, 1)), np.zeros((1, 1)))
+
+
+def test_a_covariance_that_cannot_be_inverted_raises_numerical_error():
+    # the Cholesky check accepts v, but LAPACK's inverse finds it singular;
+    # its LinAlgError used to escape every call that inverts it
+    v = np.array([[0.533372052494021, 0.4988850630278845], [0.4988850630278845, 0.466627947505979]])
+    pair = ([1.0, 0.5], [[0.0, 0.0], [0.1, 0.0]], [v, np.eye(2)])
+    for call in (
+        lambda: MaxMixture([1.0], [[0.0, 0.0]], [v])([0.0, 0.0]),
+        lambda: merge(MaxMixture(*pair), 3.22),
+        lambda: dominance_reduce(MaxMixture(*pair)),
+        lambda: extract_targets(IntensityMixture([0.95, 0.93], [[0.0, 0.0], [5.0, 0.0]], [v, np.eye(2)], 0.1)),
+    ):
+        with pytest.raises(NumericalError, match="singular"):
+            call()
 
 
 # ------------------------------------------------------------------- pruning
