@@ -68,6 +68,12 @@ def test_params_reject_bad_birth_velocity_std(value):
         params(birth_velocity_std=value)
 
 
+@pytest.mark.parametrize("value", [1, np.int64(5)])
+def test_params_accept_integer_max_components(value):
+    p = params(max_components=value)
+    assert p.max_components == value and type(p.max_components) is int
+
+
 # ----------------------------------------------------------------- intensity
 
 
