@@ -334,11 +334,4 @@ def _write_csv(path: Path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format(v) for v in row])
-
-
-def _format(v):
-    if isinstance(v, float):
-        return repr(v)
-    return v
+        writer.writerows(rows)  # csv writes a float, numpy's float64 included, as float.__repr__ does

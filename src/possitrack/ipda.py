@@ -16,6 +16,7 @@ candidate per observation.  Mixture weights plus the diffuse weight sum to 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import MISSING, dataclass
 
 import numpy as np
@@ -25,7 +26,7 @@ from .mixtures import (
     _Record,
     _as_count,
     _check_scalars,
-    _check_terms,
+    _checked_stack,
     _gate_rows,
     _greedy_clusters,
     _in_range,
@@ -72,8 +73,9 @@ class IpdaState(_Record):
 
     ``weights`` (Gaussian components) and ``diffuse_weight`` (not-yet-located
     birth mass: uniform position, Gaussian velocity) sum to 1 whenever
-    existence is positive.  The constructor copies and checks its arrays:
-    finite means and finite, symmetric, positive-definite covariances.  The
+    existence is positive.  The constructor copies and checks its stack by
+    the rule of :class:`MaxMixture`: weights in (0, 1], finite means (k, d)
+    and finite, symmetric, positive-definite covariances (k, d, d).  The
     recursions build their states with the private ``_trusted``
     (:class:`_Record`), which does not check them again.
     """
@@ -88,19 +90,10 @@ class IpdaState(_Record):
 
     def __post_init__(self):
         _check_scalars(self)
-        w = np.array(self.weights, dtype=float, ndmin=1)
-        k = w.size
-        m = np.array(self.means, dtype=float).reshape(k, -1) if k else np.empty((0, 0))
-        v = np.array(self.covs, dtype=float)
-        if k and v.shape != (k, m.shape[1], m.shape[1]):
-            raise ValueError("covs shape inconsistent with means")
-        if not (w >= 0.0).all():
-            raise ValueError("weights must be >= 0")
+        w, m, v = _checked_stack(self.weights, self.means, self.covs)
         total = float(w.sum()) + self.diffuse_weight
-        if abs(total - 1.0) > 1e-9 and (k or self.diffuse_weight > 0.0):
+        if abs(total - 1.0) > 1e-9 and (w.size or self.diffuse_weight > 0.0):
             raise ValueError(f"weights plus diffuse mass must sum to 1, got {total!r}")
-        if k:
-            _check_terms(m, v)
         self._fill((self.existence, w, m, v))
 
     @property
@@ -146,15 +139,19 @@ def ipda_predict(state: IpdaState, params: IpdaParams) -> IpdaState:
 def _prune_and_merge(ws, ms, vs, ps, diffuse, params):
     """Association-weight pruning then moment-matching merge; renormalizes.
 
-    ``ps`` are the precisions ``inv(vs)``.  Greedy from the heaviest term
-    down (:func:`_greedy_clusters`): each term not yet merged heads a
-    cluster of the unmerged terms within merge_threshold of its mean in the
-    metric of its covariance, and the cluster is replaced by its moment
-    match.  The gate tests only the pairs of a coordinate-0 window
+    A term is kept when its weight is at least prune_threshold and at least
+    the smallest normal float: a zero or subnormal weight would make the
+    moment match divide 0 by 0 or lose its covariance to rounding, so even
+    a threshold of 0 drops it.  ``ps`` are the precisions ``inv(vs)``.
+
+    Greedy from the heaviest term down (:func:`_greedy_clusters`): each
+    term not yet merged heads a cluster of the unmerged terms within
+    merge_threshold of its mean in the metric of its covariance, and the
+    cluster is replaced by its moment match.  The gate tests only the pairs of a coordinate-0 window
     (:func:`_gate_rows`).  The result is bit for bit that of testing every
     pair and merging one cluster at a time.
     """
-    keep = ws >= params.prune_threshold
+    keep = ws >= max(params.prune_threshold, sys.float_info.min)
     ws, ms, vs = ws.compress(keep), ms.compress(keep, axis=0), vs.compress(keep, axis=0)
     if ws.size:
         # the default sort, not a stable one: its order among equal weights picks the heads

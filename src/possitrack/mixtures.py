@@ -179,7 +179,8 @@ def _checked_stack(weights, means, covs) -> tuple[np.ndarray, np.ndarray, np.nda
 
     Each weight must lie in (0, 1], each mean must be finite and each
     covariance must be finite and symmetric positive-definite; shapes must be
-    (k,), (k, d) and (k, d, d).
+    (k,), (k, d) and (k, d, d).  No terms given as empty sequences are
+    stored as (0,), (0, 0) and (0, 0, 0).
     """
     w = np.array(weights, dtype=float)
     m = np.array(means, dtype=float)
@@ -193,24 +194,18 @@ def _checked_stack(weights, means, covs) -> tuple[np.ndarray, np.ndarray, np.nda
         )
     bad = ~((w > 0.0) & (w <= 1.0))
     if bad.any():
-        raise ValueError(f"weights must be in (0, 1], got {w[bad][0]!r}")
-    _check_terms(m, v)
-    return w, m, v
-
-
-def _check_terms(means: np.ndarray, covs: np.ndarray) -> None:
-    """Raise ValueError unless every mean is finite and every covariance is
-    finite, symmetric and positive-definite."""
-    if not np.isfinite(means).all():
+        raise ValueError(f"weights must be in (0, 1], got {float(w[bad][0])!r}")
+    if not np.isfinite(m).all():
         raise ValueError("means must be finite")
-    if not np.isfinite(covs).all():
+    if not np.isfinite(v).all():
         raise ValueError("covs must be finite")
-    if not np.allclose(covs, np.swapaxes(covs, 1, 2), rtol=1e-9, atol=1e-12):
+    if not np.allclose(v, np.swapaxes(v, 1, 2), rtol=1e-9, atol=1e-12):
         raise ValueError("cov must be symmetric")
     try:
-        np.linalg.cholesky(covs)
+        np.linalg.cholesky(v)
     except np.linalg.LinAlgError as err:
         raise ValueError("cov must be positive-definite") from err
+    return w, m, v
 
 
 class _Record:
@@ -636,8 +631,6 @@ def _dominance_certificates(
     NaN or -inf screen value (non-finite entries, such as the log of a w_j /
     w_i past the float range, or squares past it) leaves its pair to eigvalsh.
     """
-    if not js.size:
-        return np.zeros(0, dtype=bool)
     d = ms.shape[1]
     pm = (ps @ ms[:, :, None])[:, :, 0]  # P m
     mpm = ((ms[:, None, :] @ ps) @ ms[:, :, None])[:, 0, 0]  # m' P m
@@ -730,7 +723,11 @@ def _dominance_heads(mix: MaxMixture) -> np.ndarray | None:
     # cheap necessary condition: j can only dominate i if j's term at i's mean
     # reaches i's weight
     dd = ms.take(iis, axis=0) - ms.take(js, axis=0)
-    vals = ws.take(js) * _floored_exp(-0.5 * _quadratic(dd, ps.take(js, axis=0)))
+    # an ill-conditioned precision can round the quadratic below 0 and the
+    # exp past the float range; inf passes the test and leaves the pair to
+    # the exact certificates
+    with np.errstate(over="ignore"):
+        vals = ws.take(js) * _floored_exp(-0.5 * _quadratic(dd, ps.take(js, axis=0)))
     reaches = vals >= ws.take(iis) * (1.0 - 1e-9)
     if not reaches.any():
         return None

@@ -99,7 +99,9 @@ class ExplicitBirth:
     """Appearance described by a fixed Gaussian max-mixture.
 
     ``mixture`` is checked when it is built.  It must have at least one term
-    and no flat term, which :func:`predict` would ignore.
+    and no flat term, which :func:`predict` would ignore.  A flat term that a
+    state brings along still meets observations in :func:`update`; its
+    births get velocity std 1.0.
     """
 
     mixture: MaxMixture
@@ -311,8 +313,9 @@ def update(state: ExtendedPossibility, params: SingleTargetParams, observations)
     detection branch per observation (Kalman moments, weight scaled by the
     leave-one-out clutter possibility and the observation likelihood).  The
     flat term follows the same pattern, spawning one located component per
-    observation.  Everything is renormalized by the global max so the
-    posterior is a valid possibility function.  Branches come in this
+    observation, with the birth model's velocity std (1.0 under
+    :class:`ExplicitBirth`).  Everything is renormalized by the global max
+    so the posterior is a valid possibility function.  Branches come in this
     order: all detection failures, then the detections of each observation
     in turn, then the births.
     """

@@ -403,6 +403,18 @@ def test_csv_row_round_trip(tmp_path):
     assert float(srow["avg_error"]) == 1.0 / 3.0
 
 
+@pytest.mark.parametrize(
+    "c_err, text", [(np.float64(5.0), "5.0"), (5, "5"), (5.0, "5.0")], ids=["float64", "int", "float"]
+)
+def test_summary_writes_c_err_as_a_number(tmp_path, c_err, text):
+    # numpy 2's repr of a float64 is "np.float64(5.0)", which the table got
+    cfg = BenchConfig(lambda_list=(1.0,), threshold_sweep=(0.5,), n_runs=1, c_err=c_err)
+    _, summary = emit_results(run_benchmark(cfg), tmp_path)
+    lines = summary.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 3
+    assert all(line.endswith(f",{cfg.base_seed},{text}") for line in lines[1:])
+
+
 # ----------------------------------------------------------------------- cli
 
 
@@ -444,6 +456,15 @@ def test_cli_run_with_config_and_overrides(tmp_path):
 
 def test_cli_missing_config_is_config_error(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 1
+
+
+def test_cli_unwritable_out_is_config_error(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_runs": 1, "lambda_list": [1.0], "threshold_sweep": [0.5]}))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["run", "--config", str(cfg_path), "--out", str(blocker / "out")]) == 1
+    assert capsys.readouterr().err.startswith("configuration error: ")
 
 
 def test_cli_invalid_config_is_config_error(tmp_path):

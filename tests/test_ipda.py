@@ -70,15 +70,34 @@ def test_state_rejects_unnormalized_weights():
         ([1.0], [[0.0, 0.0]], [[[1.0, 0.5], [0.0, 1.0]]], "must be symmetric"),
         ([1.0], [[0.0, 0.0]], [[[1.0, 0.0], [0.0, -3.0]]], "must be positive-definite"),
         ([0.5, 0.5], [[0.0, 0.0], [1.0, 0.0]], [np.eye(2), np.zeros((2, 2))], "must be positive-definite"),
-        ([1.5, -0.5], [[0.0, 0.0], [1.0, 0.0]], [np.eye(2)] * 2, "weights must be >= 0"),
-        ([math.nan], [[0.0, 0.0]], [np.eye(2)], "weights must be >= 0"),
+        ([1.5, -0.5], [[0.0, 0.0], [1.0, 0.0]], [np.eye(2)] * 2, r"weights must be in \(0, 1\]"),
+        ([math.nan], [[0.0, 0.0]], [np.eye(2)], r"weights must be in \(0, 1\]"),
+        # the mixture rule; the state's own copy of the check accepted these three
+        ([0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]], [np.eye(2)] * 2, r"weights must be in \(0, 1\], got 0.0$"),
+        ([1.0 + 5e-10], [[0.0, 0.0]], [np.eye(2)], r"weights must be in \(0, 1\], got 1.0000000005$"),
+        ([1.0], [0.0, 0.0], [np.eye(2)], "stack shapes "),
     ],
     ids=["nan_mean", "inf_mean", "nan_cov", "inf_cov", "asymmetric_cov", "indefinite_cov",
-         "singular_cov", "negative_weight", "nan_weight"],
+         "singular_cov", "negative_weight", "nan_weight", "zero_weight", "weight_above_1_within_sum_rule",
+         "flat_means"],
 )
 def test_state_rejects_bad_terms(weights, means, covs, message):
     with pytest.raises(ValueError, match=message):
         IpdaState(0.5, weights, means, covs, 0.0)
+
+
+def test_empty_state_is_stored_as_an_empty_stack_and_updates():
+    # it was stored with covs of shape (0,), and every update raised
+    # NumericalError on that stack
+    state = IpdaState(0.5, [], [], [], 1.0)
+    assert (state.weights.shape, state.means.shape, state.covs.shape) == ((0,), (0, 0), (0, 0, 0))
+    out = ipda_update(state, params(), [[1.0]])
+    # the diffuse mass spawns one candidate at the observation: weight
+    # (0.8 / 0.05) / 20 = 0.8 against the miss branch 0.2
+    assert out.weights.tolist() == pytest.approx([0.8], rel=1e-12)
+    assert out.diffuse_weight == pytest.approx(0.2, rel=1e-12)
+    assert out.means.tolist() == [[1.0, 0.0]]
+    assert ipda_step(state, params(), [[1.0]]).n_components == 1
 
 
 def test_state_diffuse_weight_is_bounded_by_the_sum_rule_alone():
@@ -106,14 +125,6 @@ def test_a_float32_clutter_rate_steps_as_its_python_float():
         assert repr((a.existence, a.diffuse_weight)) == repr((b.existence, b.diffuse_weight))
         for x, y in ((a.weights, b.weights), (a.means, b.means), (a.covs, b.covs)):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
-
-
-
-# 1e200 squares to inf, 1e-200 to 0 and 1e-160 to a subnormal
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, 1e200, 1e-200, 1e-160])
-def test_params_reject_bad_birth_velocity_std(value):
-    with pytest.raises(ValueError, match="birth_velocity_std"):
-        params(birth_velocity_std=value)
 
 
 # ------------------------------------------------------------------- predict
@@ -351,6 +362,22 @@ def test_prune_and_merge_matches_dense_reference(seed, d, sizes, spread, layout,
         assert x.shape == y.shape
         assert x.tobytes() == y.tobytes()
     assert out[3] == ref[3]
+
+
+@pytest.mark.parametrize("lam, lambda_index", [(1.0, 0), (10.0, 2)])
+def test_prune_threshold_zero_keeps_the_state_finite(lam, lambda_index):
+    # the interval [0, 1) admits 0, which kept branches of zero weight (a
+    # moment match of 0 / 0 gave NaN means at t = 1) and of subnormal weight
+    # (at lambda 10 a matched covariance lost definiteness at t = 5)
+    cfg = default_config()
+    p = replace(cfg.baseline_params(lam), prune_threshold=0.0)
+    _, obs = make_run(cfg.scenario, lam, cfg.base_seed, lambda_index, 0)
+    state = IpdaState.initial()
+    for ys in obs.steps:
+        state = ipda_step(state, p, ys)
+        assert np.isfinite(state.means).all() and np.isfinite(state.covs).all()
+        assert (state.weights > 0.0).all()
+    assert len(obs.steps) == 26
 
 
 def test_prune_and_merge_memory_is_subquadratic():

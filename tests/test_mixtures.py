@@ -9,6 +9,7 @@ import dataclasses
 import importlib
 import math
 import pkgutil
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import possitrack
 from possitrack import mixtures
-from possitrack.bench import BenchConfig, default_config, make_run
+from possitrack.bench import BenchConfig, config_from_dict, default_config, make_run
 from possitrack.intensity import IntensityMixture, MultiTargetParams, extract_targets, propagate_intensity
 from possitrack.ipda import IpdaParams, IpdaState, _prune_and_merge, ipda_estimate
 from possitrack.mixtures import (
@@ -37,7 +38,7 @@ from possitrack.mixtures import (
     merge_with_report,
     prune,
 )
-from possitrack.scenario import ScenarioConfig, error_at, simulate_truth
+from possitrack.scenario import GroundTruth, ScenarioConfig, error_at, simulate_truth
 from possitrack.single_target import (
     ClutterModel,
     ExplicitBirth,
@@ -130,6 +131,12 @@ def test_mixture_eval_many_matches_scalar_calls():
     batch = mix.eval_many(xs)
     singles = np.array([mix(x) for x in xs])
     np.testing.assert_allclose(batch, singles, rtol=0, atol=0)
+
+
+def test_eval_many_reads_a_flat_vector_as_1d_points():
+    mix = mixture(g1(1.0, 0.0, 1.0), g1(0.5, 2.0, 0.7), flat_weight=0.1)
+    xs = np.linspace(-4.0, 4.0, 33)
+    assert mix.eval_many(xs).tobytes() == mix.eval_many(xs[:, None]).tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 2, 7])
@@ -456,6 +463,47 @@ def test_type_boundary(row):
     for value in rejected:
         with pytest.raises(ValueError, match=f"^{field} must be "):
             build(field, value)
+
+
+def _mats(**kw):
+    """The possibility filter's model matrices, with ``kw`` in place of some."""
+    return LinearGaussianModel(**{"trans": _PF.trans, "trans_noise": _PF.trans_noise, "obs": _PF.obs,
+                                  "obs_noise": _PF.obs_noise, **kw})
+
+
+# One row per shape or structure check of an input: a call that breaks it
+# and the start of the message it raises.
+SHAPE_ROWS = {
+    "MaxMixture.__call__ point": (lambda: _MIX([[0.0]]), "x must be a scalar or 1-d vector"),
+    "MaxMixture.eval_many dim": (lambda: _MIX.eval_many(np.zeros((3, 2))), "points have dim 2"),
+    "LinearGaussianModel.trans 3-d": (lambda: _mats(trans=np.ones((1, 2, 2))), "trans must be 2-d"),
+    "LinearGaussianModel.trans_noise square": (
+        lambda: _mats(trans_noise=np.ones((2, 3))), "trans_noise must be square"
+    ),
+    "LinearGaussianModel.trans_noise symmetric": (
+        lambda: _mats(trans_noise=[[1.0, 0.5], [0.0, 1.0]]), "trans_noise must be symmetric"
+    ),
+    "LinearGaussianModel.obs_noise psd": (
+        lambda: _mats(obs_noise=[[-1.0]]), "obs_noise must be positive semi-definite"
+    ),
+    "LinearGaussianModel.trans sizes": (
+        lambda: _mats(trans_noise=np.eye(3)), "trans and trans_noise must be square with equal size"
+    ),
+    "LinearGaussianModel.obs sizes": (lambda: _mats(obs=[[1.0, 0.0, 0.0]]), "obs/obs_noise shapes inconsistent"),
+    "GroundTruth.states": (lambda: GroundTruth(([1.0, 2.0, 3.0],)), "states must be length-2 vectors or None"),
+    "BenchConfig.lambda_list empty": (lambda: BenchConfig(lambda_list=()), "lambda_list and threshold_sweep must"),
+    "BenchConfig.threshold_sweep empty": (
+        lambda: BenchConfig(threshold_sweep=()), "lambda_list and threshold_sweep must"
+    ),
+    "config_from_dict list": (lambda: config_from_dict([]), "configuration must be a JSON object"),
+}
+
+
+@pytest.mark.parametrize("row", SHAPE_ROWS.values(), ids=SHAPE_ROWS.keys())
+def test_shape_boundary(row):
+    build, prefix = row
+    with pytest.raises(ValueError, match=f"^{re.escape(prefix)}"):
+        build()
 
 
 def test_mixture_from_components_gives_back_its_arrays():
@@ -1165,6 +1213,25 @@ def test_dominance_reduce_exits_match_dense_reference(monkeypatch, case):
         assert out is mix
     if case == "a chain the certificates do not close":
         assert out.weights.tolist() == [0.7, 0.9]
+
+
+def test_dominance_on_an_ill_conditioned_pair_warns_nothing():
+    # covariances of condition 1e16 and 1.7e13 (random d = 2 six-term
+    # mixtures with eigenvalue ratios 1e-17 to 1e-10 gave 4 such mixtures in
+    # 2,991): the cheap test's quadratic rounds below 0, and its exp
+    # overflowed with a RuntimeWarning
+    mix = MaxMixture(
+        [0.6772754449245011, 0.27436662191616157],
+        [[1.1865844578664617, 1.306474751914063], [1.4730107231180027, 0.45091613522799834]],
+        [[[0.23610737841724555, 0.42468892647934814], [0.42468892647934814, 0.7638926215827544]],
+         [[0.9120639107692322, -0.283201930504651], [-0.283201930504651, 0.0879360892308286]]],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            dominance_reduce(mix)
+        except NumericalError:
+            pass
 
 
 def test_deficit_bound_matches_per_term_reference():

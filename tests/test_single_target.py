@@ -349,6 +349,17 @@ def test_update_spawns_birth_from_flat_term():
     assert out.psi_mass == pytest.approx(0.2, rel=1e-15)
 
 
+def test_update_locates_a_flat_terms_births_with_velocity_std_1_under_explicit_birth():
+    # an explicit birth adds no flat term, but a state can bring one; its
+    # births take the observation noise and velocity std 1.0, whatever the
+    # explicit mixture's covariances
+    birth = ExplicitBirth(MaxMixture([0.8], [[1.0, 0.0]], [4.0 * np.eye(2)]))
+    st = ExtendedPossibility(0.2, MaxMixture(flat_weight=1.0))
+    out = update(st, params_ncv(birth=birth), [[1.5]])
+    np.testing.assert_array_equal(out.on_s.means, [[1.5, 0.0]])
+    np.testing.assert_array_equal(out.on_s.covs, [[[0.0625, 0.0], [0.0, 1.0]]])
+
+
 def test_update_sup_is_one_after_normalization():
     rng = np.random.default_rng(5)
     st = ExtendedPossibility(1.0, MaxMixture())
