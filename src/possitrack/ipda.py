@@ -262,7 +262,7 @@ def ipda_update(state: IpdaState, params: IpdaParams, observations) -> IpdaState
     ws, ms, vs, ps = concat_terms(stacks)
     ws, ms, vs, diffuse = _prune_and_merge(ws / lam_total, ms, vs, ps, miss * delta / lam_total, params)
     if not ws.size:
-        ms = np.empty((0, 0))  # as the constructor stores the means of no terms
+        ms, vs = np.empty((0, 0)), np.empty((0, 0, 0))  # as the constructor stores no terms
     return IpdaState._trusted(existence, ws, ms, vs, diffuse, state.time_index)
 
 

@@ -179,6 +179,18 @@ def test_update_with_no_possible_branch_leaves_only_the_diffuse_prior(existence)
     assert not (out.weights.flags.writeable or out.means.flags.writeable or out.covs.flags.writeable)
 
 
+def test_update_that_prunes_every_term_stores_the_empty_stack_the_constructor_accepts():
+    # two miss branches of weight 0.4 fall below the threshold 0.5 and only
+    # the diffuse mass is left; the covs were kept as (0, 2, 2), which the
+    # constructor's stack rule rejects
+    st = IpdaState(0.5, [0.4, 0.4], [[0.0, 0.0], [5.0, 0.0]], [np.eye(2), np.eye(2)], 0.2)
+    out = ipda_update(st, params(prune_threshold=0.5), [])
+    assert (out.n_components, out.diffuse_weight) == (0, 1.0)
+    assert out.means.shape == (0, 0) and out.covs.shape == (0, 0, 0)
+    again = IpdaState(out.existence, out.weights, out.means, out.covs, out.diffuse_weight, out.time_index)
+    assert again.covs.shape == (0, 0, 0)
+
+
 def test_update_locates_birth_mass_on_observation():
     st = ipda_predict(IpdaState.initial(), params())
     out = ipda_update(st, params(), [[2.0]])
