@@ -14,6 +14,7 @@ sequences, so a rerun of the same configuration is byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import logging
@@ -218,41 +219,33 @@ def run_benchmark(cfg: BenchConfig, progress: Callable[[str], None] | None = Non
     again with the (lambda, run, t, seed) that reproduces it.
 
     The cells are independent, so they run on every CPU of the process's
-    affinity set: with n CPUs, cell i runs in the caller when i % n == 0
-    and in one of n - 1 worker processes otherwise.  The caller takes the
-    cells in order, so the sums, the tables, the ``progress`` messages and
-    the error reported (that of the first failing cell) are those of a
-    serial run.  The workers are spawned, so the caller's main module must
-    guard its entry point with ``if __name__ == "__main__"``; none outlives
-    the call.
+    affinity set: with n CPUs, the caller and n - 1 worker processes each
+    take the next unclaimed cell from one shared counter.  A worker that is
+    still starting holds no cell, so the caller computes cells meanwhile,
+    and a short study may end before a worker is needed.  Each cell's errors
+    are added in cell order, so the sums, the tables, the ``progress``
+    messages (each given as soon as the cells up to it are done) and the
+    error reported (the exception of the first failing cell in cell order)
+    are those of a serial run.  After a failure no cell is claimed.  A
+    worker that dies while its cells are awaited raises
+    ``concurrent.futures.process.BrokenProcessPool``.  Once every cell is in,
+    or on any exception, the workers still alive are terminated and all are
+    joined, so none outlives the call.  The workers are spawned, so the
+    caller's main module must guard its entry point with
+    ``if __name__ == "__main__"``.
     """
     thresholds = cfg.threshold_sweep
     n_t = cfg.scenario.t_end + 1
     prop_params = cfg.proposed_params()
     base_params = [cfg.baseline_params(lam) for lam in cfg.lambda_list]
     cells = [(li, run) for li in range(len(cfg.lambda_list)) for run in range(cfg.n_runs)]
-    n = min(_cpu_count(), len(cells))
-    pool = None
-    if n > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # spawned workers start from a fresh import: forking a caller that
-        # has threads is unsafe
-        pool = ProcessPoolExecutor(n - 1, mp_context=multiprocessing.get_context("spawn"))
+    cell_errors = _cells_in_order(cfg, prop_params, base_params, cells)
     result = BenchResult(config=cfg)
     try:
-        pending = {
-            i: pool.submit(_run_cell, cfg, prop_params, base_params[li], li, run)
-            for i, (li, run) in enumerate(cells)
-            if i % n
-        }
         for li, lam in enumerate(cfg.lambda_list):
             err = np.zeros((2, len(thresholds), n_t))
             for run in range(cfg.n_runs):
-                i = li * cfg.n_runs + run
-                # one addition per entry, in run order
-                err += pending.pop(i).result() if i % n else _run_cell(cfg, prop_params, base_params[li], li, run)
+                err += next(cell_errors)  # one addition per entry, in run order
                 if progress is not None:
                     progress(f"lambda={lam:g} run={run + 1}/{cfg.n_runs}")
             for k, name in enumerate((PROPOSED, BASELINE)):
@@ -267,9 +260,114 @@ def run_benchmark(cfg: BenchConfig, progress: Callable[[str], None] | None = Non
                     )
             logger.info("finished rate lambda=%g", lam)
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        cell_errors.close()
     return result
+
+
+def _cells_in_order(cfg: BenchConfig, prop_params: SingleTargetParams, base_params: list, cells: list):
+    """Yield each cell's errors in cell order, claiming cells from one counter.
+
+    The caller claims and computes a cell whenever the next one to yield is
+    not in; otherwise, with every cell claimed, it waits for the workers'
+    result pipes and for the workers' exits.  A failed cell's exception is
+    raised in its turn.
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    n_cells = len(cells)
+    n_workers = min(_cpu_count(), n_cells) - 1
+    # spawned workers start from a fresh import: forking a caller that has
+    # threads is unsafe
+    ctx = multiprocessing.get_context("spawn")
+    claims = ctx.RawValue("q", 0)
+    lock = ctx.Lock() if n_workers else contextlib.nullcontext()
+    shared = (claims, lock, cfg, prop_params, base_params, cells)
+    procs, pipes = [], []
+    waiting = {}  # the result pipes and sentinels still watched -> their worker
+    outcomes = {}  # cell index -> (True, errors) or (False, the exception raised)
+    try:
+        for _ in range(n_workers):
+            pipe, sender = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_worker, args=(*shared, sender))
+            pipes.append(pipe)
+            proc.start()
+            procs.append(proc)
+            sender.close()
+            waiting[pipe] = waiting[proc.sentinel] = proc
+        for i in range(n_cells):
+            while i not in outcomes:
+                claimed = _claim(claims, lock)
+                if claimed < n_cells:
+                    outcomes[claimed] = _cell_outcome(*shared, claimed)
+                elif not waiting:
+                    raise _broken("the workers ended without sending every cell they claimed")
+                for ready in wait(list(waiting), 0 if claimed < n_cells else None):
+                    _collect(ready, waiting, outcomes)
+            ok, value = outcomes.pop(i)
+            if not ok:
+                raise value
+            yield value
+    finally:
+        # without the lock, which a killed worker may hold: a worker that
+        # claims a cell past this write is terminated below
+        claims.value = max(claims.value, n_cells)
+        for proc in procs:
+            if proc.is_alive():
+                proc.terminate()
+        for proc in procs:
+            proc.join()
+        for pipe in pipes:
+            pipe.close()
+
+
+def _collect(ready, waiting: dict, outcomes: dict) -> None:
+    """Take in the outcomes a ready result pipe holds, or check a worker that ended."""
+    proc = waiting[ready]
+    if isinstance(ready, int):  # the worker's sentinel
+        del waiting[ready]
+        proc.join()
+        if proc.exitcode:
+            raise _broken(f"a worker ended with exit code {proc.exitcode}")
+        return
+    try:
+        while ready.poll():
+            i, outcome = ready.recv()
+            outcomes[i] = outcome
+    except EOFError:  # the worker has ended; its sentinel tells how
+        del waiting[ready]
+
+
+def _broken(message: str) -> Exception:
+    from concurrent.futures.process import BrokenProcessPool
+
+    return BrokenProcessPool(message)
+
+
+def _claim(claims, lock) -> int:
+    """The index of the next unclaimed cell; past the end once none is left."""
+    with lock:
+        i = claims.value
+        claims.value = i + 1
+    return i
+
+
+def _cell_outcome(claims, lock, cfg, prop_params, base_params, cells, i) -> tuple:
+    """(True, cell i's errors), or (False, the exception it raised)."""
+    li, run = cells[i]
+    try:
+        return True, _run_cell(cfg, prop_params, base_params[li], li, run)
+    except Exception as exc:
+        with lock:  # no cell is claimed after a failure
+            claims.value = max(claims.value, len(cells))
+        return False, exc
+
+
+def _worker(claims, lock, cfg, prop_params, base_params, cells, sender) -> None:
+    """A worker process: send (index, outcome) of each cell it claims until none is left."""
+    with sender:
+        while (i := _claim(claims, lock)) < len(cells):
+            sender.send((i, _cell_outcome(claims, lock, cfg, prop_params, base_params, cells, i)))
 
 
 def _cpu_count() -> int:

@@ -8,11 +8,13 @@ hundreds to thousands of branches and prune, dominance reduction and merge
 all act.
 """
 
-import concurrent.futures
 import csv
 import json
 import multiprocessing
 import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import fields
 from pathlib import Path
 
@@ -191,8 +193,8 @@ def _use_cpus(monkeypatch, n):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
-def _no_pool(*args, **kwargs):
-    raise AssertionError("a worker pool was started")
+def _no_process(*args, **kwargs):
+    raise AssertionError("a worker process was started")
 
 
 @pytest.mark.parametrize("cpus", [3, 1])
@@ -200,7 +202,7 @@ def _no_pool(*args, **kwargs):
 def test_goldens_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, cpus, name):
     _use_cpus(monkeypatch, cpus)
     if cpus == 1:
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _no_pool)
+        monkeypatch.setattr(multiprocessing.get_context("spawn").Process, "start", _no_process)
     cfg = demo_config() if name == "demo" else BenchConfig(
         lambda_list=(10.0,), threshold_sweep=(0.2, 0.5, 0.8), n_runs=3, base_seed=7
     )
@@ -226,8 +228,8 @@ def _first_breaking_scan(cfg, li):
 
 @pytest.mark.parametrize("cpus", [2, 3])
 def test_a_worker_cell_error_names_its_cell(monkeypatch, cpus):
-    # cell 0 (rate 0, the caller's) sees no observation; cells 1 and 2 break
-    # in a worker, and the first of them in cell order is the one reported
+    # cell 0 (rate 0) sees no observation; cells 1 and 2 break, in the
+    # caller or in a worker, and the first of them in cell order is reported
     _use_cpus(monkeypatch, cpus)
     cfg = BenchConfig(
         scenario=ScenarioConfig(p_detect=0.0, r_obs=1e-200), lambda_list=(0.0, 1.0, 2.0), n_runs=1
@@ -238,6 +240,80 @@ def test_a_worker_cell_error_names_its_cell(monkeypatch, cpus):
     t = _first_breaking_scan(cfg, 1)
     assert str(info.value).startswith(f"lambda=1 run=0 t={t} seed={cfg.base_seed}: birth covariance")
     assert messages == ["lambda=0 run=1/1"]
+    assert multiprocessing.active_children() == []
+
+
+# A worker's cell of these scenarios touches the file that the environment
+# variable names (spawned workers inherit the environment), then raises or
+# hangs; the caller's cells run as usual.  A progress callback that waits for
+# the file holds the caller until the worker has claimed a cell.
+_MARKER = "POSSITRACK_TEST_WORKER_MARKER"
+
+
+class _RaisesInAWorker(ScenarioConfig):
+    def __post_init__(self):
+        super().__post_init__()
+        if multiprocessing.parent_process() is not None:
+            Path(os.environ[_MARKER]).touch()
+            raise ValueError("a cell in a worker")
+
+
+class _HangsInAWorker(ScenarioConfig):
+    def __post_init__(self):
+        super().__post_init__()
+        if multiprocessing.parent_process() is not None:
+            Path(os.environ[_MARKER]).touch()
+            time.sleep(600)
+
+
+@pytest.fixture
+def worker_marker(tmp_path, monkeypatch):
+    """A callback that holds the caller until a worker has claimed a cell,
+    with 2 CPUs, and a 60 s alarm so that a hang fails instead."""
+    marker = tmp_path / "claimed"
+    monkeypatch.setenv(_MARKER, str(marker))
+    _use_cpus(monkeypatch, 2)
+
+    def hung(signum, frame):
+        raise TimeoutError("run_benchmark hung")
+
+    def wait_for_the_claim():
+        while not marker.exists():
+            time.sleep(0.01)
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield wait_for_the_claim
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_worker_cell_raises_its_own_exception(worker_marker):
+    cfg = BenchConfig(scenario=_RaisesInAWorker(), lambda_list=(1.0,), threshold_sweep=(0.5,), n_runs=2)
+    messages = []
+
+    def progress(msg):
+        messages.append(msg)
+        worker_marker()
+
+    with pytest.raises(ValueError) as info:
+        run_benchmark(cfg, progress=progress)
+    assert type(info.value) is ValueError and str(info.value) == "a cell in a worker"
+    assert messages == ["lambda=1 run=1/2"]
+    assert multiprocessing.active_children() == []
+
+
+def test_a_killed_worker_breaks_the_call(worker_marker):
+    # the worker is killed in the cell it claimed, which is never sent
+    cfg = BenchConfig(scenario=_HangsInAWorker(), lambda_list=(1.0,), threshold_sweep=(0.5,), n_runs=2)
+
+    def progress(msg):
+        worker_marker()
+        for proc in multiprocessing.active_children():
+            os.kill(proc.pid, signal.SIGKILL)
+
+    with pytest.raises(BrokenProcessPool):
+        run_benchmark(cfg, progress=progress)
     assert multiprocessing.active_children() == []
 
 
