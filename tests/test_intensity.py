@@ -61,6 +61,13 @@ def params(**kw) -> MultiTargetParams:
     return MultiTargetParams(**base)
 
 
+# 1e200 squares to inf, 1e-200 to 0 and 1e-160 to a subnormal
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf"), 1e200, 1e-200, 1e-160])
+def test_params_reject_bad_birth_velocity_std(value):
+    with pytest.raises(ValueError, match="birth_velocity_std"):
+        params(birth_velocity_std=value)
+
+
 @pytest.mark.parametrize("value", [1, np.int64(5)])
 def test_params_accept_integer_max_components(value):
     p = params(max_components=value)
